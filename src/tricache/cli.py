@@ -114,8 +114,18 @@ def _demand_from_args(args: argparse.Namespace, config: SystemConfig) -> Demand:
     if args.demand == "file":
         if args.demand_file is None:
             raise SpecError("--demand-file is required for --demand file")
-        raw = json.loads(Path(args.demand_file).read_text())
-        mapping = {int(k): (v[0], int(v[1])) for k, v in raw.items()}
+        try:
+            raw = json.loads(Path(args.demand_file).read_text())
+        except OSError as exc:
+            raise SpecError(f"cannot read --demand-file: {exc}") from None
+        except ValueError as exc:
+            raise SpecError(f"--demand-file is not JSON: {exc}") from None
+        try:
+            mapping = {int(k): (v[0], int(v[1])) for k, v in raw.items()}
+        except (AttributeError, IndexError, TypeError, ValueError):
+            raise SpecError(
+                "--demand-file must map every user to [server, file index]"
+            ) from None
         try:
             return demand_from_mapping(config, mapping)
         except ValueError as exc:
@@ -160,6 +170,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         ]
         plan_lines = None
     else:
+        if not demand.is_symmetric(config):
+            raise SpecError(
+                f"scheme {scheme} requires a symmetric demand (every user asks its "
+                "own data server); use --scheme mn"
+            )
         plan = delivery.build_plan(config, demand, scheme)
         problems, recovery = delivery.verify_plan(plan)
         rr = delivery.measure_rate(plan)
@@ -302,6 +317,16 @@ def load_plan(path: Path) -> delivery.DeliveryPlan:
         )
         return mn.Broadcast(record["origin"], index_sets, payload)
 
+    seen: set[tuple] = set()
+
+    def claim(kind: str, origin: str, *index_sets: tuple) -> None:
+        key = (kind, origin, index_sets)
+        if key in seen:
+            raise SpecError(
+                f"duplicate {kind} line from {origin} for {[list(s) for s in index_sets]}"
+            )
+        seen.add(key)
+
     pair_groups: dict[tuple, dict[str, mn.Broadcast]] = {}
     unpaired_groups: dict[tuple, list[mn.Broadcast]] = {}
     singles = []
@@ -310,14 +335,17 @@ def load_plan(path: Path) -> delivery.DeliveryPlan:
         if kind == "pair":
             s1 = tuple(record["s1"])
             s2 = tuple(record["s2"])
+            claim(kind, record["origin"], s1, s2)
             bc = rebuild(record, (s1, s2) if record["origin"] == ORIGIN_P else
                          ((s1,) if record["origin"] == ORIGIN_A else (s2,)))
             pair_groups.setdefault((s1, s2), {})[record["origin"]] = bc
         elif kind == "unpaired":
             s = tuple(record["s"])
+            claim(kind, record["origin"], s)
             unpaired_groups.setdefault(s, []).append(rebuild(record, (s,)))
         elif kind == "single":
             s = tuple(record["s"])
+            claim(kind, record["origin"], s)
             bc = rebuild(record, (s,))
             singles.append(delivery.SingleAssignment(subset=s, server=bc.origin, broadcast=bc))
         else:

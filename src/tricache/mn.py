@@ -5,7 +5,10 @@ for each k in S, the packet of k's requested file indexed by S without k.
 Every user in S holds all terms but its own in cache, so each broadcast serves
 t+1 users at once.  The decoder below does not assume that structure: it checks
 exact GF(2) span membership, because the three-server pairing scheme requires
-combining messages from several servers to extract a segment.
+combining messages from several servers to extract a segment.  It peels first
+(a payload with one unknown term yields that term), which settles every
+packet of a well-formed plan in linear time, and runs Gaussian elimination
+only on the rows peeling leaves unresolved.
 
 Verification returns structured reports instead of raising; failures are data.
 """
@@ -14,8 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
-from math import comb
 from typing import Collection, Iterable, Sequence
 
 from .gf2 import GF2Basis
@@ -24,8 +25,7 @@ from .system import (
     GF2Combination,
     PacketId,
     SystemConfig,
-    colex_key,
-    is_cached,
+    mask_of,
     subsets_colex,
     twin,
 )
@@ -93,34 +93,88 @@ def mn_rate(config: SystemConfig) -> Fraction:
     return Fraction(config.K - config.t, config.t + 1)
 
 
+class _PayloadTable:
+    """The payloads of a broadcast list with every packet interned to an int id.
+
+    rows[r] lists the ids in broadcast r's payload and rows_of[i] the rows
+    that hold id i.  Built once and shared by every user's decode.
+    """
+
+    __slots__ = ("ids", "rows", "rows_of")
+
+    def __init__(self, broadcasts: Iterable[Broadcast]) -> None:
+        ids: dict[PacketId, int] = {}
+        rows = [[ids.setdefault(p, len(ids)) for p in bc.payload] for bc in broadcasts]
+        rows_of: list[list[int]] = [[] for _ in ids]
+        for r, row in enumerate(rows):
+            for i in row:
+                rows_of[i].append(r)
+        self.ids = ids
+        self.rows = rows
+        self.rows_of = rows_of
+
+
+def _decodable(
+    table: _PayloadTable, known: bytearray, targets: Sequence[int | None]
+) -> list[bool]:
+    """Which target ids the rows determine, given the ids flagged in `known`.
+
+    Peeling first: a row with one unknown term yields that term, which is then
+    cancelled from every row holding it.  A target peeling leaves unresolved
+    is checked by exact elimination over the residual rows, with known and
+    peeled columns removed; those columns are in the span, so the answer is
+    exact GF(2) span membership.  `known` gains the peeled ids.
+    """
+    rows, rows_of = table.rows, table.rows_of
+    count = [0] * len(rows)  # unknown terms per row
+    xor = [0] * len(rows)  # XOR of the unknown ids per row
+    for i, flag in enumerate(known):
+        if not flag:
+            for r in rows_of[i]:
+                count[r] += 1
+                xor[r] ^= i
+    stack = [r for r, c in enumerate(count) if c == 1]
+    while stack:
+        r = stack.pop()
+        if count[r] != 1:
+            continue
+        i = xor[r]
+        known[i] = 1
+        for r2 in rows_of[i]:
+            count[r2] -= 1
+            xor[r2] ^= i
+            if count[r2] == 1:
+                stack.append(r2)
+
+    result = [i is not None and known[i] == 1 for i in targets]
+    unresolved = [n for n, i in enumerate(targets) if i is not None and not known[i]]
+    if unresolved:
+        col: dict[int, int] = {}
+        basis = GF2Basis()
+        for r, row in enumerate(rows):
+            if count[r]:
+                vec = 0
+                for i in row:
+                    if not known[i]:
+                        vec |= 1 << col.setdefault(i, len(col))
+                basis.add(vec)
+        for n in unresolved:
+            result[n] = basis.contains(1 << col[targets[n]])
+    return result
+
+
 def user_can_decode(
     cache: Collection[PacketId],
     broadcasts: Iterable[Broadcast],
     target: PacketId,
 ) -> bool:
     """Exact decodability: is the target's unit vector in the GF(2) span of the
-    cached unit vectors plus the received payload vectors?
-
-    Cached packets are known values, so each payload is first reduced to its
-    uncached support; the target is then checked against that reduced span.
-    """
+    cached unit vectors plus the received payload vectors?"""
     if target in cache:
         return True
-    cache_set = set(cache)
-    col: dict[PacketId, int] = {}
-    basis = GF2Basis()
-    for bc in broadcasts:
-        row = 0
-        for p in bc.payload.sorted_terms():
-            if p in cache_set:
-                continue
-            bit = col.setdefault(p, len(col))
-            row |= 1 << bit
-        if row:
-            basis.add(row)
-    if target not in col:
-        return False
-    return basis.contains(1 << col[target])
+    table = _PayloadTable(broadcasts)
+    known = bytearray(p in cache for p in table.ids)
+    return _decodable(table, known, [table.ids.get(target)])[0]
 
 
 @dataclass(frozen=True)
@@ -151,45 +205,29 @@ def verify_full_recovery(
     """Check that every user can decode every uncached packet of its file.
 
     Every user hears every broadcast (audiences on broadcasts are
-    informational).  Each user's check is independent and pure, so callers may
-    fan the users out to parallel workers; this routine runs them in order.
+    informational).  The payloads are interned once and shared; each user's
+    check is then independent and pure, and this routine runs them in order.
     """
+    table = _PayloadTable(broadcasts)
+    tsub_mask = {sub: mask_of(sub) for sub in subsets_colex(config.users, config.t)}
+    # Plan packets have t-subsets; any other subset gets its own mask, built
+    # only from ids of real users since no other bit is ever tested.
+    users = set(config.users)
+    masks = [
+        tsub_mask.get(p.subset) or mask_of(u for u in p.subset if u in users)
+        for p in table.ids
+    ]
     results = []
-    for k in config.users:
-        results.append(_recover_one(config, demand, broadcasts, k))
+    for user in config.users:
+        server, idx = demand.of(user)
+        # The user's targets: its file's packets whose subset misses the user.
+        subs = [sub for sub, m in tsub_mask.items() if not m >> user & 1]
+        targets = [table.ids.get(PacketId(server, idx, sub)) for sub in subs]
+        known = bytearray(m >> user & 1 for m in masks)
+        decoded = _decodable(table, known, targets)
+        missing = decoded.count(False)
+        first_failed = PacketId(server, idx, subs[decoded.index(False)]) if missing else None
+        results.append(
+            UserRecovery(user=user, ok=missing == 0, first_failed=first_failed, missing=missing)
+        )
     return RecoveryReport(tuple(results))
-
-
-def _recover_one(
-    config: SystemConfig,
-    demand: Demand,
-    broadcasts: Sequence[Broadcast],
-    user: int,
-) -> UserRecovery:
-    col: dict[PacketId, int] = {}
-    basis = GF2Basis()
-    for bc in broadcasts:
-        row = 0
-        for p in bc.payload.sorted_terms():
-            if is_cached(user, p):
-                continue
-            bit = col.setdefault(p, len(col))
-            row |= 1 << bit
-        if row:
-            basis.add(row)
-    server, idx = demand.of(user)
-    others = sorted(u for u in config.users if u != user)
-    first_failed = None
-    missing = 0
-    for sub in sorted(combinations(others, config.t), key=colex_key):
-        packet = PacketId(server, idx, sub)
-        bit = col.get(packet)
-        if bit is None or not basis.contains(1 << bit):
-            missing += 1
-            if first_failed is None:
-                first_failed = packet
-    return UserRecovery(user=user, ok=missing == 0, first_failed=first_failed, missing=missing)
-
-
-def expected_mn_broadcast_count(config: SystemConfig) -> int:
-    return comb(config.K, config.t + 1)

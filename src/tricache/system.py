@@ -82,9 +82,6 @@ class GF2Combination:
         return sorted(self.packets)
 
 
-ZERO_COMBINATION = GF2Combination()
-
-
 @dataclass(frozen=True)
 class SystemConfig:
     """A validated (K, M, N) system with its user partition.
@@ -231,24 +228,6 @@ def place_caches(config: SystemConfig) -> dict[int, frozenset[PacketId]]:
             for (server, idx) in files
         )
     return caches
-
-
-def is_cached(user: int, packet: PacketId) -> bool:
-    return user in packet.subset
-
-
-def packets_of_file(config: SystemConfig, server: str, file_index: int) -> Iterator[PacketId]:
-    for sub in subsets_colex(config.users, config.t):
-        yield PacketId(server, file_index, sub)
-
-
-def uncached_packets(
-    config: SystemConfig, user: int, server: str, file_index: int
-) -> Iterator[PacketId]:
-    """Packets of one file the user must decode: those whose subset misses the user."""
-    others = [u for u in config.users if u != user]
-    for sub in subsets_colex(others, config.t):
-        yield PacketId(server, file_index, sub)
 
 
 # ---------------------------------------------------------------------------

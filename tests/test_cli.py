@@ -173,3 +173,86 @@ def test_outdir_env(tmp_path, capsys, monkeypatch):
     )
     assert code == 0
     assert (tmp_path / "nested" / "report.json").exists()
+
+
+@pytest.mark.parametrize("bad_subset", [[-1], [4000000000], [0, -1]])
+def test_verify_survives_foreign_user_ids_in_payload(tmp_path, capsys, bad_subset):
+    # a payload term naming no real user is an unknown the decoder cannot
+    # resolve; verify must report it, not crash or build a huge bitmask
+    plan_path = tmp_path / "plan.jsonl"
+    code, _, _ = run(
+        ["simulate", "--K", "6", "--lambda", "1/2", "--scheme", "improved",
+         "--output", str(tmp_path / "r.json"), "--plan-out", str(plan_path)],
+        capsys,
+    )
+    assert code == 0
+    records = [json.loads(l) for l in plan_path.read_text().splitlines()]
+    first_pair = next(r for r in records if r["kind"] == "pair")
+    first_pair["payload"][0][2] = bad_subset
+    tampered = tmp_path / "tampered.jsonl"
+    tampered.write_text("".join(json.dumps(r) + "\n" for r in records))
+    code, out, err = run(["verify", "--plan", str(tampered)], capsys)
+    assert code in (1, 2)
+    assert "Traceback" not in err
+    assert "plan ok" not in out
+
+
+def test_verify_rejects_duplicated_pair_line(tmp_path, capsys):
+    plan_path = tmp_path / "plan.jsonl"
+    code, _, _ = run(
+        ["simulate", "--K", "6", "--lambda", "1/2", "--scheme", "improved",
+         "--output", str(tmp_path / "r.json"), "--plan-out", str(plan_path)],
+        capsys,
+    )
+    assert code == 0
+    lines = plan_path.read_text().splitlines(keepends=True)
+    first_pair = next(i for i, l in enumerate(lines) if json.loads(l)["kind"] == "pair")
+    doubled = tmp_path / "doubled.jsonl"
+    doubled.write_text("".join(lines[:first_pair + 1] + lines[first_pair:]))
+    code, out, err = run(["verify", "--plan", str(doubled)], capsys)
+    assert code == 2
+    assert "duplicate pair line" in err
+    assert "plan ok" not in out
+
+
+def test_simulate_missing_demand_file(tmp_path, capsys):
+    code, _, err = run(
+        ["simulate", "--K", "6", "--lambda", "1/2", "--demand", "file",
+         "--demand-file", str(tmp_path / "absent.json")],
+        capsys,
+    )
+    assert code == 2
+    assert "cannot read --demand-file" in err
+
+
+@pytest.mark.parametrize("text, message", [
+    ("user 0 wants A1\n", "not JSON"),
+    ('["A", 1]', "must map every user"),
+    ('{"0": "A"}', "must map every user"),
+])
+def test_simulate_bad_demand_file(tmp_path, capsys, text, message):
+    path = tmp_path / "demand.json"
+    path.write_text(text)
+    code, _, err = run(
+        ["simulate", "--K", "6", "--lambda", "1/2", "--demand", "file",
+         "--demand-file", str(path)],
+        capsys,
+    )
+    assert code == 2
+    assert message in err
+
+
+@pytest.mark.parametrize("scheme", ["improved", "lap", "auto"])
+def test_simulate_asymmetric_demand_needs_mn(tmp_path, capsys, scheme):
+    # user 0 sits on server A's side but asks for a B file
+    path = tmp_path / "demand.json"
+    demand = {str(u): ["A" if u < 3 else "B", u % 3 + 1] for u in range(6)}
+    demand["0"] = ["B", 1]
+    path.write_text(json.dumps(demand))
+    argv = ["simulate", "--K", "6", "--lambda", "1/2", "--demand", "file",
+            "--demand-file", str(path), "--output", str(tmp_path / "r.json")]
+    code, _, err = run(argv + ["--scheme", scheme], capsys)
+    assert code == 2
+    assert "symmetric demand" in err
+    code, _, _ = run(argv + ["--scheme", "mn"], capsys)
+    assert code == 0

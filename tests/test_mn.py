@@ -1,4 +1,5 @@
-"""Single-server delivery and the span decoder, checked against a peeling oracle."""
+"""Single-server delivery and the span decoder, checked against a peeling
+oracle and a full Gaussian-elimination oracle."""
 
 import random
 from fractions import Fraction
@@ -6,8 +7,14 @@ from math import comb
 
 from hypothesis import given, settings, strategies as st
 
+from tricache import mn
+from tricache.delivery import build_plan
+from tricache.gf2 import GF2Basis, span_contains
 from tricache.mn import (
+    ORIGIN_SINGLE,
     Broadcast,
+    RecoveryReport,
+    UserRecovery,
     mn_delivery,
     mn_rate,
     user_can_decode,
@@ -19,6 +26,7 @@ from tricache.system import (
     build_config,
     place_caches,
     random_demand,
+    subsets_colex,
     worst_demand,
 )
 
@@ -154,3 +162,113 @@ def test_repeated_requests_still_decode():
     cfg = build_config(4, 2, 4)
     demand = random_demand(cfg, random.Random(3))
     assert verify_full_recovery(cfg, demand, mn_delivery(cfg, demand)).all_ok
+
+
+def elimination_oracle(config, demand, broadcasts):
+    """Full per-user Gaussian elimination over every payload, with no peeling."""
+    users = []
+    for user in config.users:
+        col = {}
+        basis = GF2Basis()
+        for bc in broadcasts:
+            row = 0
+            for p in bc.payload.sorted_terms():
+                if user in p.subset:
+                    continue
+                row |= 1 << col.setdefault(p, len(col))
+            if row:
+                basis.add(row)
+        server, idx = demand.of(user)
+        others = [u for u in config.users if u != user]
+        first_failed = None
+        missing = 0
+        for sub in subsets_colex(others, config.t):
+            packet = PacketId(server, idx, sub)
+            bit = col.get(packet)
+            if bit is None or not basis.contains(1 << bit):
+                missing += 1
+                if first_failed is None:
+                    first_failed = packet
+        users.append(UserRecovery(user, missing == 0, first_failed, missing))
+    return RecoveryReport(tuple(users))
+
+
+def oracle_plans():
+    """Small MN, lap and improved plans under worst and random demands."""
+    rng = random.Random(5)
+    for K, t in ((4, 2), (6, 2), (6, 3), (8, 1), (8, 3), (8, 5)):
+        cfg = build_config(K, t, K)
+        for demand in (worst_demand(cfg), random_demand(cfg, rng)):
+            yield f"mn K={K} t={t}", cfg, demand, mn_delivery(cfg, demand)
+            for scheme in ("lap", "improved"):
+                plan = build_plan(cfg, demand, scheme)
+                yield f"{scheme} K={K} t={t}", cfg, demand, plan.all_broadcasts()
+
+
+def tampered(broadcasts, rng):
+    """A dropped broadcast, a removed payload term and a duplicated broadcast."""
+    n = len(broadcasts)
+    drop = rng.randrange(n)
+    yield "drop", broadcasts[:drop] + broadcasts[drop + 1:]
+    victim = rng.choice([i for i, bc in enumerate(broadcasts) if len(bc.payload) > 1])
+    bc = broadcasts[victim]
+    term = rng.choice(bc.payload.sorted_terms())
+    thinned = Broadcast(bc.origin, bc.index_sets, GF2Combination(bc.payload.packets - {term}))
+    yield "remove term", broadcasts[:victim] + [thinned] + broadcasts[victim + 1:]
+    dup = rng.randrange(n)
+    yield "duplicate", broadcasts[:dup + 1] + broadcasts[dup:]
+
+
+def test_recovery_matches_elimination_oracle():
+    rng = random.Random(17)
+    checked = failing = 0
+    for name, cfg, demand, bcs in oracle_plans():
+        variants = [("intact", bcs), *tampered(bcs, rng)]
+        for how, variant in variants:
+            report = verify_full_recovery(cfg, demand, variant)
+            assert report == elimination_oracle(cfg, demand, variant), (name, how)
+            checked += 1
+            failing += not report.all_ok
+    assert failing > 0 and checked == 6 * 2 * 3 * 4
+
+
+def test_intact_plans_decode_by_peeling_alone(monkeypatch):
+    # elimination runs only on what peeling leaves; a well-formed plan leaves nothing
+    monkeypatch.setattr(mn, "GF2Basis", None)
+    for name, cfg, demand, bcs in oracle_plans():
+        assert verify_full_recovery(cfg, demand, bcs).all_ok, name
+
+
+def test_stopping_set_needs_elimination():
+    # every row holds two unknowns, so peeling stalls, yet the rows sum to d
+    a, b, c, d = (PacketId("A", 1, (u,)) for u in range(4))
+    rows = [
+        Broadcast(ORIGIN_SINGLE, (), GF2Combination(frozenset(terms)))
+        for terms in ((a, b), (a, c), (b, c, d))
+    ]
+    assert not peel_oracle(set(), rows, d)
+    assert user_can_decode(set(), rows, d)
+    assert not user_can_decode(set(), rows, a)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_user_can_decode_is_span_membership(data):
+    # random payloads over eight packets, a random cache and target
+    packets = [PacketId("A", 1, (u,)) for u in range(8)]
+    masks = data.draw(st.lists(st.integers(1, 255), max_size=8))
+    cached = data.draw(st.integers(0, 255))
+    target = data.draw(st.integers(0, 7))
+    rows = [
+        Broadcast(
+            ORIGIN_SINGLE,
+            (),
+            GF2Combination(frozenset(p for j, p in enumerate(packets) if m >> j & 1)),
+        )
+        for m in masks
+    ]
+    cache = {p for j, p in enumerate(packets) if cached >> j & 1}
+    units = [1 << j for j in range(8) if cached >> j & 1]
+    assert user_can_decode(cache, rows, packets[target]) == span_contains(
+        masks + units, 1 << target
+    )
