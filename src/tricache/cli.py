@@ -15,13 +15,13 @@ import json
 import os
 import random
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
+from math import comb
 from pathlib import Path
 from typing import Sequence
 
 from . import analysis, delivery, mn
-from .mn import ORIGIN_A, ORIGIN_B, ORIGIN_P
+from .mn import KIND_MN, KIND_PAIR, KIND_SINGLE, KIND_UNPAIRED, ORIGIN_SINGLE
 from .system import (
     Demand,
     GF2Combination,
@@ -38,6 +38,17 @@ EXIT_VERIFICATION = 1
 EXIT_INVALID = 2
 
 OUTDIR_ENV = "TRICACHE_OUTDIR"
+
+# Report key of a server's load, where it differs from the origin tag.
+LOAD_KEYS = {ORIGIN_SINGLE: "single"}
+
+# The fields of a plan-file line that hold a broadcast's index sets, per kind.
+SET_FIELDS = {
+    KIND_PAIR: ("s1", "s2"),
+    KIND_UNPAIRED: ("s",),
+    KIND_SINGLE: ("s",),
+    KIND_MN: ("s",),
+}
 
 
 class SpecError(Exception):
@@ -75,9 +86,12 @@ def resolve_output(path: str | None) -> Path | None:
 def _write_text(path: Path | None, text: str) -> None:
     if path is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(text)
+    except OSError as exc:
+        raise SpecError(f"cannot write {path}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -133,7 +147,9 @@ def _demand_from_args(args: argparse.Namespace, config: SystemConfig) -> Demand:
     raise SpecError(f"unknown demand source {args.demand!r}")
 
 
-def _rational_fields(value: Fraction) -> dict:
+def _rational_fields(value: Fraction | None) -> dict | None:
+    if value is None:
+        return None
     return {"float": float(value), "exact": fraction_str(value)}
 
 
@@ -141,77 +157,41 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
     demand = _demand_from_args(args, config)
     scheme = args.scheme
+    if scheme != delivery.SCHEME_MN and not demand.is_symmetric(config):
+        raise SpecError(
+            f"scheme {scheme} requires a symmetric demand (every user asks its "
+            "own data server); use --scheme mn"
+        )
 
-    if scheme == "mn":
-        broadcasts = mn.mn_delivery(config, demand)
-        recovery = mn.verify_full_recovery(config, demand, broadcasts)
-        rate = Fraction(len(broadcasts), config.packets_per_file)
-        report = {
-            "K": config.K,
-            "N": config.N,
-            "M": _rational_fields(config.M),
-            "t": config.t,
-            "lambda": _rational_fields(config.lam),
-            "scheme": scheme,
-            "loads": {"single": len(broadcasts)},
-            "F": config.packets_per_file,
-            "R": _rational_fields(rate),
-            "R_formula": _rational_fields(mn.mn_rate(config)),
-            "delta_measured": None,
-            "delta_formula": None,
-            "verified": recovery.all_ok,
-            "unpaired": 0,
-            "pairs": 0,
-            "singles": 0,
-        }
-        failures = [
-            {"user": u.user, "missing": u.missing, "first_failed": _packet_json(u.first_failed)}
-            for u in recovery.failures()
-        ]
-        plan_lines = None
-    else:
-        if not demand.is_symmetric(config):
-            raise SpecError(
-                f"scheme {scheme} requires a symmetric demand (every user asks its "
-                "own data server); use --scheme mn"
-            )
-        plan = delivery.build_plan(config, demand, scheme)
-        problems, recovery = delivery.verify_plan(plan)
-        rr = delivery.measure_rate(plan)
-        if config.t % 2 == 1:
-            if plan.scheme == "lap":
-                delta_formula = analysis.delta_lap_exact(config.K, config.t)
-            else:
-                delta_formula = analysis.delta_improved_exact(config.K, config.t).delta_prime
-        else:
-            delta_formula = Fraction(0)
-        report = {
-            "K": config.K,
-            "N": config.N,
-            "M": _rational_fields(config.M),
-            "t": config.t,
-            "lambda": _rational_fields(config.lam),
-            "scheme": scheme,
-            "scheme_used": plan.scheme,
-            "loads": {"A": rr.load_a, "B": rr.load_b, "P": rr.load_p},
-            "F": rr.packets_per_file,
-            "R": _rational_fields(rr.rate),
-            "R_formula": _rational_fields(rr.rate_formula),
-            "delta_measured": _rational_fields(rr.delta_measured),
-            "delta_formula": _rational_fields(delta_formula),
-            "verified": recovery.all_ok and not problems,
-            "unpaired": rr.unpaired,
-            "pairs": rr.pairs,
-            "singles": rr.singles,
-        }
-        failures = [
-            {"user": u.user, "missing": u.missing, "first_failed": _packet_json(u.first_failed)}
-            for u in recovery.failures()
-        ]
-        if problems:
-            failures.append({"audit": problems})
-        plan_lines = _plan_lines(plan)
-
+    plan = delivery.build_plan(config, demand, scheme)
+    problems, recovery = delivery.verify_plan(plan)
+    rr = delivery.measure_rate(plan)
+    report = {
+        "K": config.K,
+        "N": config.N,
+        "M": _rational_fields(config.M),
+        "t": config.t,
+        "lambda": _rational_fields(config.lam),
+        "scheme": scheme,
+        "loads": {LOAD_KEYS.get(origin, origin): n for origin, n in rr.loads.items()},
+        "F": rr.packets_per_file,
+        "R": _rational_fields(rr.rate),
+        "R_formula": _rational_fields(rr.rate_formula),
+        "delta_measured": _rational_fields(rr.delta_measured),
+        "delta_formula": _rational_fields(rr.delta_formula),
+        "verified": recovery.all_ok and not problems,
+        "unpaired": rr.unpaired,
+        "pairs": rr.pairs,
+        "singles": rr.singles,
+    }
+    if plan.scheme != delivery.SCHEME_MN:
+        report["scheme_used"] = plan.scheme  # what auto chose; mn chooses nothing
+    failures = [
+        {"user": u.user, "missing": u.missing, "first_failed": _packet_json(u.first_failed)}
+        for u in recovery.failures()
+    ]
+    if problems:
+        failures.append({"audit": problems})
     if failures:
         report["failures"] = failures
 
@@ -221,10 +201,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         text = _report_csv(report)
     _write_text(resolve_output(args.output), text)
 
-    if plan_lines is not None and args.plan_out:
-        path = resolve_output(args.plan_out)
-        assert path is not None
-        _write_text(path, "".join(plan_lines))
+    if args.plan_out:
+        _write_text(resolve_output(args.plan_out), "".join(_plan_lines(plan)))
 
     return EXIT_OK if report["verified"] else EXIT_VERIFICATION
 
@@ -260,16 +238,6 @@ def _payload_json(payload: GF2Combination) -> list:
     return [_packet_json(p) for p in payload.sorted_terms()]
 
 
-def _broadcast_line(kind: str, bc: mn.Broadcast, **extra) -> str:
-    record = {
-        "kind": kind,
-        "origin": bc.origin,
-        "payload": _payload_json(bc.payload),
-        **extra,
-    }
-    return json.dumps(record, sort_keys=True) + "\n"
-
-
 def _plan_lines(plan: delivery.DeliveryPlan) -> list[str]:
     config = plan.config
     meta = {
@@ -282,16 +250,10 @@ def _plan_lines(plan: delivery.DeliveryPlan) -> list[str]:
         "demand": {str(u): [plan.demand.of(u)[0], plan.demand.of(u)[1]] for u in config.users},
     }
     lines = [json.dumps(meta, sort_keys=True) + "\n"]
-    for tr in plan.paired:
-        s1, s2 = list(tr.s1), list(tr.s2)
-        lines.append(_broadcast_line("pair", tr.m_a, s1=s1, s2=s2))
-        lines.append(_broadcast_line("pair", tr.m_b, s1=s1, s2=s2))
-        lines.append(_broadcast_line("pair", tr.m_p, s1=s1, s2=s2))
-    for u in plan.unpaired:
-        for bc in u.broadcasts:
-            lines.append(_broadcast_line("unpaired", bc, s=list(u.subset)))
-    for s in plan.singles:
-        lines.append(_broadcast_line("single", s.broadcast, s=list(s.subset)))
+    for bc in plan.broadcasts:
+        record = {"kind": bc.kind, "origin": bc.origin, "payload": _payload_json(bc.payload)}
+        record.update(zip(SET_FIELDS[bc.kind], map(list, bc.index_sets)))
+        lines.append(json.dumps(record, sort_keys=True) + "\n")
     return lines
 
 
@@ -301,7 +263,15 @@ def _packet_from_json(item: Sequence) -> PacketId:
 
 
 def load_plan(path: Path) -> delivery.DeliveryPlan:
-    """Rebuild a plan structure from an exported file, without trusting it."""
+    """Rebuild a plan from an exported file, one broadcast per line, without
+    trusting it.
+
+    Every set takes at least one broadcast line: a pair's three lines serve
+    two sets, an unpaired set takes two and a single or MN set one.  So a
+    valid plan has at least C(K, t+1) lines.  Auditing enumerates that many
+    sets, so a file with fewer than half of them is refused before any work
+    of that size; a plan that lost fewer lines is audited and fails there.
+    """
     lines = [json.loads(line) for line in path.read_text().splitlines() if line.strip()]
     if not lines or lines[0].get("kind") != "meta":
         raise SpecError("plan file must start with a meta line")
@@ -310,70 +280,37 @@ def load_plan(path: Path) -> delivery.DeliveryPlan:
     demand = demand_from_mapping(
         config, {int(u): (v[0], int(v[1])) for u, v in meta["demand"].items()}
     )
-
-    def rebuild(record: dict, index_sets: tuple) -> mn.Broadcast:
-        payload = GF2Combination.from_terms(
-            _packet_from_json(p) for p in record["payload"]
+    sets = comb(config.K, config.t + 1)
+    if 2 * (len(lines) - 1) < sets:
+        raise SpecError(
+            f"plan file has {len(lines) - 1} broadcast lines, fewer than half of "
+            f"the C({config.K}, {config.t + 1}) = {sets} sets it must serve"
         )
-        return mn.Broadcast(record["origin"], index_sets, payload)
 
+    broadcasts = []
     seen: set[tuple] = set()
-
-    def claim(kind: str, origin: str, *index_sets: tuple) -> None:
-        key = (kind, origin, index_sets)
-        if key in seen:
-            raise SpecError(
-                f"duplicate {kind} line from {origin} for {[list(s) for s in index_sets]}"
-            )
-        seen.add(key)
-
-    pair_groups: dict[tuple, dict[str, mn.Broadcast]] = {}
-    unpaired_groups: dict[tuple, list[mn.Broadcast]] = {}
-    singles = []
     for record in lines[1:]:
         kind = record.get("kind")
-        if kind == "pair":
-            s1 = tuple(record["s1"])
-            s2 = tuple(record["s2"])
-            claim(kind, record["origin"], s1, s2)
-            bc = rebuild(record, (s1, s2) if record["origin"] == ORIGIN_P else
-                         ((s1,) if record["origin"] == ORIGIN_A else (s2,)))
-            pair_groups.setdefault((s1, s2), {})[record["origin"]] = bc
-        elif kind == "unpaired":
-            s = tuple(record["s"])
-            claim(kind, record["origin"], s)
-            unpaired_groups.setdefault(s, []).append(rebuild(record, (s,)))
-        elif kind == "single":
-            s = tuple(record["s"])
-            claim(kind, record["origin"], s)
-            bc = rebuild(record, (s,))
-            singles.append(delivery.SingleAssignment(subset=s, server=bc.origin, broadcast=bc))
-        else:
+        if kind not in SET_FIELDS:
             raise SpecError(f"unknown plan line kind {kind!r}")
-
-    paired = []
-    for (s1, s2), group in pair_groups.items():
-        missing = {ORIGIN_A, ORIGIN_B, ORIGIN_P} - set(group)
-        if missing:
-            raise SpecError(
-                f"pair ({list(s1)}, {list(s2)}) is missing messages from {sorted(missing)}"
-            )
-        paired.append(delivery.PairedTriple(s1, s2, group[ORIGIN_A], group[ORIGIN_B], group[ORIGIN_P]))
-    unpaired = []
-    for s, bcs in unpaired_groups.items():
-        if len(bcs) != 2:
-            raise SpecError(f"unpaired subset {list(s)} needs exactly two broadcasts")
-        servers = tuple(sorted(bc.origin for bc in bcs))
-        unpaired.append(
-            delivery.UnpairedAssignment(subset=s, servers=servers, broadcasts=tuple(bcs))
+        bc = mn.Broadcast(
+            record["origin"],
+            tuple(tuple(int(u) for u in record[f]) for f in SET_FIELDS[kind]),
+            GF2Combination.from_terms(_packet_from_json(p) for p in record["payload"]),
+            kind,
         )
+        key = (kind, bc.origin, bc.index_sets)
+        if key in seen:
+            raise SpecError(
+                f"duplicate {kind} line from {bc.origin} for {[list(s) for s in bc.index_sets]}"
+            )
+        seen.add(key)
+        broadcasts.append(bc)
     return delivery.DeliveryPlan(
         config=config,
         demand=demand,
         scheme=str(meta.get("scheme", "lap")),
-        paired=tuple(paired),
-        unpaired=tuple(unpaired),
-        singles=tuple(singles),
+        broadcasts=tuple(broadcasts),
     )
 
 
@@ -395,8 +332,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
               f"first {u.first_failed}")
     if problems or not recovery.all_ok:
         return EXIT_VERIFICATION
-    print(f"plan ok: {len(plan.paired)} pairs, {len(plan.unpaired)} unpaired, "
-          f"{len(plan.singles)} singles, all users decode")
+    groups = delivery.group_counts(plan)
+    print(f"plan ok: {groups[KIND_PAIR]} pairs, {groups[KIND_UNPAIRED]} unpaired, "
+          f"{groups[KIND_SINGLE]} singles, all users decode")
     return EXIT_OK
 
 
@@ -437,12 +375,6 @@ def _curve_csv(rows: list[analysis.CurveRow]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _grid_point(point: tuple[int, str]) -> tuple[list, list]:
-    K, lam_text = point
-    rows, skipped = analysis.ratio_curves([K], [Fraction(lam_text)])
-    return rows, skipped
-
-
 def cmd_curves(args: argparse.Namespace) -> int:
     try:
         K_values = [int(k) for k in args.K.split(",") if k]
@@ -452,17 +384,7 @@ def cmd_curves(args: argparse.Namespace) -> int:
     if not K_values or not lambdas:
         raise SpecError("curves need at least one K and one lambda")
 
-    if args.jobs > 1:
-        points = [(K, str(lam)) for lam in lambdas for K in K_values]
-        rows: list[analysis.CurveRow] = []
-        skipped: list[analysis.SkippedPoint] = []
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            for point_rows, point_skips in pool.map(_grid_point, points):
-                rows.extend(point_rows)
-                skipped.extend(point_skips)
-    else:
-        rows, skipped = analysis.ratio_curves(K_values, lambdas)
-
+    rows, skipped = analysis.ratio_curves(K_values, lambdas)
     for s in skipped:
         print(f"skipped lambda={s.lam} K={s.K}: {s.reason}", file=sys.stderr)
     if not rows:
@@ -504,7 +426,6 @@ def build_parser() -> argparse.ArgumentParser:
     cur.add_argument("--lambdas", required=True,
                      help="comma-separated cache fractions, e.g. 1/3,1/2,2/3")
     cur.add_argument("--output", default=None, help="CSV path ('-' or omit for stdout)")
-    cur.add_argument("--jobs", type=int, default=1, help="parallel workers for the grid")
     cur.set_defaults(func=cmd_curves)
 
     ver = sub.add_parser("verify", help="re-audit a previously exported plan file")

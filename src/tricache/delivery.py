@@ -16,27 +16,36 @@ side's users (layers 0 and t+1) are served by their own data server alone.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from math import comb
 from typing import Iterable
 
+from .analysis import delta_improved_exact, delta_lap_exact
 from .mn import (
+    KIND_MN,
+    KIND_PAIR,
+    KIND_SINGLE,
+    KIND_UNPAIRED,
     ORIGIN_A,
     ORIGIN_B,
     ORIGIN_P,
+    ORIGIN_SINGLE,
     Broadcast,
     RecoveryReport,
+    mn_delivery,
+    mn_rate,
     origin_violations,
     verify_full_recovery,
 )
 from .pairing import (
     SCHEME_LAP,
     build_layers,
-    check_saturation,
     is_effective_pair,
     layer_weight,
-    max_matching,
+    match_graphs,
     middle_pairing,
     orient_pair,
     outer_graphs,
@@ -44,11 +53,21 @@ from .pairing import (
 )
 from .system import Demand, GF2Combination, PacketId, SystemConfig, users_of
 
+SCHEME_MN = "mn"
+
 SERVER_PAIR_ROTATION: tuple[tuple[str, str], ...] = (
     (ORIGIN_A, ORIGIN_B),
     (ORIGIN_A, ORIGIN_P),
     (ORIGIN_B, ORIGIN_P),
 )
+
+# The sorted origins that make up one complete group of each kind.
+GROUP_ORIGINS: dict[str, tuple[tuple[str, ...], ...]] = {
+    KIND_PAIR: ((ORIGIN_A, ORIGIN_B, ORIGIN_P),),
+    KIND_UNPAIRED: SERVER_PAIR_ROTATION,
+    KIND_SINGLE: ((ORIGIN_A,), (ORIGIN_B,)),
+    KIND_MN: ((ORIGIN_SINGLE,),),
+}
 
 
 class CoverageError(RuntimeError):
@@ -56,55 +75,18 @@ class CoverageError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class PairedTriple:
-    s1: tuple[int, ...]
-    s2: tuple[int, ...]
-    m_a: Broadcast
-    m_b: Broadcast
-    m_p: Broadcast
-
-
-@dataclass(frozen=True)
-class UnpairedAssignment:
-    subset: tuple[int, ...]
-    servers: tuple[str, str]
-    broadcasts: tuple[Broadcast, Broadcast]
-
-
-@dataclass(frozen=True)
-class SingleAssignment:
-    subset: tuple[int, ...]
-    server: str
-    broadcast: Broadcast
-
-
-@dataclass(frozen=True)
 class DeliveryPlan:
+    """Every broadcast of one delivery, in transmission order.
+
+    A group is the broadcasts that share a kind and index sets: the three
+    messages of a pair, the two fragments of an unpaired set, or the one
+    broadcast of a single or MN set.
+    """
+
     config: SystemConfig
     demand: Demand
     scheme: str
-    paired: tuple[PairedTriple, ...]
-    unpaired: tuple[UnpairedAssignment, ...]
-    singles: tuple[SingleAssignment, ...]
-
-    def all_broadcasts(self) -> list[Broadcast]:
-        out: list[Broadcast] = []
-        for triple in self.paired:
-            out.extend((triple.m_a, triple.m_b, triple.m_p))
-        for u in self.unpaired:
-            out.extend(u.broadcasts)
-        for s in self.singles:
-            out.append(s.broadcast)
-        return out
-
-    def served_sets(self) -> list[tuple[int, ...]]:
-        sets: list[tuple[int, ...]] = []
-        for triple in self.paired:
-            sets.append(triple.s1)
-            sets.append(triple.s2)
-        sets.extend(u.subset for u in self.unpaired)
-        sets.extend(s.subset for s in self.singles)
-        return sets
+    broadcasts: tuple[Broadcast, ...]
 
 
 def _segment(demand: Demand, server: str, k: int, index_set: int) -> PacketId:
@@ -123,19 +105,22 @@ def synthesize_pair_messages(
     shared = s1 & s2
     q_a = shared & config.mask_a
     q_b = shared & config.mask_b
+    index_sets = (users_of(s1), users_of(s2))
     m_a = Broadcast(
         origin=ORIGIN_A,
-        index_sets=(users_of(s1),),
+        index_sets=index_sets,
         payload=GF2Combination.from_terms(
             _segment(demand, "A", k, s1) for k in users_of(s1)
         ),
+        kind=KIND_PAIR,
     )
     m_b = Broadcast(
         origin=ORIGIN_B,
-        index_sets=(users_of(s2),),
+        index_sets=index_sets,
         payload=GF2Combination.from_terms(
             _segment(demand, "B", k, s2) for k in users_of(s2)
         ),
+        kind=KIND_PAIR,
     )
     parity_terms = []
     for k in users_of(q_b):
@@ -146,8 +131,9 @@ def synthesize_pair_messages(
         parity_terms.append(_segment(demand, "A", k, s2))
     m_p = Broadcast(
         origin=ORIGIN_P,
-        index_sets=(users_of(s1), users_of(s2)),
+        index_sets=index_sets,
         payload=GF2Combination.from_terms(parity_terms),
+        kind=KIND_PAIR,
     )
     return m_a, m_b, m_p
 
@@ -166,40 +152,44 @@ def synthesize_unpaired(
             ORIGIN_A,
             index_sets,
             GF2Combination.from_terms(_segment(demand, "A", k, subset) for k in a_members),
+            KIND_UNPAIRED,
         )
         second = Broadcast(
             ORIGIN_B,
             index_sets,
             GF2Combination.from_terms(_segment(demand, "B", k, subset) for k in b_members),
+            KIND_UNPAIRED,
         )
     elif pair == (ORIGIN_A, ORIGIN_P):
         first = Broadcast(
             ORIGIN_A,
             index_sets,
             GF2Combination.from_terms(_segment(demand, "A", k, subset) for k in members),
+            KIND_UNPAIRED,
         )
         terms = []
         for k in b_members:
             terms.append(_segment(demand, "A", k, subset))
             terms.append(_segment(demand, "B", k, subset))
-        second = Broadcast(ORIGIN_P, index_sets, GF2Combination.from_terms(terms))
+        second = Broadcast(ORIGIN_P, index_sets, GF2Combination.from_terms(terms), KIND_UNPAIRED)
     elif pair == (ORIGIN_B, ORIGIN_P):
         first = Broadcast(
             ORIGIN_B,
             index_sets,
             GF2Combination.from_terms(_segment(demand, "B", k, subset) for k in members),
+            KIND_UNPAIRED,
         )
         terms = []
         for k in a_members:
             terms.append(_segment(demand, "B", k, subset))
             terms.append(_segment(demand, "A", k, subset))
-        second = Broadcast(ORIGIN_P, index_sets, GF2Combination.from_terms(terms))
+        second = Broadcast(ORIGIN_P, index_sets, GF2Combination.from_terms(terms), KIND_UNPAIRED)
     else:
         raise ValueError(f"unknown server pair {server_pair!r}")
     return first, second
 
 
-def _synthesize_single(subset: int, demand: Demand, config: SystemConfig) -> SingleAssignment:
+def _synthesize_single(subset: int, demand: Demand, config: SystemConfig) -> Broadcast:
     w = layer_weight(subset, config)
     if w == config.t + 1:
         server = ORIGIN_A
@@ -210,11 +200,7 @@ def _synthesize_single(subset: int, demand: Demand, config: SystemConfig) -> Sin
     payload = GF2Combination.from_terms(
         _segment(demand, server, k, subset) for k in users_of(subset)
     )
-    return SingleAssignment(
-        subset=users_of(subset),
-        server=server,
-        broadcast=Broadcast(server, (users_of(subset),), payload),
-    )
+    return Broadcast(server, (users_of(subset),), payload, KIND_SINGLE)
 
 
 def assemble_plan(
@@ -225,31 +211,29 @@ def assemble_plan(
     scheme: str = SCHEME_LAP,
 ) -> DeliveryPlan:
     """Assemble the full plan: paired triples, balanced two-server unpaired
-    assignments, and one-server singles for layers 0 and t+1.
+    assignments, and one-server singles for layers 0 and t+1, in that order.
 
     Unpaired server pairs are chosen greedily to minimize the running maximum
     load (the whole sorted load vector breaks ties, then the fixed rotation
     A+B, A+P, B+P); with no singles this reproduces an even 2n/3 split.
     A coverage gap is a hard failure.
     """
-    paired = []
-    for s1, s2 in pairs:
-        s1, s2 = orient_pair(s1, s2, config)
-        m_a, m_b, m_p = synthesize_pair_messages(s1, s2, demand, config)
-        paired.append(PairedTriple(users_of(s1), users_of(s2), m_a, m_b, m_p))
-    paired.sort(key=lambda tr: tuple(reversed(tr.s1)))
+    paired = sorted((orient_pair(s1, s2, config) for s1, s2 in pairs), key=lambda p: p[0])
+    broadcasts = [
+        bc for s1, s2 in paired for bc in synthesize_pair_messages(s1, s2, demand, config)
+    ]
 
     layers = build_layers(config)
-    singles = []
-    for w in single_layer_weights(config):
-        for mask in layers[w].members:
-            singles.append(_synthesize_single(mask, demand, config))
+    singles = [
+        _synthesize_single(mask, demand, config)
+        for w in single_layer_weights(config)
+        for mask in layers[w].members
+    ]
 
     loads = {ORIGIN_A: len(paired), ORIGIN_B: len(paired), ORIGIN_P: len(paired)}
-    for s in singles:
-        loads[s.server] += 1
+    for bc in singles:
+        loads[bc.origin] += 1
 
-    unpaired = []
     for mask in sorted(unmatched):
         w = layer_weight(mask, config)
         if w == 0 or w == config.t + 1:
@@ -269,22 +253,9 @@ def assemble_plan(
         assert best_pair is not None
         loads[best_pair[0]] += 1
         loads[best_pair[1]] += 1
-        unpaired.append(
-            UnpairedAssignment(
-                subset=users_of(mask),
-                servers=best_pair,
-                broadcasts=synthesize_unpaired(mask, best_pair, demand, config),
-            )
-        )
+        broadcasts.extend(synthesize_unpaired(mask, best_pair, demand, config))
 
-    plan = DeliveryPlan(
-        config=config,
-        demand=demand,
-        scheme=scheme,
-        paired=tuple(paired),
-        unpaired=tuple(unpaired),
-        singles=tuple(singles),
-    )
+    plan = DeliveryPlan(config, demand, scheme, tuple(broadcasts + singles))
     problems = coverage_errors(plan)
     if problems:
         raise CoverageError("; ".join(problems))
@@ -292,55 +263,73 @@ def assemble_plan(
 
 
 def build_plan(config: SystemConfig, demand: Demand, scheme: str) -> DeliveryPlan:
-    """Drive the full pipeline for one scheme: graphs, matchings, assembly."""
+    """Drive the full pipeline for one scheme: graphs, matchings, assembly.
+
+    Scheme 'mn' is the single-server baseline, one broadcast per set.
+    """
+    if scheme == SCHEME_MN:
+        return DeliveryPlan(config, demand, SCHEME_MN, tuple(mn_delivery(config, demand)))
     if not config.is_symmetric:
         raise ValueError("three-server delivery requires a symmetric partition")
     if not demand.is_symmetric(config):
         raise ValueError("three-server delivery requires a symmetric demand")
     layers = build_layers(config)
+    graphs = outer_graphs(config, layers)
     pairs: list[tuple[int, int]] = []
-    for g in outer_graphs(config, layers):
-        m = max_matching(g)
-        check_saturation(g, m)
+    for g, m in zip(graphs, match_graphs(graphs)):
         if len(m) != min(len(g.x), len(g.y)):
             raise CoverageError(f"outer graph {g.label} did not pair perfectly")
         pairs.extend(m)
-    unmatched: list[int] = []
-    used_scheme = scheme
+    unmatched: tuple[int, ...] = ()
     if config.t % 2 == 1:
         middle = middle_pairing(config, scheme, layers)
-        used_scheme = middle.scheme
+        scheme = middle.scheme
         for m in middle.matchings:
             pairs.extend(m)
-        unmatched = list(middle.unmatched)
-    return assemble_plan(config, demand, pairs, unmatched, scheme=used_scheme)
+        unmatched = middle.unmatched
+    return assemble_plan(config, demand, pairs, unmatched, scheme=scheme)
 
 
 # ---------------------------------------------------------------------------
 # audits and measurement
 
+def group_counts(plan: DeliveryPlan) -> Counter:
+    """Number of groups of each kind: pairs, unpaired sets, singles, MN sets."""
+    return Counter(kind for kind, _ in {(bc.kind, bc.index_sets) for bc in plan.broadcasts})
+
+
 def coverage_errors(plan: DeliveryPlan) -> list[str]:
-    """Check every (t+1)-subset of users is served exactly once."""
+    """Check every group is complete and every (t+1)-subset of users is
+    served by exactly one group."""
     config = plan.config
-    layers = build_layers(config)
-    universe = {users_of(m) for layer in layers for m in layer.members}
+    groups: dict[tuple[str, tuple], list[str]] = {}
+    for bc in plan.broadcasts:
+        groups.setdefault((bc.kind, bc.index_sets), []).append(bc.origin)
     problems = []
     seen: dict[tuple[int, ...], int] = {}
-    for sub in plan.served_sets():
-        seen[sub] = seen.get(sub, 0) + 1
-    for sub, count in sorted(seen.items()):
-        if count > 1:
-            problems.append(f"subset {sub} served {count} times")
+    for (kind, index_sets), origins in groups.items():
+        arity = 2 if kind == KIND_PAIR else 1
+        if len(index_sets) != arity or tuple(sorted(origins)) not in GROUP_ORIGINS.get(kind, ()):
+            problems.append(
+                f"{kind} group {[list(s) for s in index_sets]} has broadcasts "
+                f"from {sorted(origins)}"
+            )
+        for sub in index_sets:
+            seen[sub] = seen.get(sub, 0) + 1
+    universe = set(combinations(config.users, config.t + 1))
+    for sub in sorted(s for s, count in seen.items() if count > 1 or s not in universe):
+        if seen[sub] > 1:
+            problems.append(f"subset {sub} served {seen[sub]} times")
         if sub not in universe:
             problems.append(f"subset {sub} is not a valid index set")
-    for sub in sorted(universe - set(seen)):
+    for sub in sorted(universe.difference(seen)):
         problems.append(f"subset {sub} is not served by any broadcast")
     return problems
 
 
 def origin_errors(plan: DeliveryPlan) -> list[str]:
     problems = []
-    for bc in plan.all_broadcasts():
+    for bc in plan.broadcasts:
         problems.extend(origin_violations(bc))
     return problems
 
@@ -348,59 +337,67 @@ def origin_errors(plan: DeliveryPlan) -> list[str]:
 def verify_plan(plan: DeliveryPlan) -> tuple[list[str], RecoveryReport]:
     """Structural audits plus the full per-user decodability check."""
     problems = coverage_errors(plan) + origin_errors(plan)
-    report = verify_full_recovery(plan.config, plan.demand, plan.all_broadcasts())
+    report = verify_full_recovery(plan.config, plan.demand, plan.broadcasts)
     return problems, report
 
 
 @dataclass(frozen=True)
 class RateReport:
-    load_a: int
-    load_b: int
-    load_p: int
+    loads: dict[str, int]
     packets_per_file: int
     rate: Fraction
-    delta_measured: Fraction
+    delta_measured: Fraction | None
+    delta_formula: Fraction | None
     rate_formula: Fraction
     slack: Fraction
     pairs: int
     unpaired: int
     singles: int
 
-    @property
-    def loads(self) -> dict[str, int]:
-        return {ORIGIN_A: self.load_a, ORIGIN_B: self.load_b, ORIGIN_P: self.load_p}
-
 
 def measure_rate(plan: DeliveryPlan) -> RateReport:
     """Count per-server broadcasts and compare against the rate formula.
 
-    The formula value uses the plan's own measured unpaired fraction: half the
-    single-server rate for even t, plus delta/6 for odd t.  Slack is the
-    leftover from integer load rounding and one-sided singles.
+    For the three-server schemes the formula value uses the plan's own
+    measured unpaired fraction: half the single-server rate for even t, plus
+    delta/6 for odd t.  Slack is the leftover from integer load rounding and
+    one-sided singles.  The MN plan has no unpaired fraction and is compared
+    against the single-server rate.
     """
     config = plan.config
-    loads = {ORIGIN_A: 0, ORIGIN_B: 0, ORIGIN_P: 0}
-    for bc in plan.all_broadcasts():
+    t = config.t
+    mn = plan.scheme == SCHEME_MN
+    loads = dict.fromkeys((ORIGIN_SINGLE,) if mn else (ORIGIN_A, ORIGIN_B, ORIGIN_P), 0)
+    for bc in plan.broadcasts:
         loads[bc.origin] += 1
     F = config.packets_per_file
     rate = Fraction(max(loads.values()), F)
-    total_sets = comb(config.K, config.t + 1)
-    delta = Fraction(len(plan.unpaired), total_sets)
-    base = Fraction(config.K - config.t, config.t + 1)
-    if config.t % 2 == 0:
-        formula = base / 2
+    groups = group_counts(plan)
+    base = mn_rate(config)
+    delta: Fraction | None = None
+    delta_formula: Fraction | None = None
+    if mn:
+        formula = base
     else:
-        formula = (Fraction(1, 2) + delta / 6) * base
+        delta = Fraction(groups[KIND_UNPAIRED], comb(config.K, t + 1))
+        if t % 2 == 0:
+            delta_formula = Fraction(0)
+            formula = base / 2
+        else:
+            if plan.scheme == SCHEME_LAP:
+                delta_formula = delta_lap_exact(config.K, t)
+            else:
+                delta_formula = delta_improved_exact(config.K, t).delta_prime
+            formula = (Fraction(1, 2) + delta / 6) * base
     return RateReport(
-        load_a=loads[ORIGIN_A],
-        load_b=loads[ORIGIN_B],
-        load_p=loads[ORIGIN_P],
+        loads=loads,
         packets_per_file=F,
         rate=rate,
         delta_measured=delta,
+        delta_formula=delta_formula,
         rate_formula=formula,
         slack=rate - formula,
-        pairs=len(plan.paired),
-        unpaired=len(plan.unpaired),
-        singles=len(plan.singles),
+        pairs=groups[KIND_PAIR],
+        unpaired=groups[KIND_UNPAIRED],
+        singles=groups[KIND_SINGLE],
     )

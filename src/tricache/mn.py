@@ -35,19 +35,29 @@ ORIGIN_A = "A"
 ORIGIN_B = "B"
 ORIGIN_P = "P"
 
+# What a broadcast is part of; a plan file names it on every line.
+KIND_PAIR = "pair"  # m_A, m_B or m_P of an effective pair (s1, s2)
+KIND_UNPAIRED = "unpaired"  # one of two fragments that XOR to one set's signal
+KIND_SINGLE = "single"  # a one-sided set sent by its own data server
+KIND_MN = "mn"  # the single-server MN signal of one set
+
 
 @dataclass(frozen=True)
 class Broadcast:
-    """One transmitted XOR: origin server, the subsets it serves, and its payload.
+    """One transmitted XOR: origin server, the subsets its group serves, its
+    payload, and the kind of group it belongs to.
 
-    Origin A carries only server-A packets, origin B only server-B packets,
-    and origin P only twin pairs (the A and B packet with identical file index
-    and subset), since the parity server can only combine its stored parities.
+    The three messages of a pair all carry index sets (s1, s2); every other
+    kind carries the one set it serves.  Origin A carries only server-A
+    packets, origin B only server-B packets, and origin P only twin pairs
+    (the A and B packet with identical file index and subset), since the
+    parity server can only combine its stored parities.
     """
 
     origin: str
     index_sets: tuple[tuple[int, ...], ...]
     payload: GF2Combination
+    kind: str
 
 
 def origin_violations(broadcast: Broadcast) -> list[str]:
@@ -83,6 +93,7 @@ def mn_delivery(config: SystemConfig, demand: Demand) -> list[Broadcast]:
                 origin=ORIGIN_SINGLE,
                 index_sets=(sub,),
                 payload=GF2Combination.from_terms(terms),
+                kind=KIND_MN,
             )
         )
     return out

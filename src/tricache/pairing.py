@@ -395,29 +395,24 @@ def single_layer_weights(config: SystemConfig) -> tuple[int, ...]:
 
 def build_graphs(config: SystemConfig, scheme: str) -> list[PairGraph]:
     """Every pairing graph the scheme uses (outer layer pairs plus the middle
-    construction for odd t).  Scheme 'auto' keeps whichever middle construction
-    leaves fewer subsets unpaired."""
+    construction for odd t).  The middle graphs come from middle_pairing,
+    which matches them and resolves 'auto'."""
     if not config.is_symmetric:
         raise ValueError("pairing requires a symmetric user partition")
     layers = build_layers(config)
     graphs = outer_graphs(config, layers)
     if config.t % 2 == 1:
-        graphs.extend(_middle_graphs_for(config, layers, scheme)[0])
+        graphs.extend(middle_pairing(config, scheme, layers).graphs)
     return graphs
 
 
 def _middle_graphs_for(
     config: SystemConfig, layers: Sequence[Layer], scheme: str
-) -> tuple[list[PairGraph], str]:
+) -> list[PairGraph]:
     if scheme == SCHEME_LAP:
-        return [lap_middle_graph(config, layers)], SCHEME_LAP
+        return [lap_middle_graph(config, layers)]
     if scheme == SCHEME_IMPROVED:
-        return improved_middle_graphs(config, layers), SCHEME_IMPROVED
-    if scheme == SCHEME_AUTO:
-        lap = middle_pairing(config, SCHEME_LAP, layers)
-        improved = middle_pairing(config, SCHEME_IMPROVED, layers)
-        winner = improved if len(improved.unmatched) < len(lap.unmatched) else lap
-        return list(winner.graphs), winner.scheme
+        return improved_middle_graphs(config, layers)
     raise ValueError(f"unknown scheme {scheme!r}")
 
 
@@ -536,6 +531,16 @@ def exhaustive_max_matching_size(
     return best(0, 0)
 
 
+def match_graphs(graphs: Sequence[PairGraph]) -> list[tuple[tuple[int, int], ...]]:
+    """A maximum matching of each graph, checked by check_saturation."""
+    matchings = []
+    for g in graphs:
+        m = max_matching(g)
+        check_saturation(g, m)
+        matchings.append(tuple(m))
+    return matchings
+
+
 def check_saturation(graph: PairGraph, matching: Sequence[tuple[int, int]]) -> None:
     """On biregular graphs a maximum matching must saturate the smaller side
     (Hall's condition holds when every vertex of one side has the same degree);
@@ -574,25 +579,20 @@ def middle_pairing(
     if layers is None:
         layers = build_layers(config)
     if scheme == SCHEME_AUTO:
+        # The one place that resolves 'auto': the construction leaving fewer
+        # subsets unpaired, lap on a tie.
         lap = middle_pairing(config, SCHEME_LAP, layers)
         improved = middle_pairing(config, SCHEME_IMPROVED, layers)
         return improved if len(improved.unmatched) < len(lap.unmatched) else lap
-    graphs, used = _middle_graphs_for(config, layers, scheme)
-    matchings = []
-    matched: set[int] = set()
-    for g in graphs:
-        m = max_matching(g)
-        check_saturation(g, m)
-        matchings.append(tuple(m))
-        for s1, s2 in m:
-            matched.add(s1)
-            matched.add(s2)
+    graphs = _middle_graphs_for(config, layers, scheme)
+    matchings = match_graphs(graphs)
+    matched = {s for m in matchings for pair in m for s in pair}
     middle_members: list[int] = []
     for w in middle_weights(config.t):
         middle_members.extend(layers[w].members)
     unmatched = tuple(sorted(m for m in middle_members if m not in matched))
     return MiddlePairing(
-        scheme=used,
+        scheme=scheme,
         graphs=tuple(graphs),
         matchings=tuple(matchings),
         unmatched=unmatched,

@@ -149,21 +149,6 @@ def test_curves_empty_grid(capsys):
     assert "no admissible" in err
 
 
-def test_curves_parallel_matches_serial(tmp_path, capsys):
-    serial, parallel = tmp_path / "s.csv", tmp_path / "p.csv"
-    code, _, _ = run(
-        ["curves", "--K", "14,22", "--lambdas", "1/2", "--output", str(serial)], capsys
-    )
-    assert code == 0
-    code, _, _ = run(
-        ["curves", "--K", "14,22", "--lambdas", "1/2", "--output", str(parallel),
-         "--jobs", "2"],
-        capsys,
-    )
-    assert code == 0
-    assert serial.read_bytes() == parallel.read_bytes()
-
-
 def test_outdir_env(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("TRICACHE_OUTDIR", str(tmp_path))
     code, _, _ = run(
@@ -256,3 +241,61 @@ def test_simulate_asymmetric_demand_needs_mn(tmp_path, capsys, scheme):
     assert "symmetric demand" in err
     code, _, _ = run(argv + ["--scheme", "mn"], capsys)
     assert code == 0
+
+
+def test_mn_plan_roundtrip_and_dropped_line(tmp_path, capsys):
+    plan_path = tmp_path / "plan.jsonl"
+    code, _, _ = run(
+        ["simulate", "--K", "6", "--lambda", "1/2", "--scheme", "mn",
+         "--output", str(tmp_path / "r.json"), "--plan-out", str(plan_path)],
+        capsys,
+    )
+    assert code == 0
+    lines = plan_path.read_text().splitlines(keepends=True)
+    records = [json.loads(l) for l in lines]
+    assert records[0]["scheme"] == "mn"
+    assert len(records) == 1 + 15
+    assert {(r["kind"], r["origin"]) for r in records[1:]} == {("mn", "SINGLE")}
+
+    code, out, _ = run(["verify", "--plan", str(plan_path)], capsys)
+    assert code == 0
+    assert out == "plan ok: 0 pairs, 0 unpaired, 0 singles, all users decode\n"
+
+    dropped = tmp_path / "dropped.jsonl"
+    dropped.write_text("".join(lines[:5] + lines[6:]))
+    code, out, _ = run(["verify", "--plan", str(dropped)], capsys)
+    assert code == 1
+    assert f"subset {tuple(records[5]['s'])} is not served" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--K", "6", "--lambda", "1/2", "--output", "{dir}"],
+    ["simulate", "--K", "6", "--lambda", "1/2", "--output", "{dir}/r.json",
+     "--plan-out", "{dir}"],
+    ["curves", "--K", "14", "--lambdas", "1/2", "--output", "{dir}"],
+], ids=["simulate-output", "simulate-plan-out", "curves-output"])
+def test_unwritable_output_path_is_invalid_input(tmp_path, capsys, argv):
+    code, _, err = run([a.format(dir=tmp_path) for a in argv], capsys)
+    assert code == 2
+    assert "cannot write" in err
+    assert "Traceback" not in err
+
+
+def test_verify_refuses_undersized_plan_before_any_work(tmp_path, capsys, monkeypatch):
+    # C(60, 31) sets cannot be served by one line; enumerating them would never end
+    import tricache.delivery
+
+    def no_layers(*args):
+        raise AssertionError("verify enumerated the layers of an undersized plan")
+
+    monkeypatch.setattr(tricache.delivery, "build_layers", no_layers)
+    half = 30
+    meta = {"kind": "meta", "K": 60, "M": "30", "N": 60, "t": 30, "scheme": "lap",
+            "demand": {str(u): ["A" if u < half else "B", u % half + 1] for u in range(60)}}
+    single = {"kind": "single", "origin": "A", "s": list(range(31)), "payload": []}
+    path = tmp_path / "tiny.jsonl"
+    path.write_text(json.dumps(meta) + "\n" + json.dumps(single) + "\n")
+    code, out, err = run(["verify", "--plan", str(path)], capsys)
+    assert code == 2
+    assert "broadcast lines" in err
+    assert "plan ok" not in out

@@ -1,23 +1,24 @@
 """Plan synthesis, balancing, coverage/origin audits, and rate measurement."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from tricache.delivery import (
     CoverageError,
-    DeliveryPlan,
     assemble_plan,
     build_plan,
     coverage_errors,
+    group_counts,
     measure_rate,
     origin_errors,
     synthesize_pair_messages,
     synthesize_unpaired,
     verify_plan,
 )
-from tricache.mn import ORIGIN_P, Broadcast, user_can_decode, verify_full_recovery
+from tricache.mn import ORIGIN_P, user_can_decode, verify_full_recovery
 from tricache.pairing import SCHEME_IMPROVED, SCHEME_LAP
 from tricache.system import (
     GF2Combination,
@@ -119,7 +120,7 @@ def test_plan_k6_lap_covers_everything():
     plan = build_plan(cfg, demand, SCHEME_LAP)
     assert coverage_errors(plan) == []
     assert origin_errors(plan) == []
-    assert len(plan.paired) == 6 and len(plan.unpaired) == 3 and not plan.singles
+    assert group_counts(plan) == {"pair": 6, "unpaired": 3}
     rr = measure_rate(plan)
     assert rr.loads == {"A": 8, "B": 8, "P": 8}
     assert rr.rate == Fraction(2, 5)
@@ -131,11 +132,11 @@ def test_plan_balance_without_singles():
     cfg = build_config(6, 3, 6)
     plan = build_plan(cfg, worst_demand(cfg), SCHEME_LAP)
     per_server = {"A": 0, "B": 0, "P": 0}
-    for u in plan.unpaired:
-        for s in u.servers:
-            per_server[s] += 1
+    for bc in plan.broadcasts:
+        if bc.kind == "unpaired":
+            per_server[bc.origin] += 1
     assert max(per_server.values()) - min(per_server.values()) <= 1
-    n = len(plan.unpaired)
+    n = group_counts(plan)["unpaired"]
     assert max(per_server.values()) <= -(-2 * n // 3)  # ceil(2n/3) per server
 
 
@@ -143,7 +144,7 @@ def test_plan_even_t_exact_half():
     cfg = build_config(8, 4, 8)
     plan = build_plan(cfg, worst_demand(cfg), SCHEME_LAP)
     rr = measure_rate(plan)
-    assert not plan.unpaired and not plan.singles
+    assert set(group_counts(plan)) == {"pair"}
     assert rr.rate == Fraction(2, 5) == Fraction(1, 2) * Fraction(4, 5)
     problems, recovery = verify_plan(plan)
     assert not problems and recovery.all_ok
@@ -166,10 +167,11 @@ def test_plan_with_singles_k10_t3():
     cfg = build_config(10, 3, 10)
     demand = worst_demand(cfg)
     plan = build_plan(cfg, demand, SCHEME_IMPROVED)
-    assert len(plan.singles) == 10
+    assert group_counts(plan)["single"] == 10
     by_server = {"A": 0, "B": 0}
-    for s in plan.singles:
-        by_server[s.server] += 1
+    for bc in plan.broadcasts:
+        if bc.kind == "single":
+            by_server[bc.origin] += 1
     assert by_server == {"A": 5, "B": 5}
     problems, recovery = verify_plan(plan)
     assert not problems and recovery.all_ok
@@ -182,7 +184,7 @@ def test_plan_with_singles_k10_t3():
 def test_plan_t1_band():
     cfg = build_config(6, 1, 6)
     plan = build_plan(cfg, worst_demand(cfg), SCHEME_LAP)
-    assert not plan.singles
+    assert group_counts(plan)["single"] == 0
     problems, recovery = verify_plan(plan)
     assert not problems and recovery.all_ok
 
@@ -224,37 +226,45 @@ def test_tampered_plan_detected():
     cfg = build_config(6, 3, 6)
     demand = worst_demand(cfg)
     plan = build_plan(cfg, demand, SCHEME_LAP)
+    assert plan.broadcasts[0].kind == "pair"
     # drop one paired triple: both of its subsets go unserved
-    broken = DeliveryPlan(
-        config=plan.config,
-        demand=plan.demand,
-        scheme=plan.scheme,
-        paired=plan.paired[1:],
-        unpaired=plan.unpaired,
-        singles=plan.singles,
-    )
+    broken = replace(plan, broadcasts=plan.broadcasts[3:])
     problems = coverage_errors(broken)
-    dropped = plan.paired[0]
-    assert any(str(dropped.s1) in p for p in problems)
+    s1, s2 = plan.broadcasts[0].index_sets
+    assert any(str(s1) in p and "not served" in p for p in problems)
+    assert any(str(s2) in p and "not served" in p for p in problems)
     # break the twin structure of a parity message
-    victim = plan.paired[0]
-    bad_payload = GF2Combination(frozenset(list(victim.m_p.payload)[:-1]))
-    bad_triple = type(victim)(victim.s1, victim.s2, victim.m_a, victim.m_b,
-                              Broadcast(ORIGIN_P, victim.m_p.index_sets, bad_payload))
-    broken2 = DeliveryPlan(
-        config=plan.config,
-        demand=plan.demand,
-        scheme=plan.scheme,
-        paired=(bad_triple,) + plan.paired[1:],
-        unpaired=plan.unpaired,
-        singles=plan.singles,
+    m_p = plan.broadcasts[2]
+    assert m_p.origin == ORIGIN_P
+    bad_payload = GF2Combination(frozenset(list(m_p.payload)[:-1]))
+    broken2 = replace(
+        plan,
+        broadcasts=plan.broadcasts[:2] + (replace(m_p, payload=bad_payload),) + plan.broadcasts[3:],
     )
     assert any("twin" in p for p in origin_errors(broken2))
+
+
+@pytest.mark.parametrize("scheme", [SCHEME_IMPROVED, "mn"])
+def test_dropped_or_relabelled_broadcast_detected(scheme):
+    cfg = build_config(10, 3, 10)
+    plan = build_plan(cfg, worst_demand(cfg), scheme)
+    bcs = plan.broadcasts
+    kinds = {bc.kind for bc in bcs}
+    assert kinds == ({"mn"} if scheme == "mn" else {"pair", "unpaired", "single"})
+    assert coverage_errors(plan) == []
+    for kind in kinds:
+        i = next(i for i, bc in enumerate(bcs) if bc.kind == kind)
+        # a pair or unpaired group loses a member; a single or MN set goes unserved
+        dropped = replace(plan, broadcasts=bcs[:i] + bcs[i + 1:])
+        assert coverage_errors(dropped), kind
+        relabelled = replace(bcs[i], kind="mn" if kind == "single" else "single")
+        mixed = replace(plan, broadcasts=bcs[:i] + (relabelled,) + bcs[i + 1:])
+        assert any("group" in p for p in coverage_errors(mixed)), kind
 
 
 def test_full_recovery_improved_k6():
     cfg = build_config(6, 3, 6)
     demand = worst_demand(cfg)
     plan = build_plan(cfg, demand, SCHEME_IMPROVED)
-    report = verify_full_recovery(cfg, demand, plan.all_broadcasts())
+    report = verify_full_recovery(cfg, demand, plan.broadcasts)
     assert report.all_ok

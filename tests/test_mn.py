@@ -11,6 +11,7 @@ from tricache import mn
 from tricache.delivery import build_plan
 from tricache.gf2 import GF2Basis, span_contains
 from tricache.mn import (
+    KIND_MN,
     ORIGIN_SINGLE,
     Broadcast,
     RecoveryReport,
@@ -202,7 +203,7 @@ def oracle_plans():
             yield f"mn K={K} t={t}", cfg, demand, mn_delivery(cfg, demand)
             for scheme in ("lap", "improved"):
                 plan = build_plan(cfg, demand, scheme)
-                yield f"{scheme} K={K} t={t}", cfg, demand, plan.all_broadcasts()
+                yield f"{scheme} K={K} t={t}", cfg, demand, list(plan.broadcasts)
 
 
 def tampered(broadcasts, rng):
@@ -213,7 +214,7 @@ def tampered(broadcasts, rng):
     victim = rng.choice([i for i, bc in enumerate(broadcasts) if len(bc.payload) > 1])
     bc = broadcasts[victim]
     term = rng.choice(bc.payload.sorted_terms())
-    thinned = Broadcast(bc.origin, bc.index_sets, GF2Combination(bc.payload.packets - {term}))
+    thinned = Broadcast(bc.origin, bc.index_sets, GF2Combination(bc.payload.packets - {term}), bc.kind)
     yield "remove term", broadcasts[:victim] + [thinned] + broadcasts[victim + 1:]
     dup = rng.randrange(n)
     yield "duplicate", broadcasts[:dup + 1] + broadcasts[dup:]
@@ -243,7 +244,7 @@ def test_stopping_set_needs_elimination():
     # every row holds two unknowns, so peeling stalls, yet the rows sum to d
     a, b, c, d = (PacketId("A", 1, (u,)) for u in range(4))
     rows = [
-        Broadcast(ORIGIN_SINGLE, (), GF2Combination(frozenset(terms)))
+        Broadcast(ORIGIN_SINGLE, (), GF2Combination(frozenset(terms)), KIND_MN)
         for terms in ((a, b), (a, c), (b, c, d))
     ]
     assert not peel_oracle(set(), rows, d)
@@ -264,6 +265,7 @@ def test_user_can_decode_is_span_membership(data):
             ORIGIN_SINGLE,
             (),
             GF2Combination(frozenset(p for j, p in enumerate(packets) if m >> j & 1)),
+            KIND_MN,
         )
         for m in masks
     ]
