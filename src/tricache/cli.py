@@ -333,8 +333,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if problems or not recovery.all_ok:
         return EXIT_VERIFICATION
     groups = delivery.group_counts(plan)
-    print(f"plan ok: {groups[KIND_PAIR]} pairs, {groups[KIND_UNPAIRED]} unpaired, "
-          f"{groups[KIND_SINGLE]} singles, all users decode")
+    if plan.scheme == delivery.SCHEME_MN:
+        print(f"plan ok: {groups[KIND_MN]} mn sets, all users decode")
+    else:
+        print(f"plan ok: {groups[KIND_PAIR]} pairs, {groups[KIND_UNPAIRED]} unpaired, "
+              f"{groups[KIND_SINGLE]} singles, all users decode")
     return EXIT_OK
 
 

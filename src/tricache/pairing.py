@@ -22,11 +22,14 @@ the deterministic iteration order used everywhere.
 from __future__ import annotations
 
 import enum
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from functools import cache, reduce
+from itertools import chain, combinations
 from math import comb
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from operator import or_
+from typing import Iterable, NamedTuple, Sequence
 
 from .system import SystemConfig, mask_of
 
@@ -187,23 +190,6 @@ def _least_rank(mask: int, side_users: Sequence[int]) -> int | None:
     return None
 
 
-def class_members(
-    config: SystemConfig,
-    layers: Sequence[Layer],
-    w: int,
-    has_a1: bool,
-    has_b1: bool,
-) -> tuple[int, ...]:
-    """Members of one a_1/b_1 class of layer w, in colex order."""
-    a1_bit = 1 << config.users_a[0]
-    b1_bit = 1 << config.users_b[0]
-    return tuple(
-        m
-        for m in layers[w].members
-        if bool(m & a1_bit) == has_a1 and bool(m & b1_bit) == has_b1
-    )
-
-
 # ---------------------------------------------------------------------------
 # the pairing predicate
 
@@ -243,16 +229,21 @@ def vertex_degree(mask: int, opposing: Iterable[int], config: SystemConfig) -> i
 @dataclass(frozen=True, eq=False)
 class PairGraph:
     """A bipartite graph whose edges are exactly the effective pairs between
-    the two sides.  Adjacency is materialised x-vertex by x-vertex in colex
-    order; the A-heavy member of each edge is determined per pair by layer
-    weight (a side built from a union of layers can carry both directions).
+    the two sides.  Both sides are in colex order, and nbrs[i] lists the
+    indices into y of x[i]'s neighbours in ascending order, which is colex
+    order again.  The A-heavy member of each edge is determined per pair by
+    layer weight (a side built from a union of layers can carry both
+    directions).  The distinct degrees of each side are recorded while the
+    graph is built.
     """
 
     config: SystemConfig
     label: str
     x: tuple[int, ...]
     y: tuple[int, ...]
-    adj: dict[int, tuple[int, ...]]
+    nbrs: list[list[int]]
+    x_degrees: frozenset[int]
+    y_degrees: frozenset[int]
 
     @property
     def orientation(self) -> str:
@@ -268,7 +259,7 @@ class PairGraph:
         return "mixed"
 
     def edge_count(self) -> int:
-        return sum(len(v) for v in self.adj.values())
+        return sum(map(len, self.nbrs))
 
 
 def build_pair_graph(
@@ -277,66 +268,84 @@ def build_pair_graph(
     """Materialise adjacency by structural swap moves instead of all-pairs scans.
 
     A vertex's neighbours at distance delta in layer weight are produced by
-    exchanging delta A-users for delta B-users (or vice versa) and filtering
-    against the opposing side's membership set.
+    exchanging delta A-users for delta B-users (or vice versa) and looked up
+    in the opposing side's mask-to-index table.  Per layer weight of the
+    opposing side, the users every member holds are kept or added and the
+    users no member holds are dropped or never added, so a class side (fixed
+    a_1 / b_1 membership) gets no candidate that misses it.
     """
     x = tuple(sorted(x_members))
     y = tuple(sorted(y_members))
-    by_weight: dict[int, set[int]] = {}
+    index_of = {m: j for j, m in enumerate(y)}.get
+    mask_a, mask_b = config.mask_a, config.mask_b
+    # y layer weight -> (users in every member, users in some member)
+    y_bounds: dict[int, tuple[int, int]] = {}
     for m in y:
-        by_weight.setdefault(layer_weight(m, config), set()).add(m)
-    adj: dict[int, tuple[int, ...]] = {}
+        w = (m & mask_a).bit_count()
+        every, some = y_bounds.get(w, (m, m))
+        y_bounds[w] = (every & m, some | m)
+    moves = cache(_signed_subsets)  # x vertices share their one-side parts
+    nbrs: list[list[int]] = []
     for mask in x:
-        wx = layer_weight(mask, config)
-        found: list[int] = []
-        for wy, members in by_weight.items():
+        wx = (mask & mask_a).bit_count()
+        row: list[int] = []
+        for wy, (every, some) in y_bounds.items():
             delta = wx - wy
             if delta > 0:
-                candidates = _swap_moves(mask, delta, config.mask_a, config.mask_b)
+                drop_side, add_side = mask_a, mask_b
             elif delta < 0:
-                candidates = _swap_moves(mask, -delta, config.mask_b, config.mask_a)
+                drop_side, add_side, delta = mask_b, mask_a, -delta
             else:
                 continue
-            found.extend(c for c in candidates if c in members)
-        adj[mask] = tuple(sorted(found))
-    return PairGraph(config=config, label=label, x=x, y=y, adj=adj)
-
-
-def _swap_moves(mask: int, delta: int, drop_side: int, add_side: int) -> Iterator[int]:
-    """Masks reachable by dropping delta bits of one side and adding delta of the other."""
-    drop_bits = _bits(mask & drop_side)
-    add_bits = _bits(add_side & ~mask)
-    if len(drop_bits) < delta or len(add_bits) < delta:
-        return
-    for drop in combinations(drop_bits, delta):
-        removed = mask
-        for b in drop:
-            removed ^= b
-        for add in combinations(add_bits, delta):
-            cand = removed
-            for b in add:
-                cand |= b
-            yield cand
-
-
-def _bits(mask: int) -> list[int]:
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low)
-        mask ^= low
-    return out
-
-
-def side_degrees(graph: PairGraph) -> tuple[set[int], set[int]]:
-    """Distinct vertex degrees on the x and y sides."""
-    x_degrees = {len(graph.adj[m]) for m in graph.x}
-    y_counts: dict[int, int] = {m: 0 for m in graph.y}
-    for nbrs in graph.adj.values():
-        for m in nbrs:
-            y_counts[m] += 1
+            drop = mask & drop_side & ~every
+            add = add_side & some & ~mask
+            # A candidate is mask - removed + added.  With the side holding the
+            # higher user ids in the outer loop (B in the default partition)
+            # candidates come out ascending, and the sort below is one pass.
+            drops = moves(drop & ~some, drop, delta, -1)
+            adds = moves(add & every, add, delta, 1)
+            outer, inner = (adds, drops) if add_side > drop_side else (drops, adds)
+            for o in outer:
+                base = mask + o
+                for i in inner:
+                    j = index_of(base + i)
+                    if j is not None:
+                        row.append(j)
+        row.sort()
+        nbrs.append(row)
+    y_counts = Counter(chain.from_iterable(nbrs))
     y_degrees = set(y_counts.values())
-    return x_degrees, y_degrees
+    if len(y_counts) < len(y):
+        y_degrees.add(0)
+    return PairGraph(
+        config=config,
+        label=label,
+        x=x,
+        y=y,
+        nbrs=nbrs,
+        x_degrees=frozenset(map(len, nbrs)),
+        y_degrees=frozenset(y_degrees),
+    )
+
+
+def _signed_subsets(must: int, may: int, size: int, sign: int) -> tuple[int, ...]:
+    """sign times each size-bit subset of may that contains must, ascending;
+    must is a subset of may."""
+    bits = []
+    rest = may & ~must
+    while rest:
+        low = rest & -rest
+        bits.append(low)
+        rest ^= low
+    extra = size - must.bit_count()
+    if extra < 0:
+        return ()
+    return tuple(sorted(sign * reduce(or_, c, must) for c in combinations(bits, extra)))
+
+
+def side_degrees(graph: PairGraph) -> tuple[frozenset[int], frozenset[int]]:
+    """Distinct vertex degrees on the x and y sides."""
+    return graph.x_degrees, graph.y_degrees
 
 
 # ---------------------------------------------------------------------------
@@ -370,16 +379,17 @@ def improved_middle_graphs(
 ) -> list[PairGraph]:
     if regime is None:
         regime = regime_of_lambda(config.lam)
-    lo, mid, hi = middle_weights(config.t)
-    weight_of = {LOW: lo, MID: mid, HIGH: hi}
+    a1_bit = 1 << config.users_a[0]
+    b1_bit = 1 << config.users_b[0]
+    # (layer, has a_1, has b_1) -> members in colex order, one pass per layer
+    classes: dict[tuple[str, bool, bool], list[int]] = {}
+    for name, w in zip((LOW, MID, HIGH), middle_weights(config.t)):
+        for m in layers[w].members:
+            classes.setdefault((name, m & a1_bit != 0, m & b1_bit != 0), []).append(m)
     graphs = []
     for label, x_specs, y_specs in REGIME_GRAPH_SPECS[regime]:
-        x: tuple[int, ...] = ()
-        for layer_name, a1, b1 in x_specs:
-            x += class_members(config, layers, weight_of[layer_name], a1, b1)
-        y: tuple[int, ...] = ()
-        for layer_name, a1, b1 in y_specs:
-            y += class_members(config, layers, weight_of[layer_name], a1, b1)
+        x = [m for spec in x_specs for m in classes.get(spec, ())]
+        y = [m for spec in y_specs for m in classes.get(spec, ())]
         graphs.append(build_pair_graph(config, label, x, y))
     return graphs
 
@@ -427,14 +437,11 @@ def max_matching(graph: PairGraph) -> list[tuple[int, int]]:
     """
     if not graph.x or not graph.y:
         return []
-    x_list = graph.x
-    y_index = {m: i for i, m in enumerate(graph.y)}
-    adj = [[y_index[m] for m in graph.adj[x]] for x in x_list]
-    match_x, match_y = _hopcroft_karp(adj, len(graph.y))
+    match_x, _ = _hopcroft_karp(graph.nbrs, len(graph.y))
     pairs = []
     for xi, yi in enumerate(match_x):
         if yi >= 0:
-            pairs.append(orient_pair(x_list[xi], graph.y[yi], graph.config))
+            pairs.append(orient_pair(graph.x[xi], graph.y[yi], graph.config))
     pairs.sort()
     return pairs
 
@@ -516,8 +523,7 @@ def exhaustive_max_matching_size(
             f"exhaustive oracle capped at {max_vertices} vertices / {max_edges} edges, "
             f"got {n_vertices} / {n_edges}"
         )
-    y_index = {m: i for i, m in enumerate(graph.y)}
-    adj = [[y_index[m] for m in graph.adj[x]] for x in graph.x]
+    adj = graph.nbrs
 
     def best(i: int, used: int) -> int:
         if i == len(adj):
@@ -547,7 +553,7 @@ def check_saturation(graph: PairGraph, matching: Sequence[tuple[int, int]]) -> N
     raise if the matcher ever violates that."""
     if not graph.x or not graph.y:
         return
-    x_deg, y_deg = side_degrees(graph)
+    x_deg, y_deg = graph.x_degrees, graph.y_degrees
     if len(x_deg) == 1 and len(y_deg) == 1 and min(x_deg) > 0 and min(y_deg) > 0:
         expected = min(len(graph.x), len(graph.y))
         if len(matching) != expected:

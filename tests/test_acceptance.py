@@ -31,7 +31,6 @@ from tricache.pairing import (
     SCHEME_IMPROVED,
     SCHEME_LAP,
     build_layers,
-    class_members,
     count_unpaired,
     exhaustive_max_matching_size,
     improved_middle_graphs,
@@ -43,6 +42,8 @@ from tricache.pairing import (
     vertex_degree,
 )
 from tricache.system import build_config, random_demand, worst_demand
+
+from conftest import class_members
 
 
 def _report(number: int, detail: str) -> None:

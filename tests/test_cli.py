@@ -259,7 +259,7 @@ def test_mn_plan_roundtrip_and_dropped_line(tmp_path, capsys):
 
     code, out, _ = run(["verify", "--plan", str(plan_path)], capsys)
     assert code == 0
-    assert out == "plan ok: 0 pairs, 0 unpaired, 0 singles, all users decode\n"
+    assert out == "plan ok: 15 mn sets, all users decode\n"  # C(6, 4)
 
     dropped = tmp_path / "dropped.jsonl"
     dropped.write_text("".join(lines[:5] + lines[6:]))

@@ -14,9 +14,9 @@ from tricache.pairing import (
     SCHEME_LAP,
     PairGraph,
     build_graphs,
+    build_pair_graph,
     build_layers,
     check_saturation,
-    class_members,
     count_unpaired,
     exhaustive_max_matching_size,
     improved_middle_graphs,
@@ -36,7 +36,7 @@ from tricache.pairing import (
 from tricache.analysis import four_way_class_size, general_class_size
 from tricache.system import build_config, mask_of, subsets_colex
 
-from conftest import mask
+from conftest import class_members, mask
 
 
 # ---------------------------------------------------------------------------
@@ -225,10 +225,64 @@ def test_single_layers_absent_inside_middle_band():
 def test_graph_edges_are_effective_pairs():
     cfg = build_config(6, 3, 6)
     for g in build_graphs(cfg, SCHEME_LAP) + build_graphs(cfg, SCHEME_IMPROVED):
-        for x, nbrs in g.adj.items():
-            for y in nbrs:
+        for x, row in zip(g.x, g.nbrs):
+            for j in row:
+                y = g.y[j]
                 hi, lo = (x, y) if layer_weight(x, cfg) > layer_weight(y, cfg) else (y, x)
                 assert is_effective_pair(hi, lo, cfg)
+
+
+def assert_graph_matches_oracle(g):
+    """Index adjacency and recorded degrees against all-pairs enumeration."""
+    cfg = g.config
+    assert list(g.x) == sorted(g.x) and list(g.y) == sorted(g.y)
+    brute = [
+        [y for y in g.y if is_effective_pair(x, y, cfg) or is_effective_pair(y, x, cfg)]
+        for x in g.x
+    ]
+    assert [[g.y[j] for j in row] for row in g.nbrs] == brute, g.label
+    assert g.x_degrees == {len(row) for row in g.nbrs}
+    y_counts = [0] * len(g.y)
+    for row in g.nbrs:
+        for j in row:
+            y_counts[j] += 1
+    assert g.y_degrees == set(y_counts)
+    assert g.edge_count() == sum(y_counts)
+
+
+@pytest.mark.parametrize("K", [6, 8, 10])
+def test_pair_graphs_equal_all_pairs_oracle(K):
+    graphs = 0
+    for t in range(1, K):
+        cfg = build_config(K, t, K)
+        candidates = build_graphs(cfg, SCHEME_LAP) + build_graphs(cfg, SCHEME_IMPROVED)
+        if t % 2:
+            layers = build_layers(cfg)
+            for regime in (1, 2, 3):
+                candidates += improved_middle_graphs(cfg, layers, regime)
+        for g in candidates:
+            assert_graph_matches_oracle(g)
+            graphs += 1
+    assert graphs > 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_pair_graph_on_layer_slices_equals_oracle(data):
+    K = data.draw(st.sampled_from([6, 8, 10]))
+    t = data.draw(st.integers(1, K - 1))
+    # the interleaved partition puts A- and B-users on alternate ids
+    partition = (range(0, K, 2), range(1, K, 2)) if data.draw(st.booleans()) else None
+    cfg = build_config(K, t, K, partition=partition)
+    layers = build_layers(cfg)
+
+    def side():
+        members = layers[data.draw(st.integers(0, t + 1))].members
+        lo = data.draw(st.integers(0, len(members)))
+        hi = data.draw(st.integers(lo, len(members)))
+        return members[lo:hi][::-1]  # reversed, so build_pair_graph must sort
+
+    assert_graph_matches_oracle(build_pair_graph(cfg, "slices", side(), side()))
 
 
 # ---------------------------------------------------------------------------
