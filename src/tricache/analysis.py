@@ -181,23 +181,6 @@ def delta_prime_asymptote(lam: Fraction) -> Fraction:
     return ratio_asymptote(lam) / 3
 
 
-@dataclass(frozen=True)
-class RegimeFormulas:
-    """Bundled evaluators for one regime: exact big-integer counts and the
-    large-K limit of the unpaired fraction."""
-
-    regime: int
-
-    def exact_count(self, K: int, t: int) -> int:
-        return improved_unpaired_count(K, t, self.regime)[1]
-
-    def asymptote(self, lam: Fraction) -> Fraction:
-        return _RATIO_BRANCHES[self.regime](Fraction(lam))
-
-    def delta_prime_asymptote(self, lam: Fraction) -> Fraction:
-        return self.asymptote(lam) / 3
-
-
 # ---------------------------------------------------------------------------
 # rates
 

@@ -22,6 +22,7 @@ from typing import Sequence
 
 from . import analysis, delivery, mn
 from .mn import KIND_MN, KIND_PAIR, KIND_SINGLE, KIND_UNPAIRED, ORIGIN_SINGLE
+from .pairing import SCHEME_AUTO, SCHEME_IMPROVED, SCHEME_LAP
 from .system import (
     Demand,
     GF2Combination,
@@ -42,13 +43,8 @@ OUTDIR_ENV = "TRICACHE_OUTDIR"
 # Report key of a server's load, where it differs from the origin tag.
 LOAD_KEYS = {ORIGIN_SINGLE: "single"}
 
-# The fields of a plan-file line that hold a broadcast's index sets, per kind.
-SET_FIELDS = {
-    KIND_PAIR: ("s1", "s2"),
-    KIND_UNPAIRED: ("s",),
-    KIND_SINGLE: ("s",),
-    KIND_MN: ("s",),
-}
+# The schemes simulate builds and a plan file may name.
+SCHEMES = (delivery.SCHEME_MN, SCHEME_LAP, SCHEME_IMPROVED, SCHEME_AUTO)
 
 
 class SpecError(Exception):
@@ -252,7 +248,7 @@ def _plan_lines(plan: delivery.DeliveryPlan) -> list[str]:
     lines = [json.dumps(meta, sort_keys=True) + "\n"]
     for bc in plan.broadcasts:
         record = {"kind": bc.kind, "origin": bc.origin, "payload": _payload_json(bc.payload)}
-        record.update(zip(SET_FIELDS[bc.kind], map(list, bc.index_sets)))
+        record.update(zip(delivery.GROUPS[bc.kind][0], map(list, bc.index_sets)))
         lines.append(json.dumps(record, sort_keys=True) + "\n")
     return lines
 
@@ -276,6 +272,9 @@ def load_plan(path: Path) -> delivery.DeliveryPlan:
     if not lines or lines[0].get("kind") != "meta":
         raise SpecError("plan file must start with a meta line")
     meta = lines[0]
+    scheme = meta.get("scheme", SCHEME_LAP)
+    if scheme not in SCHEMES:
+        raise SpecError(f"unknown plan scheme {scheme!r}")
     config = build_config(int(meta["K"]), Fraction(meta["M"]), int(meta["N"]))
     demand = demand_from_mapping(
         config, {int(u): (v[0], int(v[1])) for u, v in meta["demand"].items()}
@@ -291,11 +290,11 @@ def load_plan(path: Path) -> delivery.DeliveryPlan:
     seen: set[tuple] = set()
     for record in lines[1:]:
         kind = record.get("kind")
-        if kind not in SET_FIELDS:
+        if kind not in delivery.GROUPS:
             raise SpecError(f"unknown plan line kind {kind!r}")
         bc = mn.Broadcast(
             record["origin"],
-            tuple(tuple(int(u) for u in record[f]) for f in SET_FIELDS[kind]),
+            tuple(tuple(int(u) for u in record[f]) for f in delivery.GROUPS[kind][0]),
             GF2Combination.from_terms(_packet_from_json(p) for p in record["payload"]),
             kind,
         )
@@ -309,7 +308,7 @@ def load_plan(path: Path) -> delivery.DeliveryPlan:
     return delivery.DeliveryPlan(
         config=config,
         demand=demand,
-        scheme=str(meta.get("scheme", "lap")),
+        scheme=scheme,
         broadcasts=tuple(broadcasts),
     )
 
@@ -415,7 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--M", type=int, default=None, help="cache size in files")
     sim.add_argument("--N", type=int, default=None,
                      help="number of files (defaults to K with --lambda)")
-    sim.add_argument("--scheme", choices=["mn", "lap", "improved", "auto"], default="auto")
+    sim.add_argument("--scheme", choices=SCHEMES, default="auto")
     sim.add_argument("--demand", choices=["worst", "random", "file"], default="worst")
     sim.add_argument("--demand-file", default=None, help="JSON map user -> [server, file]")
     sim.add_argument("--seed", type=int, default=None, help="seed for --demand random")

@@ -35,6 +35,7 @@ from .mn import (
     ORIGIN_SINGLE,
     Broadcast,
     RecoveryReport,
+    message,
     mn_delivery,
     mn_rate,
     origin_violations,
@@ -51,22 +52,27 @@ from .pairing import (
     outer_graphs,
     single_layer_weights,
 )
-from .system import Demand, GF2Combination, PacketId, SystemConfig, users_of
+from .system import SERVER_A, SERVER_B, Demand, SystemConfig, users_of
 
 SCHEME_MN = "mn"
 
-SERVER_PAIR_ROTATION: tuple[tuple[str, str], ...] = (
-    (ORIGIN_A, ORIGIN_B),
-    (ORIGIN_A, ORIGIN_P),
-    (ORIGIN_B, ORIGIN_P),
-)
+# The three two-server splits of an unpaired set's signal (Luo et al. 2016),
+# keyed by server pair: each fragment's origin and the side whose members'
+# segments it carries (None: every member).
+UNPAIRED_FRAGMENTS: dict[tuple[str, str], tuple[tuple[str, str | None], ...]] = {
+    (ORIGIN_A, ORIGIN_B): ((ORIGIN_A, SERVER_A), (ORIGIN_B, SERVER_B)),
+    (ORIGIN_A, ORIGIN_P): ((ORIGIN_A, None), (ORIGIN_P, SERVER_B)),
+    (ORIGIN_B, ORIGIN_P): ((ORIGIN_B, None), (ORIGIN_P, SERVER_A)),
+}
+SERVER_PAIR_ROTATION: tuple[tuple[str, str], ...] = tuple(UNPAIRED_FRAGMENTS)
 
-# The sorted origins that make up one complete group of each kind.
-GROUP_ORIGINS: dict[str, tuple[tuple[str, ...], ...]] = {
-    KIND_PAIR: ((ORIGIN_A, ORIGIN_B, ORIGIN_P),),
-    KIND_UNPAIRED: SERVER_PAIR_ROTATION,
-    KIND_SINGLE: ((ORIGIN_A,), (ORIGIN_B,)),
-    KIND_MN: ((ORIGIN_SINGLE,),),
+# The shape of each kind of group: the plan-file fields that hold its index
+# sets, and the sorted origins of every complete group.
+GROUPS: dict[str, tuple[tuple[str, ...], tuple[tuple[str, ...], ...]]] = {
+    KIND_PAIR: (("s1", "s2"), ((ORIGIN_A, ORIGIN_B, ORIGIN_P),)),
+    KIND_UNPAIRED: (("s",), SERVER_PAIR_ROTATION),
+    KIND_SINGLE: (("s",), ((ORIGIN_A,), (ORIGIN_B,))),
+    KIND_MN: (("s",), ((ORIGIN_SINGLE,),)),
 }
 
 
@@ -89,11 +95,6 @@ class DeliveryPlan:
     broadcasts: tuple[Broadcast, ...]
 
 
-def _segment(demand: Demand, server: str, k: int, index_set: int) -> PacketId:
-    rest = users_of(index_set & ~(1 << k))
-    return PacketId(server, demand.file_index(k), rest)
-
-
 def synthesize_pair_messages(
     s1: int, s2: int, demand: Demand, config: SystemConfig
 ) -> tuple[Broadcast, Broadcast, Broadcast]:
@@ -103,104 +104,45 @@ def synthesize_pair_messages(
     if not demand.is_symmetric(config):
         raise ValueError("pair messages require a symmetric demand")
     shared = s1 & s2
-    q_a = shared & config.mask_a
-    q_b = shared & config.mask_b
-    index_sets = (users_of(s1), users_of(s2))
-    m_a = Broadcast(
-        origin=ORIGIN_A,
-        index_sets=index_sets,
-        payload=GF2Combination.from_terms(
-            _segment(demand, "A", k, s1) for k in users_of(s1)
-        ),
-        kind=KIND_PAIR,
+    sub1, sub2 = index_sets = (users_of(s1), users_of(s2))
+    return (
+        message(ORIGIN_A, KIND_PAIR, index_sets, demand, ((sub1, sub1),)),
+        message(ORIGIN_B, KIND_PAIR, index_sets, demand, ((sub2, sub2),)),
+        message(ORIGIN_P, KIND_PAIR, index_sets, demand, (
+            (sub1, users_of(shared & config.mask_b)),
+            (sub2, users_of(shared & config.mask_a)),
+        )),
     )
-    m_b = Broadcast(
-        origin=ORIGIN_B,
-        index_sets=index_sets,
-        payload=GF2Combination.from_terms(
-            _segment(demand, "B", k, s2) for k in users_of(s2)
-        ),
-        kind=KIND_PAIR,
-    )
-    parity_terms = []
-    for k in users_of(q_b):
-        parity_terms.append(_segment(demand, "A", k, s1))
-        parity_terms.append(_segment(demand, "B", k, s1))
-    for k in users_of(q_a):
-        parity_terms.append(_segment(demand, "B", k, s2))
-        parity_terms.append(_segment(demand, "A", k, s2))
-    m_p = Broadcast(
-        origin=ORIGIN_P,
-        index_sets=index_sets,
-        payload=GF2Combination.from_terms(parity_terms),
-        kind=KIND_PAIR,
-    )
-    return m_a, m_b, m_p
 
 
 def synthesize_unpaired(
     subset: int, server_pair: tuple[str, str], demand: Demand, config: SystemConfig
 ) -> tuple[Broadcast, Broadcast]:
     """Two broadcasts that jointly reproduce the single-server signal for one set."""
-    pair = tuple(sorted(server_pair))
-    index_sets = (users_of(subset),)
-    members = users_of(subset)
-    a_members = users_of(subset & config.mask_a)
-    b_members = users_of(subset & config.mask_b)
-    if pair == (ORIGIN_A, ORIGIN_B):
-        first = Broadcast(
-            ORIGIN_A,
-            index_sets,
-            GF2Combination.from_terms(_segment(demand, "A", k, subset) for k in a_members),
-            KIND_UNPAIRED,
-        )
-        second = Broadcast(
-            ORIGIN_B,
-            index_sets,
-            GF2Combination.from_terms(_segment(demand, "B", k, subset) for k in b_members),
-            KIND_UNPAIRED,
-        )
-    elif pair == (ORIGIN_A, ORIGIN_P):
-        first = Broadcast(
-            ORIGIN_A,
-            index_sets,
-            GF2Combination.from_terms(_segment(demand, "A", k, subset) for k in members),
-            KIND_UNPAIRED,
-        )
-        terms = []
-        for k in b_members:
-            terms.append(_segment(demand, "A", k, subset))
-            terms.append(_segment(demand, "B", k, subset))
-        second = Broadcast(ORIGIN_P, index_sets, GF2Combination.from_terms(terms), KIND_UNPAIRED)
-    elif pair == (ORIGIN_B, ORIGIN_P):
-        first = Broadcast(
-            ORIGIN_B,
-            index_sets,
-            GF2Combination.from_terms(_segment(demand, "B", k, subset) for k in members),
-            KIND_UNPAIRED,
-        )
-        terms = []
-        for k in a_members:
-            terms.append(_segment(demand, "B", k, subset))
-            terms.append(_segment(demand, "A", k, subset))
-        second = Broadcast(ORIGIN_P, index_sets, GF2Combination.from_terms(terms), KIND_UNPAIRED)
-    else:
+    fragments = UNPAIRED_FRAGMENTS.get(tuple(sorted(server_pair)))
+    if fragments is None:
         raise ValueError(f"unknown server pair {server_pair!r}")
+    sub = users_of(subset)
+    side_masks = {SERVER_A: config.mask_a, SERVER_B: config.mask_b, None: subset}
+    first, second = (
+        message(
+            origin, KIND_UNPAIRED, (sub,), demand, ((sub, users_of(subset & side_masks[side])),)
+        )
+        for origin, side in fragments
+    )
     return first, second
 
 
 def _synthesize_single(subset: int, demand: Demand, config: SystemConfig) -> Broadcast:
     w = layer_weight(subset, config)
     if w == config.t + 1:
-        server = ORIGIN_A
+        origin = ORIGIN_A
     elif w == 0:
-        server = ORIGIN_B
+        origin = ORIGIN_B
     else:
         raise ValueError("single broadcasts serve one-sided subsets only")
-    payload = GF2Combination.from_terms(
-        _segment(demand, server, k, subset) for k in users_of(subset)
-    )
-    return Broadcast(server, (users_of(subset),), payload, KIND_SINGLE)
+    sub = users_of(subset)
+    return message(origin, KIND_SINGLE, (sub,), demand, ((sub, sub),))
 
 
 def assemble_plan(
@@ -240,19 +182,12 @@ def assemble_plan(
             raise CoverageError(
                 f"one-sided subset {users_of(mask)} cannot take a two-server split"
             )
-        best_pair = None
-        best_key = None
-        for cand in SERVER_PAIR_ROTATION:
-            trial = dict(loads)
-            trial[cand[0]] += 1
-            trial[cand[1]] += 1
-            key = tuple(sorted(trial.values(), reverse=True))
-            if best_key is None or key < best_key:
-                best_key = key
-                best_pair = cand
-        assert best_pair is not None
-        loads[best_pair[0]] += 1
-        loads[best_pair[1]] += 1
+        best_pair = min(
+            SERVER_PAIR_ROTATION,
+            key=lambda pair: sorted((n + (o in pair) for o, n in loads.items()), reverse=True),
+        )
+        for origin in best_pair:
+            loads[origin] += 1
         broadcasts.extend(synthesize_unpaired(mask, best_pair, demand, config))
 
     plan = DeliveryPlan(config, demand, scheme, tuple(broadcasts + singles))
@@ -299,20 +234,26 @@ def group_counts(plan: DeliveryPlan) -> Counter:
 
 
 def coverage_errors(plan: DeliveryPlan) -> list[str]:
-    """Check every group is complete and every (t+1)-subset of users is
+    """Check every group is complete and of a kind the plan's scheme sends
+    (mn groups in an mn plan only), and every (t+1)-subset of users is
     served by exactly one group."""
     config = plan.config
+    mn = plan.scheme == SCHEME_MN
     groups: dict[tuple[str, tuple], list[str]] = {}
     for bc in plan.broadcasts:
         groups.setdefault((bc.kind, bc.index_sets), []).append(bc.origin)
     problems = []
     seen: dict[tuple[int, ...], int] = {}
     for (kind, index_sets), origins in groups.items():
-        arity = 2 if kind == KIND_PAIR else 1
-        if len(index_sets) != arity or tuple(sorted(origins)) not in GROUP_ORIGINS.get(kind, ()):
+        fields, complete = GROUPS.get(kind, ((), ()))
+        if len(index_sets) != len(fields) or tuple(sorted(origins)) not in complete:
             problems.append(
                 f"{kind} group {[list(s) for s in index_sets]} has broadcasts "
                 f"from {sorted(origins)}"
+            )
+        if (kind == KIND_MN) != mn:
+            problems.append(
+                f"{kind} group {[list(s) for s in index_sets]} is not sent by scheme {plan.scheme}"
             )
         for sub in index_sets:
             seen[sub] = seen.get(sub, 0) + 1

@@ -41,7 +41,3 @@ class GF2Basis:
         self._pivots[residue & -residue] = residue
         return True
 
-
-def span_contains(rows: Iterable[int], vec: int) -> bool:
-    basis = GF2Basis(rows)
-    return basis.contains(vec)

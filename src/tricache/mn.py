@@ -3,7 +3,9 @@
 The MN scheme sends one XOR per (t+1)-subset S of users: the payload combines,
 for each k in S, the packet of k's requested file indexed by S without k.
 Every user in S holds all terms but its own in cache, so each broadcast serves
-t+1 users at once.  The decoder below does not assume that structure: it checks
+t+1 users at once.  The three-server messages follow the same rule with
+another server's copy or a subset of the members, so `message` builds every
+broadcast of every scheme.  The decoder below does not assume that structure: it checks
 exact GF(2) span membership, because the three-server pairing scheme requires
 combining messages from several servers to extract a segment.  It peels first
 (a payload with one unknown term yields that term), which settles every
@@ -21,6 +23,8 @@ from typing import Collection, Iterable, Sequence
 
 from .gf2 import GF2Basis
 from .system import (
+    SERVER_A,
+    SERVER_B,
     Demand,
     GF2Combination,
     PacketId,
@@ -63,14 +67,14 @@ class Broadcast:
 def origin_violations(broadcast: Broadcast) -> list[str]:
     """Audit the origin invariant; returns human-readable violations."""
     problems: list[str] = []
+    terms = broadcast.payload.packets
     if broadcast.origin in (ORIGIN_A, ORIGIN_B):
-        for p in broadcast.payload:
+        for p in terms:
             if p.server != broadcast.origin:
                 problems.append(
                     f"origin {broadcast.origin} payload holds foreign packet {p}"
                 )
     elif broadcast.origin == ORIGIN_P:
-        terms = set(broadcast.payload)
         for p in terms:
             if twin(p) not in terms:
                 problems.append(f"parity payload term {p} lacks its twin")
@@ -79,24 +83,43 @@ def origin_violations(broadcast: Broadcast) -> list[str]:
     return problems
 
 
+def message(
+    origin: str,
+    kind: str,
+    index_sets: tuple[tuple[int, ...], ...],
+    demand: Demand,
+    parts: Iterable[tuple[tuple[int, ...], Iterable[int]]],
+) -> Broadcast:
+    """The one transmission rule of every scheme.
+
+    For each (subset, members) part, every member k contributes the segment
+    of k's requested file indexed by subset without k.  Origin A or B sends
+    that server's copy, P both twins (which its stored parity combines), and
+    SINGLE the requester's own file.  Subsets are sorted user tuples.
+    """
+    twins = origin == ORIGIN_P
+    own = origin == ORIGIN_SINGLE
+    requests = demand.requests
+    terms = []
+    for subset, members in parts:
+        for k in members:
+            server, idx = requests[k]
+            i = subset.index(k)
+            rest = subset[:i] + subset[i + 1:]
+            if twins:
+                terms.append(PacketId(SERVER_A, idx, rest))
+                terms.append(PacketId(SERVER_B, idx, rest))
+            else:
+                terms.append(PacketId(server if own else origin, idx, rest))
+    return Broadcast(origin, index_sets, GF2Combination.from_terms(terms), kind)
+
+
 def mn_delivery(config: SystemConfig, demand: Demand) -> list[Broadcast]:
     """The C(K, t+1) single-server broadcasts, one per (t+1)-subset in colex order."""
-    out = []
-    for sub in subsets_colex(config.users, config.t + 1):
-        terms = []
-        for k in sub:
-            server, idx = demand.of(k)
-            rest = tuple(u for u in sub if u != k)
-            terms.append(PacketId(server, idx, rest))
-        out.append(
-            Broadcast(
-                origin=ORIGIN_SINGLE,
-                index_sets=(sub,),
-                payload=GF2Combination.from_terms(terms),
-                kind=KIND_MN,
-            )
-        )
-    return out
+    return [
+        message(ORIGIN_SINGLE, KIND_MN, (sub,), demand, ((sub, sub),))
+        for sub in subsets_colex(config.users, config.t + 1)
+    ]
 
 
 def mn_rate(config: SystemConfig) -> Fraction:

@@ -71,15 +71,7 @@ def test_asymptotes():
     assert ratio_asymptote(Fraction(2, 3)) == Fraction(1, 9)
     assert delta_prime_asymptote(Fraction(1, 3)) == Fraction(1, 27)
     assert delta_prime_asymptote(Fraction(2, 3)) == Fraction(1, 27)
-
-
-def test_regime_formulas_bundle():
-    from tricache.analysis import RegimeFormulas
-
-    bundle = RegimeFormulas(regime=2)
-    assert bundle.exact_count(14, 7) == 595
-    assert bundle.asymptote(Fraction(1, 2)) == 0
-    assert bundle.delta_prime_asymptote(Fraction(11, 20)) == Fraction(1, 3) * Fraction(1, 10)
+    assert delta_prime_asymptote(Fraction(11, 20)) == Fraction(1, 30)  # regime 2
 
 
 def test_rate_coefficient_near_one_third():

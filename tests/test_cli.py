@@ -1,10 +1,15 @@
 """Command-line behaviour: reports, determinism, plan round trips, exit codes."""
 
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from tricache.cli import main
+from tricache.cli import load_plan, main
+
+from test_mn import elimination_oracle
 
 
 def run(argv, capsys):
@@ -299,3 +304,77 @@ def test_verify_refuses_undersized_plan_before_any_work(tmp_path, capsys, monkey
     assert code == 2
     assert "broadcast lines" in err
     assert "plan ok" not in out
+
+
+def export_plan(directory, K, lam, scheme) -> list[str]:
+    """Export one plan with simulate and return its lines."""
+    path = directory / f"K{K}-{scheme}.jsonl"
+    argv = ["simulate", "--K", K, "--lambda", lam, "--scheme", scheme,
+            "--output", str(directory / "r.json"), "--plan-out", str(path)]
+    assert main(argv) == 0
+    return path.read_text().splitlines(keepends=True)
+
+
+def relabelled(lines, scheme) -> list[str]:
+    meta = json.loads(lines[0])
+    meta["scheme"] = scheme
+    return [json.dumps(meta, sort_keys=True) + "\n"] + lines[1:]
+
+
+@pytest.mark.parametrize("exported, label, want_code, message", [
+    ("mn", "lap", 1, "audit failure: mn group [[0, 1, 2, 3]] is not sent by scheme lap"),
+    ("improved", "mn", 1, "is not sent by scheme mn"),
+    ("improved", "bogus", 2, "unknown plan scheme 'bogus'"),
+], ids=["mn-as-lap", "improved-as-mn", "bogus"])
+def test_verify_checks_the_plan_scheme(tmp_path, capsys, exported, label, want_code, message):
+    lines = export_plan(tmp_path, "6", "1/2", exported)
+    path = tmp_path / "relabelled.jsonl"
+    path.write_text("".join(relabelled(lines, label)))
+    code, out, err = run(["verify", "--plan", str(path)], capsys)
+    assert code == want_code
+    assert message in out + err
+    assert "plan ok" not in out
+
+
+FUZZ_SYSTEMS = [("6", "1/2"), ("8", "3/8")]
+
+
+@pytest.fixture(scope="module")
+def exported_plans(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("exports")
+    with contextlib.redirect_stdout(io.StringIO()):
+        plans = {
+            (K, lam, scheme): export_plan(directory, K, lam, scheme)
+            for K, lam in FUZZ_SYSTEMS
+            for scheme in ("lap", "improved", "mn")
+        }
+    return directory / "mutated.jsonl", plans
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_plan_line_mutations_fail_verify(exported_plans, data):
+    """Dropping a line is an audit failure and duplicating one is invalid
+    input; removing one payload term fails verify unless the plan still
+    decodes under full elimination."""
+    path, plans = exported_plans
+    lines = plans[data.draw(st.sampled_from(sorted(plans)))]
+    n = data.draw(st.integers(1, len(lines) - 1), label="line")
+    mutation = data.draw(st.sampled_from(["drop", "duplicate", "term"]))
+    if mutation == "drop":
+        mutated, want = lines[:n] + lines[n + 1:], {1}
+    elif mutation == "duplicate":
+        mutated, want = lines[:n + 1] + lines[n:], {2}
+    else:
+        record = json.loads(lines[n])
+        assume(record["payload"])
+        del record["payload"][data.draw(st.integers(0, len(record["payload"]) - 1))]
+        mutated = lines[:n] + [json.dumps(record, sort_keys=True) + "\n"] + lines[n + 1:]
+        want = {0, 1}
+    path.write_text("".join(mutated))
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(["verify", "--plan", str(path)])
+    assert code in want
+    if mutation == "term" and code == 0:
+        plan = load_plan(path)
+        assert elimination_oracle(plan.config, plan.demand, plan.broadcasts).all_ok

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from tricache import mn
 from tricache.delivery import build_plan
-from tricache.gf2 import GF2Basis, span_contains
+from tricache.gf2 import GF2Basis
 from tricache.mn import (
     KIND_MN,
     ORIGIN_SINGLE,
@@ -271,6 +271,6 @@ def test_user_can_decode_is_span_membership(data):
     ]
     cache = {p for j, p in enumerate(packets) if cached >> j & 1}
     units = [1 << j for j in range(8) if cached >> j & 1]
-    assert user_can_decode(cache, rows, packets[target]) == span_contains(
-        masks + units, 1 << target
+    assert user_can_decode(cache, rows, packets[target]) == GF2Basis(masks + units).contains(
+        1 << target
     )
