@@ -3,7 +3,6 @@ exact rate analysis at desk scale."""
 
 from .system import (
     Demand,
-    GF2Combination,
     PacketId,
     SystemConfig,
     build_config,
@@ -41,7 +40,6 @@ __all__ = [
     "DeliveryPlan",
     "Demand",
     "Depth",
-    "GF2Combination",
     "Layer",
     "PacketId",
     "PairGraph",

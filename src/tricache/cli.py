@@ -24,14 +24,19 @@ from . import analysis, delivery, mn
 from .mn import KIND_MN, KIND_PAIR, KIND_SINGLE, KIND_UNPAIRED, ORIGIN_SINGLE
 from .pairing import SCHEME_AUTO, SCHEME_IMPROVED, SCHEME_LAP
 from .system import (
+    SERVER_A,
+    SERVER_B,
     Demand,
-    GF2Combination,
     PacketId,
     SystemConfig,
     build_config,
     demand_from_mapping,
+    mask_of,
+    packet,
+    packet_id,
     random_demand,
     worst_demand,
+    xor_sum,
 )
 
 EXIT_OK = 0
@@ -230,10 +235,6 @@ def _packet_json(packet: PacketId | None) -> list | None:
     return [packet.server, packet.file_index, list(packet.subset)]
 
 
-def _payload_json(payload: GF2Combination) -> list:
-    return [_packet_json(p) for p in payload.sorted_terms()]
-
-
 def _plan_lines(plan: delivery.DeliveryPlan) -> list[str]:
     config = plan.config
     meta = {
@@ -247,20 +248,33 @@ def _plan_lines(plan: delivery.DeliveryPlan) -> list[str]:
     }
     lines = [json.dumps(meta, sort_keys=True) + "\n"]
     for bc in plan.broadcasts:
-        record = {"kind": bc.kind, "origin": bc.origin, "payload": _payload_json(bc.payload)}
+        payload = [_packet_json(p) for p in sorted(packet_id(p, config.K) for p in bc.payload)]
+        record = {"kind": bc.kind, "origin": bc.origin, "payload": payload}
         record.update(zip(delivery.GROUPS[bc.kind][0], map(list, bc.index_sets)))
         lines.append(json.dumps(record, sort_keys=True) + "\n")
     return lines
 
 
-def _packet_from_json(item: Sequence) -> PacketId:
-    server, idx, subset = item
-    return PacketId(str(server), int(idx), tuple(int(u) for u in subset))
+def _packet_from_json(item: Sequence, config: SystemConfig, masks: dict[tuple, int]) -> int:
+    """One payload triple as a packet int, refused unless it names a packet of
+    the system, which the int form would otherwise alias.  `masks` holds the
+    user tuples already checked."""
+    server, idx, users = item
+    users = tuple(users)
+    if users not in masks and len(users) == config.t and list(users) == sorted(set(users)):
+        if 0 <= users[0] and users[-1] < config.K:
+            masks[users] = mask_of(users)
+    if users not in masks or server not in (SERVER_A, SERVER_B) or not 1 <= idx <= config.N // 2:
+        raise SpecError(
+            f"payload term {item} names no packet: it needs server A or B, a file index "
+            f"in 1..{config.N // 2} and {config.t} strictly increasing users in 0..{config.K - 1}"
+        )
+    return packet(server, idx, masks[users], config.K)
 
 
 def load_plan(path: Path) -> delivery.DeliveryPlan:
     """Rebuild a plan from an exported file, one broadcast per line, without
-    trusting it.
+    trusting it.  Lines are parsed as they are read.
 
     Every set takes at least one broadcast line: a pair's three lines serve
     two sets, an unpaired set takes two and a single or MN set one.  So a
@@ -268,43 +282,44 @@ def load_plan(path: Path) -> delivery.DeliveryPlan:
     sets, so a file with fewer than half of them is refused before any work
     of that size; a plan that lost fewer lines is audited and fails there.
     """
-    lines = [json.loads(line) for line in path.read_text().splitlines() if line.strip()]
-    if not lines or lines[0].get("kind") != "meta":
-        raise SpecError("plan file must start with a meta line")
-    meta = lines[0]
-    scheme = meta.get("scheme", SCHEME_LAP)
-    if scheme not in SCHEMES:
-        raise SpecError(f"unknown plan scheme {scheme!r}")
-    config = build_config(int(meta["K"]), Fraction(meta["M"]), int(meta["N"]))
-    demand = demand_from_mapping(
-        config, {int(u): (v[0], int(v[1])) for u, v in meta["demand"].items()}
-    )
+    with path.open() as f:
+        records = (json.loads(line) for line in f if line.strip())
+        meta = next(records, {})
+        if meta.get("kind") != "meta":
+            raise SpecError("plan file must start with a meta line")
+        scheme = meta.get("scheme", SCHEME_LAP)
+        if scheme not in SCHEMES:
+            raise SpecError(f"unknown plan scheme {scheme!r}")
+        config = build_config(int(meta["K"]), Fraction(meta["M"]), int(meta["N"]))
+        demand = demand_from_mapping(
+            config, {int(u): (v[0], int(v[1])) for u, v in meta["demand"].items()}
+        )
+        broadcasts = []
+        seen: set[tuple] = set()
+        masks: dict[tuple, int] = {}
+        for record in records:
+            kind = record.get("kind")
+            if kind not in delivery.GROUPS:
+                raise SpecError(f"unknown plan line kind {kind!r}")
+            bc = mn.Broadcast(
+                record["origin"],
+                tuple(tuple(int(u) for u in record[f]) for f in delivery.GROUPS[kind][0]),
+                xor_sum([_packet_from_json(p, config, masks) for p in record["payload"]]),
+                kind,
+            )
+            key = (kind, bc.origin, bc.index_sets)
+            if key in seen:
+                raise SpecError(
+                    f"duplicate {kind} line from {bc.origin} for {[list(s) for s in bc.index_sets]}"
+                )
+            seen.add(key)
+            broadcasts.append(bc)
     sets = comb(config.K, config.t + 1)
-    if 2 * (len(lines) - 1) < sets:
+    if 2 * len(broadcasts) < sets:
         raise SpecError(
-            f"plan file has {len(lines) - 1} broadcast lines, fewer than half of "
+            f"plan file has {len(broadcasts)} broadcast lines, fewer than half of "
             f"the C({config.K}, {config.t + 1}) = {sets} sets it must serve"
         )
-
-    broadcasts = []
-    seen: set[tuple] = set()
-    for record in lines[1:]:
-        kind = record.get("kind")
-        if kind not in delivery.GROUPS:
-            raise SpecError(f"unknown plan line kind {kind!r}")
-        bc = mn.Broadcast(
-            record["origin"],
-            tuple(tuple(int(u) for u in record[f]) for f in delivery.GROUPS[kind][0]),
-            GF2Combination.from_terms(_packet_from_json(p) for p in record["payload"]),
-            kind,
-        )
-        key = (kind, bc.origin, bc.index_sets)
-        if key in seen:
-            raise SpecError(
-                f"duplicate {kind} line from {bc.origin} for {[list(s) for s in bc.index_sets]}"
-            )
-        seen.add(key)
-        broadcasts.append(bc)
     return delivery.DeliveryPlan(
         config=config,
         demand=demand,

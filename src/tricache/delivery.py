@@ -104,13 +104,13 @@ def synthesize_pair_messages(
     if not demand.is_symmetric(config):
         raise ValueError("pair messages require a symmetric demand")
     shared = s1 & s2
-    sub1, sub2 = index_sets = (users_of(s1), users_of(s2))
+    index_sets = (users_of(s1), users_of(s2))
     return (
-        message(ORIGIN_A, KIND_PAIR, index_sets, demand, ((sub1, sub1),)),
-        message(ORIGIN_B, KIND_PAIR, index_sets, demand, ((sub2, sub2),)),
+        message(ORIGIN_A, KIND_PAIR, index_sets, demand, ((s1, s1),)),
+        message(ORIGIN_B, KIND_PAIR, index_sets, demand, ((s2, s2),)),
         message(ORIGIN_P, KIND_PAIR, index_sets, demand, (
-            (sub1, users_of(shared & config.mask_b)),
-            (sub2, users_of(shared & config.mask_a)),
+            (s1, shared & config.mask_b),
+            (s2, shared & config.mask_a),
         )),
     )
 
@@ -125,9 +125,7 @@ def synthesize_unpaired(
     sub = users_of(subset)
     side_masks = {SERVER_A: config.mask_a, SERVER_B: config.mask_b, None: subset}
     first, second = (
-        message(
-            origin, KIND_UNPAIRED, (sub,), demand, ((sub, users_of(subset & side_masks[side])),)
-        )
+        message(origin, KIND_UNPAIRED, (sub,), demand, ((subset, subset & side_masks[side]),))
         for origin, side in fragments
     )
     return first, second
@@ -141,8 +139,7 @@ def _synthesize_single(subset: int, demand: Demand, config: SystemConfig) -> Bro
         origin = ORIGIN_B
     else:
         raise ValueError("single broadcasts serve one-sided subsets only")
-    sub = users_of(subset)
-    return message(origin, KIND_SINGLE, (sub,), demand, ((sub, sub),))
+    return message(origin, KIND_SINGLE, (users_of(subset),), demand, ((subset, subset),))
 
 
 def assemble_plan(
@@ -269,9 +266,10 @@ def coverage_errors(plan: DeliveryPlan) -> list[str]:
 
 
 def origin_errors(plan: DeliveryPlan) -> list[str]:
+    K = plan.config.K
     problems = []
     for bc in plan.broadcasts:
-        problems.extend(origin_violations(bc))
+        problems.extend(origin_violations(bc, K))
     return problems
 
 

@@ -26,12 +26,13 @@ from .system import (
     SERVER_A,
     SERVER_B,
     Demand,
-    GF2Combination,
     PacketId,
     SystemConfig,
-    mask_of,
-    subsets_colex,
-    twin,
+    packet,
+    packet_id,
+    subset_masks,
+    users_of,
+    xor_sum,
 )
 
 ORIGIN_SINGLE = "SINGLE"
@@ -55,32 +56,33 @@ class Broadcast:
     kind carries the one set it serves.  Origin A carries only server-A
     packets, origin B only server-B packets, and origin P only twin pairs
     (the A and B packet with identical file index and subset), since the
-    parity server can only combine its stored parities.
+    parity server can only combine its stored parities.  The payload is the
+    set of packet ints (`system.packet`) whose XOR is sent.
     """
 
     origin: str
     index_sets: tuple[tuple[int, ...], ...]
-    payload: GF2Combination
+    payload: frozenset[int]
     kind: str
 
 
-def origin_violations(broadcast: Broadcast) -> list[str]:
-    """Audit the origin invariant; returns human-readable violations."""
-    problems: list[str] = []
-    terms = broadcast.payload.packets
-    if broadcast.origin in (ORIGIN_A, ORIGIN_B):
-        for p in terms:
-            if p.server != broadcast.origin:
-                problems.append(
-                    f"origin {broadcast.origin} payload holds foreign packet {p}"
-                )
-    elif broadcast.origin == ORIGIN_P:
-        for p in terms:
-            if twin(p) not in terms:
-                problems.append(f"parity payload term {p} lacks its twin")
-    elif broadcast.origin != ORIGIN_SINGLE:
-        problems.append(f"unknown origin {broadcast.origin!r}")
-    return problems
+def origin_violations(broadcast: Broadcast, K: int) -> list[str]:
+    """Audit the origin invariant for a system of K users; returns
+    human-readable violations in plan-file term order."""
+    origin, terms = broadcast.origin, broadcast.payload
+    server_bit = 1 << K
+    if origin in (ORIGIN_A, ORIGIN_B):
+        foreign = 0 if origin == ORIGIN_B else server_bit
+        bad = [p for p in terms if (p & server_bit) == foreign]
+        template = f"origin {origin} payload holds foreign packet {{}}"
+    elif origin == ORIGIN_P:
+        bad = [p for p in terms if (p ^ server_bit) not in terms]
+        template = "parity payload term {} lacks its twin"
+    elif origin == ORIGIN_SINGLE:
+        return []
+    else:
+        return [f"unknown origin {origin!r}"]
+    return [template.format(p) for p in sorted(packet_id(p, K) for p in bad)]
 
 
 def message(
@@ -88,37 +90,39 @@ def message(
     kind: str,
     index_sets: tuple[tuple[int, ...], ...],
     demand: Demand,
-    parts: Iterable[tuple[tuple[int, ...], Iterable[int]]],
+    parts: Iterable[tuple[int, int]],
 ) -> Broadcast:
     """The one transmission rule of every scheme.
 
     For each (subset, members) part, every member k contributes the segment
     of k's requested file indexed by subset without k.  Origin A or B sends
     that server's copy, P both twins (which its stored parity combines), and
-    SINGLE the requester's own file.  Subsets are sorted user tuples.
+    SINGLE the requester's own file.  Subsets and members are user masks.
     """
     twins = origin == ORIGIN_P
     own = origin == ORIGIN_SINGLE
     requests = demand.requests
+    K = len(requests)
     terms = []
     for subset, members in parts:
-        for k in members:
-            server, idx = requests[k]
-            i = subset.index(k)
-            rest = subset[:i] + subset[i + 1:]
+        while members:
+            low = members & -members
+            members ^= low
+            server, idx = requests[low.bit_length() - 1]
+            rest = subset & ~low
             if twins:
-                terms.append(PacketId(SERVER_A, idx, rest))
-                terms.append(PacketId(SERVER_B, idx, rest))
+                terms.append(packet(SERVER_A, idx, rest, K))
+                terms.append(packet(SERVER_B, idx, rest, K))
             else:
-                terms.append(PacketId(server if own else origin, idx, rest))
-    return Broadcast(origin, index_sets, GF2Combination.from_terms(terms), kind)
+                terms.append(packet(server if own else origin, idx, rest, K))
+    return Broadcast(origin, index_sets, xor_sum(terms), kind)
 
 
 def mn_delivery(config: SystemConfig, demand: Demand) -> list[Broadcast]:
     """The C(K, t+1) single-server broadcasts, one per (t+1)-subset in colex order."""
     return [
-        message(ORIGIN_SINGLE, KIND_MN, (sub,), demand, ((sub, sub),))
-        for sub in subsets_colex(config.users, config.t + 1)
+        message(ORIGIN_SINGLE, KIND_MN, (users_of(m),), demand, ((m, m),))
+        for m in subset_masks(config.users, config.t + 1)
     ]
 
 
@@ -128,7 +132,7 @@ def mn_rate(config: SystemConfig) -> Fraction:
 
 
 class _PayloadTable:
-    """The payloads of a broadcast list with every packet interned to an int id.
+    """The payloads of a broadcast list with every packet interned to a dense id.
 
     rows[r] lists the ids in broadcast r's payload and rows_of[i] the rows
     that hold id i.  Built once and shared by every user's decode.
@@ -137,7 +141,7 @@ class _PayloadTable:
     __slots__ = ("ids", "rows", "rows_of")
 
     def __init__(self, broadcasts: Iterable[Broadcast]) -> None:
-        ids: dict[PacketId, int] = {}
+        ids: dict[int, int] = {}
         rows = [[ids.setdefault(p, len(ids)) for p in bc.payload] for bc in broadcasts]
         rows_of: list[list[int]] = [[] for _ in ids]
         for r, row in enumerate(rows):
@@ -198,9 +202,9 @@ def _decodable(
 
 
 def user_can_decode(
-    cache: Collection[PacketId],
+    cache: Collection[int],
     broadcasts: Iterable[Broadcast],
-    target: PacketId,
+    target: int,
 ) -> bool:
     """Exact decodability: is the target's unit vector in the GF(2) span of the
     cached unit vectors plus the received payload vectors?"""
@@ -243,24 +247,17 @@ def verify_full_recovery(
     check is then independent and pure, and this routine runs them in order.
     """
     table = _PayloadTable(broadcasts)
-    tsub_mask = {sub: mask_of(sub) for sub in subsets_colex(config.users, config.t)}
-    # Plan packets have t-subsets; any other subset gets its own mask, built
-    # only from ids of real users since no other bit is ever tested.
-    users = set(config.users)
-    masks = [
-        tsub_mask.get(p.subset) or mask_of(u for u in p.subset if u in users)
-        for p in table.ids
-    ]
+    K = config.K
+    tsubs = subset_masks(config.users, config.t)
     results = []
     for user in config.users:
         server, idx = demand.of(user)
         # The user's targets: its file's packets whose subset misses the user.
-        subs = [sub for sub, m in tsub_mask.items() if not m >> user & 1]
-        targets = [table.ids.get(PacketId(server, idx, sub)) for sub in subs]
-        known = bytearray(m >> user & 1 for m in masks)
-        decoded = _decodable(table, known, targets)
+        targets = [packet(server, idx, m, K) for m in tsubs if not m >> user & 1]
+        known = bytearray(p >> user & 1 for p in table.ids)
+        decoded = _decodable(table, known, [table.ids.get(p) for p in targets])
         missing = decoded.count(False)
-        first_failed = PacketId(server, idx, subs[decoded.index(False)]) if missing else None
+        first_failed = packet_id(targets[decoded.index(False)], K) if missing else None
         results.append(
             UserRecovery(user=user, ok=missing == 0, first_failed=first_failed, missing=missing)
         )

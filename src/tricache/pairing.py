@@ -31,7 +31,7 @@ from math import comb
 from operator import or_
 from typing import Iterable, NamedTuple, Sequence
 
-from .system import SystemConfig, mask_of
+from .system import SystemConfig, subset_masks
 
 SCHEME_LAP = "lap"
 SCHEME_IMPROVED = "improved"
@@ -117,20 +117,11 @@ def build_layers(config: SystemConfig) -> list[Layer]:
     t = config.t
     layers = []
     for w in range(t + 2):
-        members = [
-            amask | bmask
-            for amask in _weight_masks(config.users_a, w)
-            for bmask in _weight_masks(config.users_b, t + 1 - w)
-        ]
+        bmasks = subset_masks(config.users_b, t + 1 - w)
+        members = [amask | bmask for amask in subset_masks(config.users_a, w) for bmask in bmasks]
         members.sort()
         layers.append(Layer(w=w, members=tuple(members)))
     return layers
-
-
-def _weight_masks(users: Sequence[int], size: int) -> list[int]:
-    if size < 0 or size > len(users):
-        return []
-    return [mask_of(c) for c in combinations(users, size)]
 
 
 def layer_weight(mask: int, config: SystemConfig) -> int:

@@ -4,9 +4,9 @@ The N files are split evenly between server A (files A_1 .. A_{N/2}) and
 server B (B_1 .. B_{N/2}); a parity server P stores the bitwise XOR of the
 twin files A_i and B_i.  Every file is cut into C(K, t) equal packets, one
 per t-subset of users, and user k caches exactly the packets whose subset
-contains k (the Maddah-Ali-Niesen placement).  Packets are symbolic ids,
-never byte payloads: correctness questions reduce to linear algebra over
-GF(2) in the packet basis.
+contains k (the Maddah-Ali-Niesen placement).  Packets are ints (see
+`packet`), never byte payloads: correctness questions reduce to linear
+algebra over GF(2) in the packet basis.
 
 Users are 0-based integers.  By default the first K/2 users request from
 server A and the rest from server B; an explicit partition may override.
@@ -17,69 +17,55 @@ derived structure (layers, matchings, plans) is deterministic.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
 from math import comb
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 SERVER_A = "A"
 SERVER_B = "B"
 
 
 class PacketId(NamedTuple):
-    """One file segment W_{i,T}: a server tag, a file index, and the caching t-subset."""
+    """One file segment W_{i,T} as text spells it: a server tag, a file index,
+    and the caching t-subset as a sorted user tuple."""
 
     server: str
     file_index: int
     subset: tuple[int, ...]
 
 
-def twin(packet: PacketId) -> PacketId:
-    """The packet of the other data server with the same file index and subset."""
-    other = SERVER_B if packet.server == SERVER_A else SERVER_A
-    return PacketId(other, packet.file_index, packet.subset)
+def packet(server: str, file_index: int, subset_mask: int, K: int) -> int:
+    """The segment W_{i,T} of server A or B as one int.
 
+    Layout, from the low bits up: K bits of subset mask (bit u set iff user
+    u is in T, so user u caches the packet iff p >> u & 1), one server bit
+    (A = 0, B = 1, so the twin on the other data server is p ^ (1 << K)),
+    then the file index:
 
-@dataclass(frozen=True)
-class GF2Combination:
-    """A sparse XOR-set of packets: presence means coefficient 1 over GF(2).
+        ((file_index << 1 | server_bit) << K) | subset_mask
 
-    XOR of two combinations is the symmetric difference of their packet sets;
-    the empty combination is the zero element.
+    Int order is therefore (file index, server, subset in colex order), not
+    the (server, file index, subset) order that `PacketId`s sort in.
     """
+    return ((file_index << 1 | (server == SERVER_B)) << K) | subset_mask
 
-    packets: frozenset[PacketId] = frozenset()
 
-    @classmethod
-    def from_terms(cls, terms: Iterable[PacketId]) -> "GF2Combination":
-        """Build from a term list, cancelling packets that appear an even number of times."""
-        acc: set[PacketId] = set()
-        for p in terms:
-            if p in acc:
-                acc.discard(p)
-            else:
-                acc.add(p)
-        return cls(frozenset(acc))
+def packet_id(p: int, K: int) -> PacketId:
+    """The inverse of `packet`, for plan files and failure messages."""
+    return PacketId(SERVER_B if p >> K & 1 else SERVER_A, p >> (K + 1), users_of(p & ((1 << K) - 1)))
 
-    def __xor__(self, other: "GF2Combination") -> "GF2Combination":
-        return GF2Combination(self.packets ^ other.packets)
 
-    def __iter__(self) -> Iterator[PacketId]:
-        return iter(self.packets)
-
-    def __len__(self) -> int:
-        return len(self.packets)
-
-    def __contains__(self, packet: PacketId) -> bool:
-        return packet in self.packets
-
-    def is_zero(self) -> bool:
-        return not self.packets
-
-    def sorted_terms(self) -> list[PacketId]:
-        return sorted(self.packets)
+def xor_sum(terms: Sequence[int]) -> frozenset[int]:
+    """A payload from a term list: a packet that appears an even number of
+    times cancels, as it does in the GF(2) sum the payload stands for."""
+    payload = frozenset(terms)
+    if len(payload) == len(terms):
+        return payload
+    return frozenset(p for p, n in Counter(terms).items() if n % 2)
 
 
 @dataclass(frozen=True)
@@ -181,7 +167,7 @@ def build_config(
 
 
 # ---------------------------------------------------------------------------
-# subsets: tuples are sorted user lists; masks are int bitsets (bit u = user u)
+# subsets: masks are int bitsets (bit u = user u); tuples are sorted user lists
 
 def mask_of(users: Iterable[int]) -> int:
     m = 0
@@ -199,35 +185,30 @@ def users_of(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def colex_key(subset: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(reversed(subset))
-
-
-def subsets_colex(universe: Iterable[int], size: int) -> list[tuple[int, ...]]:
-    """All size-subsets of the universe as sorted tuples, in colex order."""
-    return sorted(combinations(sorted(universe), size), key=colex_key)
+def subset_masks(universe: Iterable[int], size: int) -> list[int]:
+    """All size-subsets of the universe as masks, in colex order, which for
+    masks is numeric order."""
+    bits = [1 << u for u in universe]
+    return sorted(sum(c) for c in combinations(bits, size))
 
 
 # ---------------------------------------------------------------------------
 # placement
 
-def place_caches(config: SystemConfig) -> dict[int, frozenset[PacketId]]:
+def place_caches(config: SystemConfig) -> dict[int, frozenset[int]]:
     """Cache contents per user: every packet of every file whose subset contains the user.
 
     Placement is demand independent.  Each cache holds N * C(K-1, t-1)
     packets, i.e. the fraction t/K = M/N of every file.
     """
-    tsubs = subsets_colex(config.users, config.t)
+    tsubs = subset_masks(config.users, config.t)
     files = config.files()
-    caches: dict[int, frozenset[PacketId]] = {}
-    for k in config.users:
-        caches[k] = frozenset(
-            PacketId(server, idx, sub)
-            for sub in tsubs
-            if k in sub
-            for (server, idx) in files
+    return {
+        k: frozenset(
+            packet(server, idx, m, config.K) for m in tsubs if m >> k & 1 for server, idx in files
         )
-    return caches
+        for k in config.users
+    }
 
 
 # ---------------------------------------------------------------------------

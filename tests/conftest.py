@@ -1,8 +1,13 @@
-from tricache.system import mask_of
+from tricache.system import mask_of, packet
 
 
 def mask(*users: int) -> int:
     return mask_of(users)
+
+
+def pkt(server, file_index, users, K) -> int:
+    """The packet int of a segment given as server, file index and user ids."""
+    return packet(server, file_index, mask_of(users), K)
 
 
 def class_members(config, layers, w, has_a1, has_b1):

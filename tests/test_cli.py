@@ -3,10 +3,15 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import tricache
 from tricache.cli import load_plan, main
 
 from test_mn import elimination_oracle
@@ -185,6 +190,60 @@ def test_verify_survives_foreign_user_ids_in_payload(tmp_path, capsys, bad_subse
     assert code in (1, 2)
     assert "Traceback" not in err
     assert "plan ok" not in out
+
+
+@pytest.mark.parametrize("term", [
+    ["A", 1, [1, 0, 2]],
+    ["A", 1, [0, 0, 1]],
+    ["A", 1, [0, 1]],
+    ["C", 1, [0, 1, 2]],
+    ["A", 0, [0, 1, 2]],
+    ["A", 4, [0, 1, 2]],
+], ids=["unsorted", "repeated", "wrong-size", "server-C", "file-0", "file-past-half"])
+def test_verify_rejects_payload_terms_naming_no_packet(tmp_path, capsys, term):
+    # K=6, t=3, N=6: a term needs server A or B, a file in 1..3 and three
+    # strictly increasing users; anything else would alias a real packet
+    plan_path = tmp_path / "plan.jsonl"
+    code, _, _ = run(
+        ["simulate", "--K", "6", "--lambda", "1/2", "--scheme", "improved",
+         "--output", str(tmp_path / "r.json"), "--plan-out", str(plan_path)],
+        capsys,
+    )
+    assert code == 0
+    records = [json.loads(l) for l in plan_path.read_text().splitlines()]
+    next(r for r in records if r["kind"] == "pair")["payload"][0] = term
+    tampered = tmp_path / "tampered.jsonl"
+    tampered.write_text("".join(json.dumps(r) + "\n" for r in records))
+    code, out, err = run(["verify", "--plan", str(tampered)], capsys)
+    assert code == 2
+    assert "payload term" in err
+    assert "Traceback" not in err
+    assert "plan ok" not in out
+
+
+def test_verify_failure_output_ignores_hash_seed(tmp_path):
+    # two parity terms lose their twins and one A line turns into B: the
+    # violations come out in plan-file term order under any hash seed
+    records = [json.loads(l) for l in export_plan(tmp_path, "8", "3/8", "improved")]
+    parity = [r for r in records[1:] if r["origin"] == "P" and len(r["payload"]) > 2]
+    for r in parity[:2]:
+        del r["payload"][0]
+    next(r for r in records[1:] if r["origin"] == "A" and r["kind"] != "pair")["origin"] = "B"
+    path = tmp_path / "broken.jsonl"
+    path.write_text("".join(json.dumps(r, sort_keys=True) + "\n" for r in records))
+    src = str(Path(tricache.__file__).resolve().parent.parent)
+    outputs = []
+    for seed in ("1", "3"):
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-m", "tricache.cli", "verify", "--plan", str(path)],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 1, done.stderr
+        outputs.append(done.stdout)
+    assert "foreign packet" in outputs[0] and "lacks its twin" in outputs[0]
+    assert outputs[0] == outputs[1]
 
 
 def test_verify_rejects_duplicated_pair_line(tmp_path, capsys):

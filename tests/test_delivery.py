@@ -21,31 +21,30 @@ from tricache.delivery import (
 from tricache.mn import ORIGIN_P, user_can_decode, verify_full_recovery
 from tricache.pairing import SCHEME_IMPROVED, SCHEME_LAP
 from tricache.system import (
-    GF2Combination,
-    PacketId,
     build_config,
     place_caches,
     random_demand,
     users_of,
     worst_demand,
+    xor_sum,
 )
 
-from conftest import mask
+from conftest import mask, pkt
 
 
 def mn_signal(config, demand, subset_mask):
     terms = []
     for k in users_of(subset_mask):
         server, idx = demand.of(k)
-        terms.append(PacketId(server, idx, tuple(u for u in users_of(subset_mask) if u != k)))
-    return GF2Combination.from_terms(terms)
+        terms.append(pkt(server, idx, (u for u in users_of(subset_mask) if u != k), config.K))
+    return xor_sum(terms)
 
 
 def test_pair_messages_disjoint_pair_has_empty_parity():
     cfg = build_config(4, 1, 4)
     demand = worst_demand(cfg)
     m_a, m_b, m_p = synthesize_pair_messages(mask(0, 1), mask(2, 3), demand, cfg)
-    assert m_p.payload.is_zero()
+    assert not m_p.payload
     assert len(m_a.payload) == 2 and len(m_b.payload) == 2
 
 
@@ -66,7 +65,7 @@ def test_pair_messages_decode_k6():
     for source in (s1, s2):
         for k in users_of(source):
             server, idx = demand.of(k)
-            target = PacketId(server, idx, tuple(u for u in users_of(source) if u != k))
+            target = pkt(server, idx, (u for u in users_of(source) if u != k), cfg.K)
             assert user_can_decode(caches[k], triple, target)
 
 
@@ -79,7 +78,7 @@ def test_pair_messages_shared_user_gets_both_segments():
     k = 0  # in the shared A-part
     server, idx = demand.of(k)
     for source in (s1, s2):
-        target = PacketId(server, idx, tuple(u for u in users_of(source) if u != k))
+        target = pkt(server, idx, (u for u in users_of(source) if u != k), cfg.K)
         assert user_can_decode(caches[k], triple, target)
 
 
@@ -110,7 +109,7 @@ def test_unpaired_users_decode():
         bcs = synthesize_unpaired(s, pair, demand, cfg)
         for k in users_of(s):
             server, idx = demand.of(k)
-            target = PacketId(server, idx, tuple(u for u in users_of(s) if u != k))
+            target = pkt(server, idx, (u for u in users_of(s) if u != k), cfg.K)
             assert user_can_decode(caches[k], bcs, target)
 
 
@@ -236,7 +235,7 @@ def test_tampered_plan_detected():
     # break the twin structure of a parity message
     m_p = plan.broadcasts[2]
     assert m_p.origin == ORIGIN_P
-    bad_payload = GF2Combination(frozenset(list(m_p.payload)[:-1]))
+    bad_payload = frozenset(list(m_p.payload)[:-1])
     broken2 = replace(
         plan,
         broadcasts=plan.broadcasts[:2] + (replace(m_p, payload=bad_payload),) + plan.broadcasts[3:],

@@ -22,14 +22,17 @@ from tricache.mn import (
     verify_full_recovery,
 )
 from tricache.system import (
-    GF2Combination,
     PacketId,
     build_config,
+    packet_id,
     place_caches,
     random_demand,
-    subsets_colex,
+    subset_masks,
+    users_of,
     worst_demand,
 )
+
+from conftest import pkt
 
 
 def test_broadcast_count_k4():
@@ -51,19 +54,17 @@ def test_payload_instantiation():
     demand = worst_demand(cfg)
     bcs = {bc.index_sets[0]: bc for bc in mn_delivery(cfg, demand)}
     payload = bcs[(0, 1, 2)].payload
-    assert payload == GF2Combination(
-        frozenset(
-            {
-                PacketId("A", 1, (1, 2)),
-                PacketId("A", 2, (0, 2)),
-                PacketId("B", 1, (0, 1)),
-            }
-        )
+    assert payload == frozenset(
+        {
+            pkt("A", 1, (1, 2), 4),
+            pkt("A", 2, (0, 2), 4),
+            pkt("B", 1, (0, 1), 4),
+        }
     )
 
 
 def test_decoder_trivial_cases():
-    target = PacketId("A", 1, (1, 2))
+    target = pkt("A", 1, (1, 2), 4)
     assert user_can_decode({target}, [], target)
     assert not user_can_decode(set(), [], target)
 
@@ -79,7 +80,7 @@ def test_decoder_single_mn_message():
         if 0 not in sub:
             continue
         server, idx = demand.of(0)
-        target = PacketId(server, idx, tuple(u for u in sub if u != 0))
+        target = pkt(server, idx, (u for u in sub if u != 0), cfg.K)
         assert user_can_decode(caches[0], [bc], target)
 
 
@@ -110,7 +111,7 @@ def test_decoder_agrees_with_peeling_on_mn_plans():
                 for sub in (bc.index_sets[0] for bc in bcs):
                     if user not in sub:
                         continue
-                    target = PacketId(server, idx, tuple(u for u in sub if u != user))
+                    target = pkt(server, idx, (u for u in sub if u != user), K)
                     assert user_can_decode(caches[user], bcs, target) == peel_oracle(
                         caches[user], bcs, target
                     )
@@ -128,7 +129,7 @@ def test_decoder_monotone(data):
     user = data.draw(st.integers(0, cfg.K - 1))
     server, idx = demand.of(user)
     sub = data.draw(st.sampled_from([bc.index_sets[0] for bc in bcs if user in bc.index_sets[0]]))
-    target = PacketId(server, idx, tuple(u for u in sub if u != user))
+    target = pkt(server, idx, (u for u in sub if u != user), cfg.K)
     if user_can_decode(caches[user], subset, target):
         assert user_can_decode(caches[user], bcs, target)
 
@@ -173,8 +174,8 @@ def elimination_oracle(config, demand, broadcasts):
         basis = GF2Basis()
         for bc in broadcasts:
             row = 0
-            for p in bc.payload.sorted_terms():
-                if user in p.subset:
+            for p in sorted(bc.payload):
+                if user in packet_id(p, config.K).subset:
                     continue
                 row |= 1 << col.setdefault(p, len(col))
             if row:
@@ -183,13 +184,12 @@ def elimination_oracle(config, demand, broadcasts):
         others = [u for u in config.users if u != user]
         first_failed = None
         missing = 0
-        for sub in subsets_colex(others, config.t):
-            packet = PacketId(server, idx, sub)
-            bit = col.get(packet)
+        for sub in map(users_of, subset_masks(others, config.t)):
+            bit = col.get(pkt(server, idx, sub, config.K))
             if bit is None or not basis.contains(1 << bit):
                 missing += 1
                 if first_failed is None:
-                    first_failed = packet
+                    first_failed = PacketId(server, idx, sub)
         users.append(UserRecovery(user, missing == 0, first_failed, missing))
     return RecoveryReport(tuple(users))
 
@@ -213,8 +213,8 @@ def tampered(broadcasts, rng):
     yield "drop", broadcasts[:drop] + broadcasts[drop + 1:]
     victim = rng.choice([i for i, bc in enumerate(broadcasts) if len(bc.payload) > 1])
     bc = broadcasts[victim]
-    term = rng.choice(bc.payload.sorted_terms())
-    thinned = Broadcast(bc.origin, bc.index_sets, GF2Combination(bc.payload.packets - {term}), bc.kind)
+    term = rng.choice(sorted(bc.payload))
+    thinned = Broadcast(bc.origin, bc.index_sets, bc.payload - {term}, bc.kind)
     yield "remove term", broadcasts[:victim] + [thinned] + broadcasts[victim + 1:]
     dup = rng.randrange(n)
     yield "duplicate", broadcasts[:dup + 1] + broadcasts[dup:]
@@ -242,9 +242,9 @@ def test_intact_plans_decode_by_peeling_alone(monkeypatch):
 
 def test_stopping_set_needs_elimination():
     # every row holds two unknowns, so peeling stalls, yet the rows sum to d
-    a, b, c, d = (PacketId("A", 1, (u,)) for u in range(4))
+    a, b, c, d = (pkt("A", 1, (u,), 4) for u in range(4))
     rows = [
-        Broadcast(ORIGIN_SINGLE, (), GF2Combination(frozenset(terms)), KIND_MN)
+        Broadcast(ORIGIN_SINGLE, (), frozenset(terms), KIND_MN)
         for terms in ((a, b), (a, c), (b, c, d))
     ]
     assert not peel_oracle(set(), rows, d)
@@ -256,7 +256,7 @@ def test_stopping_set_needs_elimination():
 @given(st.data())
 def test_user_can_decode_is_span_membership(data):
     # random payloads over eight packets, a random cache and target
-    packets = [PacketId("A", 1, (u,)) for u in range(8)]
+    packets = [pkt("A", 1, (u,), 8) for u in range(8)]
     masks = data.draw(st.lists(st.integers(1, 255), max_size=8))
     cached = data.draw(st.integers(0, 255))
     target = data.draw(st.integers(0, 7))
@@ -264,7 +264,7 @@ def test_user_can_decode_is_span_membership(data):
         Broadcast(
             ORIGIN_SINGLE,
             (),
-            GF2Combination(frozenset(p for j, p in enumerate(packets) if m >> j & 1)),
+            frozenset(p for j, p in enumerate(packets) if m >> j & 1),
             KIND_MN,
         )
         for m in masks

@@ -34,7 +34,7 @@ from tricache.pairing import (
     _hopcroft_karp,
 )
 from tricache.analysis import four_way_class_size, general_class_size
-from tricache.system import build_config, mask_of, subsets_colex
+from tricache.system import build_config, subset_masks
 
 from conftest import class_members, mask
 
@@ -61,7 +61,7 @@ def test_effective_pair_size_mismatch_rejected():
 def test_effective_pairs_enumerated_k4_t1():
     # frozen by enumerating the set-difference predicate over all 2-subsets
     cfg = build_config(4, 1, 4)
-    subs = [mask_of(s) for s in subsets_colex(range(4), 2)]
+    subs = subset_masks(range(4), 2)
     found = {
         (s1, s2)
         for s1 in subs
@@ -80,7 +80,7 @@ def test_effective_pairs_enumerated_k4_t1():
 @given(st.data())
 def test_effective_pair_orientation_unique(data):
     cfg = build_config(6, 3, 6)
-    subs = [mask_of(s) for s in subsets_colex(range(6), 4)]
+    subs = subset_masks(range(6), 4)
     s1 = data.draw(st.sampled_from(subs))
     s2 = data.draw(st.sampled_from(subs))
     if s1 == s2:

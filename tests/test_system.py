@@ -1,4 +1,4 @@
-"""Model-level tests: config validation, placement, demands, GF(2) carrier."""
+"""Model-level tests: config validation, placement, demands, packet encoding."""
 
 from fractions import Fraction
 from itertools import combinations
@@ -8,16 +8,20 @@ import pytest
 from hypothesis import given, strategies as st
 
 from tricache.system import (
-    GF2Combination,
     PacketId,
     build_config,
-    colex_key,
+    mask_of,
+    packet,
+    packet_id,
     place_caches,
     random_demand,
-    subsets_colex,
-    twin,
+    subset_masks,
+    users_of,
     worst_demand,
+    xor_sum,
 )
+
+from conftest import pkt
 
 import random
 
@@ -66,15 +70,15 @@ def test_build_config_explicit_partition():
 
 
 def test_colex_order():
-    subs = subsets_colex(range(4), 2)
+    subs = [users_of(m) for m in subset_masks(range(4), 2)]
     assert subs == [(0, 1), (0, 2), (1, 2), (0, 3), (1, 3), (2, 3)]
-    assert subs == sorted(subs, key=colex_key)
+    assert subs == sorted(subs, key=lambda s: tuple(reversed(s)))
 
 
 def test_placement_contents_k4():
     # user 0 caches, per file, exactly the t-subsets containing it
     cfg = build_config(4, 2, 4)
-    caches = place_caches(cfg)
+    caches = {k: [packet_id(p, cfg.K) for p in c] for k, c in place_caches(cfg).items()}
     subsets_for_0 = {p.subset for p in caches[0] if p.server == "A" and p.file_index == 1}
     assert subsets_for_0 == {(0, 1), (0, 2), (0, 3)}
     for k in cfg.users:
@@ -89,7 +93,9 @@ def test_placement_sizes_and_fraction():
         assert len(caches[k]) == cfg.N * per_file
         # cached fraction of each file is exactly t/K = M/N
         for server, idx in cfg.files():
-            cached = sum(1 for p in caches[k] if (p.server, p.file_index) == (server, idx))
+            cached = sum(
+                1 for p in caches[k] if packet_id(p, cfg.K)[:2] == (server, idx)
+            )
             assert Fraction(cached, cfg.packets_per_file) == Fraction(cfg.t, cfg.K) == cfg.lam
 
 
@@ -97,7 +103,7 @@ def test_placement_demand_independent_and_universe():
     cfg = build_config(4, 2, 4)
     assert place_caches(cfg) == place_caches(cfg)
     universe = {
-        PacketId(server, idx, sub)
+        pkt(server, idx, sub, cfg.K)
         for server, idx in cfg.files()
         for sub in combinations(range(cfg.K), cfg.t)
     }
@@ -122,40 +128,23 @@ def test_random_demand_symmetric_and_seeded():
     assert d1.is_symmetric(cfg)
 
 
-def test_twin():
-    p = PacketId("A", 2, (0, 1))
-    assert twin(p) == PacketId("B", 2, (0, 1))
-    assert twin(twin(p)) == p
-
-
-packets = st.builds(
-    PacketId,
-    server=st.sampled_from(["A", "B"]),
-    file_index=st.integers(1, 3),
-    subset=st.sets(st.integers(0, 5), min_size=2, max_size=2).map(lambda s: tuple(sorted(s))),
-)
-combos = st.frozensets(packets, max_size=6).map(GF2Combination)
-
-
-@given(combos, combos)
-def test_gf2_combination_commutes(a, b):
-    assert a ^ b == b ^ a
-
-
-@given(combos, combos, combos)
-def test_gf2_combination_associates(a, b, c):
-    assert (a ^ b) ^ c == a ^ (b ^ c)
-
-
-@given(combos)
-def test_gf2_combination_self_inverse(a):
-    zero = GF2Combination()
-    assert a ^ a == zero
-    assert a ^ zero == a
-    assert zero.is_zero()
-
-
-def test_gf2_combination_from_terms_cancels_duplicates():
-    p = PacketId("A", 1, (0, 1))
-    q = PacketId("B", 1, (0, 1))
-    assert GF2Combination.from_terms([p, q, p]) == GF2Combination(frozenset({q}))
+@given(st.data())
+def test_packet_encoding(data):
+    K = data.draw(st.integers(2, 12))
+    users = st.sets(st.integers(0, K - 1), min_size=1).map(lambda u: tuple(sorted(u)))
+    triples = st.builds(PacketId, st.sampled_from(["A", "B"]), st.integers(1, 6), users)
+    text = data.draw(triples)
+    p = packet(text.server, text.file_index, mask_of(text.subset), K)
+    # encode and decode are inverses
+    assert packet_id(p, K) == text
+    # the twin flips the server and nothing else
+    other = "B" if text.server == "A" else "A"
+    assert packet_id(p ^ 1 << K, K) == text._replace(server=other)
+    # user u caches the packet iff bit u is set
+    assert [p >> u & 1 for u in range(K)] == [u in text.subset for u in range(K)]
+    # a term repeated an even number of times cancels from a payload
+    terms = [pkt(*t, K) for t in data.draw(st.lists(triples, max_size=6))]
+    odd = {q for q in terms if terms.count(q) % 2}
+    assert xor_sum(terms) == odd
+    assert xor_sum(terms + [p, p]) == odd
+    assert xor_sum([p] + terms + [p]) == odd
