@@ -128,6 +128,21 @@ def test_random_demand_symmetric_and_seeded():
     assert d1.is_symmetric(cfg)
 
 
+def test_twin():
+    K = 4
+    p = packet("A", 2, mask_of((0, 1)), K)
+    twin = p ^ 1 << K
+    assert twin == packet("B", 2, mask_of((0, 1)), K)
+    assert twin ^ 1 << K == p
+
+
+def test_gf2_combination_from_terms_cancels_duplicates():
+    K = 4
+    p = packet("A", 1, mask_of((0, 1)), K)
+    q = packet("B", 1, mask_of((0, 1)), K)
+    assert xor_sum([p, q, p]) == frozenset({q})
+
+
 @given(st.data())
 def test_packet_encoding(data):
     K = data.draw(st.integers(2, 12))
