@@ -8,9 +8,10 @@ published single-fraction simplifications recomputed as a redundant check.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, lgamma, log
 
 from .pairing import (
     HIGH,
@@ -41,45 +42,46 @@ def layer_size(K: int, t: int, w: int) -> int:
     return binom(K // 2, w) * binom(K // 2, t + 1 - w)
 
 
-def four_way_class_size(K: int, t: int, w: int, has_a1: bool, has_b1: bool) -> int:
-    """Size of the a_1/b_1 class of layer w in a symmetric system.
+def _binomial_window(K: int, t: int) -> dict[int, int]:
+    """C(m, j) for m = K/2 - 1 and j = s-2 .. s+1, s = (t+1)/2; 0 outside 0 <= j <= m.
 
-    Containing a_1 fixes one of the w A-side slots; the remaining choices on
-    each side come from the K/2 - 1 other users.
+    Every middle-band class size is a product of two of these, and Pascal's rule
+    gives the C(K/2, j) of the baseline count.  One binomial seeds the window and
+    exact steps C(m, j+1) = C(m, j) (m-j) / (j+1) give the rest.
     """
-    m = K // 2 - 1
-    a_choices = binom(m, w - 1) if has_a1 else binom(m, w)
-    b_choices = binom(m, t - w) if has_b1 else binom(m, t + 1 - w)
-    return a_choices * b_choices
+    m, lo = K // 2 - 1, (t + 1) // 2 - 2
+    window = dict.fromkeys(range(lo, 0), 0)
+    j = max(lo, 0)
+    window[j] = c = binom(m, j)
+    for j in range(j, lo + 3):
+        window[j + 1] = c = c * (m - j) // (j + 1)
+    return window
 
 
-def general_class_size(K: int, t: int, w: int, h1: int | None, h2: int | None) -> int:
-    """Size of the class whose least A-user has rank h1 and least B-user rank h2.
+def _lap_count(window: dict[int, int], t: int) -> int:
+    # C(K/2, w) of the three middle weights, by Pascal's rule
+    lo, mid, hi = (window[w] + window[w - 1] for w in middle_weights(t))
+    return abs(mid * mid - 2 * lo * hi)
 
-    A rank of None means the subset has no user on that side, which forces
-    w = 0 (A side) or w = t+1 (B side).
-    """
-    half = K // 2
-    if h1 is None:
-        a_choices = 1 if w == 0 else 0
-    else:
-        a_choices = binom(half - h1, w - 1)
-    if h2 is None:
-        b_choices = 1 if w == t + 1 else 0
-    else:
-        b_choices = binom(half - h2, t - w)
-    return a_choices * b_choices
+
+def _improved_count(window: dict[int, int], t: int, regime: int) -> int:
+    weight_of = dict(zip((LOW, MID, HIGH), middle_weights(t)))
+
+    def class_size(spec: tuple[str, bool, bool]) -> int:
+        # holding a_1 (b_1) fills one of the layer's A-side (B-side) slots,
+        # so the other slots come from the K/2 - 1 other users of that side
+        layer_name, a1, b1 = spec
+        w = weight_of[layer_name]
+        return window[w - a1] * window[t + 1 - w - b1]
+
+    graphs = REGIME_GRAPH_SPECS[regime]
+    n = sum(abs(sum(map(class_size, x)) - sum(map(class_size, y))) for _, x, y in graphs)
+    return n + sum(map(class_size, REGIME_STANDALONE[regime]))
 
 
 def lap_unpaired_count(K: int, t: int) -> int:
-    """Middle-band subsets the baseline layer pairing leaves unmatched."""
-    if t % 2 == 0:
-        raise ValueError("the baseline unpaired count is defined for odd t only")
-    half = K // 2
-    return abs(
-        comb(half, (t + 1) // 2) ** 2
-        - 2 * comb(half, (t - 1) // 2) * comb(half, (t + 3) // 2)
-    )
+    """Middle-band subsets the baseline layer pairing leaves unmatched (odd t only)."""
+    return _lap_count(_binomial_window(K, t), t)
 
 
 def delta_lap_exact(K: int, t: int) -> Fraction:
@@ -94,25 +96,9 @@ def improved_unpaired_count(K: int, t: int, regime: int | None = None) -> tuple[
     two sides (the smaller side saturates); classes outside every graph are
     fully unpaired.
     """
-    if t % 2 == 0:
-        raise ValueError("the improved unpaired count is defined for odd t only")
     if regime is None:
         regime = regime_of_lambda(Fraction(t, K))
-    lo, mid, hi = middle_weights(t)
-    weight_of = {LOW: lo, MID: mid, HIGH: hi}
-
-    def class_size(spec: tuple[str, bool, bool]) -> int:
-        layer_name, a1, b1 = spec
-        return four_way_class_size(K, t, weight_of[layer_name], a1, b1)
-
-    n = 0
-    for _, x_specs, y_specs in REGIME_GRAPH_SPECS[regime]:
-        x_size = sum(class_size(s) for s in x_specs)
-        y_size = sum(class_size(s) for s in y_specs)
-        n += abs(x_size - y_size)
-    for spec in REGIME_STANDALONE[regime]:
-        n += class_size(spec)
-    return regime, n
+    return regime, _improved_count(_binomial_window(K, t), t, regime)
 
 
 @dataclass(frozen=True)
@@ -285,6 +271,11 @@ class SkippedPoint:
     reason: str
 
 
+def _binomial_digits(n: int, k: int) -> int:
+    """Decimal digits of C(n, k) from log-gamma, rounded up near a power of ten."""
+    return int((lgamma(n + 1) - lgamma(k + 1) - lgamma(n - k + 1)) / log(10) + 1e-9) + 1
+
+
 def ratio_curves(
     K_values: list[int], lambdas: list[Fraction]
 ) -> tuple[list[CurveRow], list[SkippedPoint]]:
@@ -293,8 +284,11 @@ def ratio_curves(
     A grid point is admitted when t = K * lambda is an odd integer in
     [1, K-1] and K is even; everything else is skipped with a reason
     (constructions for even t leave nothing unpaired, so the curves are
-    defined for odd t only).
+    defined for odd t only).  A point is also skipped when C(K, t+1), the
+    bound on every integer of its row, has more decimal digits than the
+    interpreter converts to text (`sys.get_int_max_str_digits`, 0 for none).
     """
+    digit_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     rows: list[CurveRow] = []
     skipped: list[SkippedPoint] = []
     for lam in lambdas:
@@ -314,8 +308,13 @@ def ratio_curves(
             if t % 2 == 0:
                 skipped.append(SkippedPoint(lam, K, f"t = {t} is even"))
                 continue
-            n = lap_unpaired_count(K, t)
-            regime, n_i = improved_unpaired_count(K, t)
+            digits = _binomial_digits(K, t + 1)
+            if digit_limit and digits > digit_limit:
+                skipped.append(SkippedPoint(lam, K, f"C({K}, {t + 1}) has about {digits} digits, "
+                                            f"over the int-to-text limit of {digit_limit}"))
+                continue
+            window, regime = _binomial_window(K, t), regime_of_lambda(lam)
+            n, n_i = _lap_count(window, t), _improved_count(window, t, regime)
             total = comb(K, t + 1)
             ratio = Fraction(n_i, n) if n else None
             rows.append(

@@ -27,14 +27,13 @@ from .system import (
     SERVER_A,
     SERVER_B,
     Demand,
-    PacketId,
     SystemConfig,
     build_config,
     demand_from_mapping,
     mask_of,
     packet,
-    packet_id,
     random_demand,
+    users_of,
     worst_demand,
     xor_sum,
 )
@@ -187,8 +186,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     }
     if plan.scheme != delivery.SCHEME_MN:
         report["scheme_used"] = plan.scheme  # what auto chose; mn chooses nothing
+    # a PacketId is a tuple, so JSON spells first_failed as [server, file, users]
     failures = [
-        {"user": u.user, "missing": u.missing, "first_failed": _packet_json(u.first_failed)}
+        {"user": u.user, "missing": u.missing, "first_failed": u.first_failed}
         for u in recovery.failures()
     ]
     if problems:
@@ -229,12 +229,6 @@ def _report_csv(report: dict) -> str:
 # ---------------------------------------------------------------------------
 # plan files
 
-def _packet_json(packet: PacketId | None) -> list | None:
-    if packet is None:
-        return None
-    return [packet.server, packet.file_index, list(packet.subset)]
-
-
 def _plan_lines(plan: delivery.DeliveryPlan) -> list[str]:
     config = plan.config
     meta = {
@@ -247,8 +241,13 @@ def _plan_lines(plan: delivery.DeliveryPlan) -> list[str]:
         "demand": {str(u): [plan.demand.of(u)[0], plan.demand.of(u)[1]] for u in config.users},
     }
     lines = [json.dumps(meta, sort_keys=True) + "\n"]
+    K, low = config.K, (1 << config.K) - 1
+    # each subset mask decoded to its users once per plan, not once per term
+    users = {m: list(users_of(m)) for m in {p & low for bc in plan.broadcasts for p in bc.payload}}
     for bc in plan.broadcasts:
-        payload = [_packet_json(p) for p in sorted(packet_id(p, config.K) for p in bc.payload)]
+        payload = sorted(  # by (server, file, users), the order PacketIds sort in
+            [SERVER_B if p >> K & 1 else SERVER_A, p >> (K + 1), users[p & low]] for p in bc.payload
+        )
         record = {"kind": bc.kind, "origin": bc.origin, "payload": payload}
         record.update(zip(delivery.GROUPS[bc.kind][0], map(list, bc.index_sets)))
         lines.append(json.dumps(record, sort_keys=True) + "\n")

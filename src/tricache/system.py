@@ -223,9 +223,6 @@ class Demand:
     def of(self, user: int) -> tuple[str, int]:
         return self.requests[user]
 
-    def file_index(self, user: int) -> int:
-        return self.requests[user][1]
-
     def is_symmetric(self, config: SystemConfig) -> bool:
         """True when every user requests a file held by its own data server."""
         return all(self.requests[u][0] == SERVER_A for u in config.users_a) and all(

@@ -18,8 +18,6 @@ from tricache.analysis import (
     improved_count_simplified,
     improved_unpaired_count,
     lap_unpaired_count,
-    general_class_size,
-    four_way_class_size,
     mn_rate_formula,
     rate_theorem,
     ratio_asymptote,
@@ -43,7 +41,7 @@ from tricache.pairing import (
 )
 from tricache.system import build_config, random_demand, worst_demand
 
-from conftest import class_members
+from conftest import class_members, four_way_class_size, general_class_size
 
 
 def _report(number: int, detail: str) -> None:

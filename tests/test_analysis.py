@@ -12,7 +12,6 @@ from tricache.analysis import (
     delta_improved_exact,
     delta_lap_exact,
     delta_prime_asymptote,
-    four_way_class_size,
     improved_count_simplified,
     improved_unpaired_count,
     lap_unpaired_count,
@@ -22,7 +21,19 @@ from tricache.analysis import (
     rate_theorem,
     server_load_for_requests,
 )
-from tricache.pairing import SCHEME_AUTO, SCHEME_IMPROVED, SCHEME_LAP
+from tricache.pairing import (
+    HIGH,
+    LOW,
+    MID,
+    REGIME_GRAPH_SPECS,
+    REGIME_STANDALONE,
+    SCHEME_AUTO,
+    SCHEME_IMPROVED,
+    SCHEME_LAP,
+    middle_weights,
+)
+
+from conftest import four_way_class_size
 
 
 def test_delta_lap_small():
@@ -57,6 +68,36 @@ def test_simplified_forms_agree_with_class_sums():
     for K, t in ((6, 3), (10, 3), (10, 7), (14, 7), (22, 7), (22, 11), (30, 9), (30, 15), (30, 21), (62, 21), (62, 31), (62, 41)):
         regime, n = improved_unpaired_count(K, t)
         assert improved_count_simplified(K, t, regime) == n
+
+
+def _class_sum_counts(K, t, regime):
+    """Oracle: (baseline, improved) unpaired counts summed from the comb-based
+    class cardinalities, as the graphs of each construction pair them."""
+    weight_of = dict(zip((LOW, MID, HIGH), middle_weights(t)))
+
+    def size(spec):
+        layer, a1, b1 = spec
+        return four_way_class_size(K, t, weight_of[layer], a1, b1)
+
+    def layer(name):
+        return sum(size((name, a1, b1)) for a1 in (False, True) for b1 in (False, True))
+
+    lap = abs(layer(MID) - layer(LOW) - layer(HIGH))
+    improved = sum(
+        abs(sum(map(size, x_specs)) - sum(map(size, y_specs)))
+        for _, x_specs, y_specs in REGIME_GRAPH_SPECS[regime]
+    ) + sum(map(size, REGIME_STANDALONE[regime]))
+    return lap, improved
+
+
+def test_binomial_window_counts_match_class_sums():
+    # t = 1 starts the binomial window below 0; t = K - 1 runs it past K/2 - 1
+    for K in range(2, 81, 2):
+        for t in range(1, K, 2):
+            for regime in (1, 2, 3):
+                lap, improved = _class_sum_counts(K, t, regime)
+                assert lap_unpaired_count(K, t) == lap, (K, t)
+                assert improved_unpaired_count(K, t, regime) == (regime, improved), (K, t)
 
 
 def test_ratio_at_k30():

@@ -1,6 +1,7 @@
 """Command-line behaviour: reports, determinism, plan round trips, exit codes."""
 
 import contextlib
+import dataclasses
 import io
 import json
 import os
@@ -76,6 +77,33 @@ def test_simulate_deterministic(tmp_path, capsys):
         )
         assert code == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_simulate_report_names_first_failed_packet(tmp_path, capsys, monkeypatch):
+    # verify a plan short of its first broadcast, so users fail to decode
+    real = tricache.delivery.verify_plan
+    seen = []
+
+    def short_plan_verify(plan):
+        problems, recovery = real(dataclasses.replace(plan, broadcasts=plan.broadcasts[1:]))
+        seen.extend(recovery.failures())
+        return problems, recovery
+
+    monkeypatch.setattr(tricache.delivery, "verify_plan", short_plan_verify)
+    report_path = tmp_path / "report.json"
+    code, _, _ = run(
+        ["simulate", "--K", "6", "--lambda", "1/2", "--scheme", "improved",
+         "--output", str(report_path)],
+        capsys,
+    )
+    assert code == 1 and seen
+    failures = json.loads(report_path.read_text())["failures"]
+    assert failures[:len(seen)] == [
+        {"user": u.user, "missing": u.missing,
+         "first_failed": [u.first_failed.server, u.first_failed.file_index,
+                          list(u.first_failed.subset)]}
+        for u in seen
+    ]
 
 
 def test_simulate_csv_format(tmp_path, capsys):
@@ -157,6 +185,34 @@ def test_curves_empty_grid(capsys):
     code, _, err = run(["curves", "--K", "16", "--lambdas", "1/2"], capsys)
     assert code == 2
     assert "no admissible" in err
+
+
+@pytest.fixture
+def default_int_str_limit():
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this interpreter has no int-to-text digit limit")
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield
+    sys.set_int_max_str_digits(old)
+
+
+def test_curves_skip_points_over_the_digit_limit(tmp_path, capsys, default_int_str_limit):
+    # C(16002, 8002) has 4815 digits, over the default limit of 4300
+    code, _, err = run(["curves", "--K", "16002", "--lambdas", "1/2"], capsys)
+    assert code == 2
+    assert "skipped lambda=1/2 K=16002: C(16002, 8002) has about 4815 digits" in err
+    assert "no admissible" in err
+    assert "Traceback" not in err
+
+    path = tmp_path / "curves.csv"
+    code, _, err = run(
+        ["curves", "--K", "14,16002", "--lambdas", "1/2", "--output", str(path)], capsys
+    )
+    assert code == 0
+    lines = path.read_text().splitlines()
+    assert len(lines) == 2 and lines[1].split(",")[3:5] == ["14", "7"]
+    assert "K=16002" in err
 
 
 def test_outdir_env(tmp_path, capsys, monkeypatch):

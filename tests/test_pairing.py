@@ -1,7 +1,6 @@
 """Layers, classes, effective pairs, graphs, and matchings."""
 
 from fractions import Fraction
-from itertools import combinations
 from math import comb
 
 import pytest
@@ -12,7 +11,6 @@ from tricache.pairing import (
     SCHEME_AUTO,
     SCHEME_IMPROVED,
     SCHEME_LAP,
-    PairGraph,
     build_graphs,
     build_pair_graph,
     build_layers,
@@ -25,18 +23,15 @@ from tricache.pairing import (
     layer_weight,
     max_matching,
     middle_pairing,
-    middle_weights,
-    outer_graphs,
     partition_classes,
     regime_of_lambda,
     single_layer_weights,
     vertex_degree,
     _hopcroft_karp,
 )
-from tricache.analysis import four_way_class_size, general_class_size
 from tricache.system import build_config, subset_masks
 
-from conftest import class_members, mask
+from conftest import class_members, four_way_class_size, general_class_size, mask
 
 
 # ---------------------------------------------------------------------------
