@@ -12,7 +12,6 @@ from .system import (
 )
 from .mn import Broadcast, mn_delivery, mn_rate, user_can_decode, verify_full_recovery
 from .pairing import (
-    Depth,
     Layer,
     PairGraph,
     build_graphs,
@@ -20,8 +19,6 @@ from .pairing import (
     count_unpaired,
     is_effective_pair,
     max_matching,
-    partition_classes,
-    vertex_degree,
 )
 from .delivery import (
     DeliveryPlan,
@@ -39,7 +36,6 @@ __all__ = [
     "Broadcast",
     "DeliveryPlan",
     "Demand",
-    "Depth",
     "Layer",
     "PacketId",
     "PairGraph",
@@ -57,12 +53,10 @@ __all__ = [
     "measure_rate",
     "mn_delivery",
     "mn_rate",
-    "partition_classes",
     "place_caches",
     "random_demand",
     "user_can_decode",
     "verify_full_recovery",
     "verify_plan",
-    "vertex_degree",
     "worst_demand",
 ]

@@ -5,12 +5,14 @@ for each k in S, the packet of k's requested file indexed by S without k.
 Every user in S holds all terms but its own in cache, so each broadcast serves
 t+1 users at once.  The three-server messages follow the same rule with
 another server's copy or a subset of the members, so `message` builds every
-broadcast of every scheme.  The decoder below does not assume that structure: it checks
-exact GF(2) span membership, because the three-server pairing scheme requires
-combining messages from several servers to extract a segment.  It peels first
-(a payload with one unknown term yields that term), which settles every
-packet of a well-formed plan in linear time, and runs Gaussian elimination
-only on the rows peeling leaves unresolved.
+broadcast of every scheme.  The decoder below does not assume that structure:
+it checks exact GF(2) span membership, because the three-server pairing
+scheme requires combining messages from several servers to extract a segment.
+One bit-sliced peel serves all users at once (a payload with one term a user
+does not know yields that term to the user) and settles every packet of a
+well-formed plan in a few sweeps over the rows.  Only a user left with an
+unknown target runs its own peel plus Gaussian elimination on the rows that
+peeling leaves unresolved.
 
 Verification returns structured reports instead of raising; failures are data.
 """
@@ -134,22 +136,64 @@ def mn_rate(config: SystemConfig) -> Fraction:
 class _PayloadTable:
     """The payloads of a broadcast list with every packet interned to a dense id.
 
-    rows[r] lists the ids in broadcast r's payload and rows_of[i] the rows
-    that hold id i.  Built once and shared by every user's decode.
+    rows[r] lists the ids in broadcast r's payload.  rows_of[i], the rows that
+    hold id i, is built on first use: only the per-user routine reads it.
     """
 
-    __slots__ = ("ids", "rows", "rows_of")
+    __slots__ = ("ids", "rows", "_rows_of")
 
     def __init__(self, broadcasts: Iterable[Broadcast]) -> None:
         ids: dict[int, int] = {}
-        rows = [[ids.setdefault(p, len(ids)) for p in bc.payload] for bc in broadcasts]
-        rows_of: list[list[int]] = [[] for _ in ids]
-        for r, row in enumerate(rows):
-            for i in row:
-                rows_of[i].append(r)
+        self.rows = [[ids.setdefault(p, len(ids)) for p in bc.payload] for bc in broadcasts]
         self.ids = ids
-        self.rows = rows
-        self.rows_of = rows_of
+        self._rows_of: list[list[int]] | None = None
+
+    @property
+    def rows_of(self) -> list[list[int]]:
+        if self._rows_of is None:
+            rows_of: list[list[int]] = [[] for _ in self.ids]
+            for r, row in enumerate(self.rows):
+                for i in row:
+                    rows_of[i].append(r)
+            self._rows_of = rows_of
+        return self._rows_of
+
+
+def _peel_all(table: _PayloadTable, K: int) -> list[int]:
+    """Peel for all K users at once; returns known_by, the mask of the users
+    who know each id.
+
+    A user knows a packet it caches (bit u of the packet int) and any term of
+    a row whose other terms it knows.  Each sweep visits the rows in order
+    and keeps two bit-sliced counters over a row's terms: z1 holds the users
+    with at least one unknown term and z2 those with at least two, so
+    z1 & ~z2 are the users for whom the row yields its one unknown term.
+    Sweeps repeat until one changes nothing or K of them have run, so the
+    cost never exceeds K per-user passes.  Every bit set is a peeling step,
+    and peeling has one closure, so at convergence each user knows exactly
+    what its own peel would give it; after the cap it knows a subset of that.
+    """
+    everyone = (1 << K) - 1
+    known_by = [p & everyone for p in table.ids]
+    rows = table.rows
+    for _ in range(K):
+        changed = False
+        for row in rows:
+            z1 = z2 = 0
+            for i in row:
+                unknown = everyone ^ known_by[i]
+                z2 |= z1 & unknown
+                z1 |= unknown
+            one = z1 & ~z2
+            if one:
+                for i in row:
+                    k = known_by[i]
+                    if one & ~k:
+                        known_by[i] = k | one
+                        changed = True
+        if not changed:
+            break
+    return known_by
 
 
 def _decodable(
@@ -243,22 +287,35 @@ def verify_full_recovery(
     """Check that every user can decode every uncached packet of its file.
 
     Every user hears every broadcast (audiences on broadcasts are
-    informational).  The payloads are interned once and shared; each user's
-    check is then independent and pure, and this routine runs them in order.
+    informational).  The payloads are interned once and one bit-sliced peel
+    (`_peel_all`) serves all users.  A user with a target that peel leaves
+    unknown runs the per-user routine `_decodable`, seeded with what the
+    shared peel gave it, so every answer is exact GF(2) span membership.
     """
     table = _PayloadTable(broadcasts)
     K = config.K
+    ids = table.ids
+    known_by = _peel_all(table, K)
+    known_of = dict(zip(ids, known_by))
     tsubs = subset_masks(config.users, config.t)
     results = []
     for user in config.users:
+        bit = 1 << user
         server, idx = demand.of(user)
-        # The user's targets: its file's packets whose subset misses the user.
-        targets = [packet(server, idx, m, K) for m in tsubs if not m >> user & 1]
-        known = bytearray(p >> user & 1 for p in table.ids)
-        decoded = _decodable(table, known, [table.ids.get(p) for p in targets])
-        missing = decoded.count(False)
-        first_failed = packet_id(targets[decoded.index(False)], K) if missing else None
+        base = packet(server, idx, 0, K)
+        # The user's targets (its file's packets whose subset misses the
+        # user) that the shared peel left unknown to it, in colex order.
+        failed = [base | m for m in tsubs if not m & bit and not known_of.get(base | m, 0) & bit]
+        if any(p in ids for p in failed):
+            known = bytearray(k >> user & 1 for k in known_by)
+            decoded = _decodable(table, known, [ids.get(p) for p in failed])
+            failed = [p for p, ok in zip(failed, decoded) if not ok]
         results.append(
-            UserRecovery(user=user, ok=missing == 0, first_failed=first_failed, missing=missing)
+            UserRecovery(
+                user=user,
+                ok=not failed,
+                first_failed=packet_id(failed[0], K) if failed else None,
+                missing=len(failed),
+            )
         )
     return RecoveryReport(tuple(results))

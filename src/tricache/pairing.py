@@ -21,7 +21,6 @@ the deterministic iteration order used everywhere.
 
 from __future__ import annotations
 
-import enum
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -29,7 +28,7 @@ from functools import cache, reduce
 from itertools import chain, combinations
 from math import comb
 from operator import or_
-from typing import Iterable, NamedTuple, Sequence
+from typing import Sequence
 
 from .system import SystemConfig, subset_masks
 
@@ -100,7 +99,7 @@ def middle_weights(t: int) -> tuple[int, int, int]:
 
 
 # ---------------------------------------------------------------------------
-# layers and classes
+# layers
 
 @dataclass(frozen=True)
 class Layer:
@@ -128,59 +127,6 @@ def layer_weight(mask: int, config: SystemConfig) -> int:
     return (mask & config.mask_a).bit_count()
 
 
-class Depth(enum.Enum):
-    """How finely to split a layer: by membership of a_1/b_1, or by the exact
-    least-index A- and B-user."""
-
-    FOUR = "four"
-    FULL = "full"
-
-
-class ClassKey(NamedTuple):
-    """h1/h2 are the 1-based ranks of the least A- and B-user in the subset.
-
-    None means the subset has no user on that side.  At Depth.FOUR the value
-    2 stands for "rank greater than one", so keys range over {1, 2, None}.
-    """
-
-    w: int
-    h1: int | None
-    h2: int | None
-
-
-def partition_classes(
-    layer: Layer, config: SystemConfig, depth: Depth = Depth.FOUR
-) -> dict[ClassKey, tuple[int, ...]]:
-    """Split a layer into disjoint classes covering it exactly."""
-    buckets: dict[ClassKey, list[int]] = {}
-    a1_bit = 1 << config.users_a[0]
-    for mask in layer.members:
-        if depth is Depth.FOUR:
-            h1 = _four_rank(mask, a1_bit, config.mask_a)
-            h2 = _four_rank(mask, 1 << config.users_b[0], config.mask_b)
-        else:
-            h1 = _least_rank(mask, config.users_a)
-            h2 = _least_rank(mask, config.users_b)
-        buckets.setdefault(ClassKey(layer.w, h1, h2), []).append(mask)
-    ordered = sorted(buckets, key=lambda key: (key.h1 or 0, key.h2 or 0))
-    return {key: tuple(buckets[key]) for key in ordered}
-
-
-def _four_rank(mask: int, first_bit: int, side_mask: int) -> int | None:
-    if mask & first_bit:
-        return 1
-    if mask & side_mask:
-        return 2
-    return None
-
-
-def _least_rank(mask: int, side_users: Sequence[int]) -> int | None:
-    for rank, u in enumerate(side_users, 1):
-        if mask >> u & 1:
-            return rank
-    return None
-
-
 # ---------------------------------------------------------------------------
 # the pairing predicate
 
@@ -204,16 +150,6 @@ def orient_pair(s1: int, s2: int, config: SystemConfig) -> tuple[int, int]:
     return s2, s1
 
 
-def vertex_degree(mask: int, opposing: Iterable[int], config: SystemConfig) -> int:
-    """Brute-force count of effective-pair neighbours inside an opposing class."""
-    degree = 0
-    for other in opposing:
-        hi, lo = orient_pair(mask, other, config)
-        if hi != lo and is_effective_pair(hi, lo, config):
-            degree += 1
-    return degree
-
-
 # ---------------------------------------------------------------------------
 # graphs
 
@@ -235,19 +171,6 @@ class PairGraph:
     nbrs: list[list[int]]
     x_degrees: frozenset[int]
     y_degrees: frozenset[int]
-
-    @property
-    def orientation(self) -> str:
-        """Which side carries the extra A-users: 'x', 'y', or 'mixed'."""
-        wx = {layer_weight(m, self.config) for m in self.x}
-        wy = {layer_weight(m, self.config) for m in self.y}
-        if not wx or not wy:
-            return "mixed"
-        if min(wx) > max(wy):
-            return "x"
-        if max(wx) < min(wy):
-            return "y"
-        return "mixed"
 
     def edge_count(self) -> int:
         return sum(map(len, self.nbrs))
@@ -332,11 +255,6 @@ def _signed_subsets(must: int, may: int, size: int, sign: int) -> tuple[int, ...
     if extra < 0:
         return ()
     return tuple(sorted(sign * reduce(or_, c, must) for c in combinations(bits, extra)))
-
-
-def side_degrees(graph: PairGraph) -> tuple[frozenset[int], frozenset[int]]:
-    """Distinct vertex degrees on the x and y sides."""
-    return graph.x_degrees, graph.y_degrees
 
 
 # ---------------------------------------------------------------------------
@@ -498,34 +416,6 @@ def _hopcroft_karp(adj: list[list[int]], ny: int) -> tuple[list[int], list[int]]
                     dist[x] = infinity  # dead end for this phase
                     stack.pop()
     return match_x, match_y
-
-
-def exhaustive_max_matching_size(
-    graph: PairGraph, *, max_vertices: int = 20, max_edges: int = 60
-) -> int:
-    """Exact maximum matching size by exhaustive branch-and-bound.
-
-    Guarded to toy sizes; use max_matching beyond them.
-    """
-    n_vertices = len(graph.x) + len(graph.y)
-    n_edges = graph.edge_count()
-    if n_vertices > max_vertices or n_edges > max_edges:
-        raise ValueError(
-            f"exhaustive oracle capped at {max_vertices} vertices / {max_edges} edges, "
-            f"got {n_vertices} / {n_edges}"
-        )
-    adj = graph.nbrs
-
-    def best(i: int, used: int) -> int:
-        if i == len(adj):
-            return 0
-        score = best(i + 1, used)  # leave x_i unmatched
-        for y in adj[i]:
-            if not used >> y & 1:
-                score = max(score, 1 + best(i + 1, used | 1 << y))
-        return score
-
-    return best(0, 0)
 
 
 def match_graphs(graphs: Sequence[PairGraph]) -> list[tuple[tuple[int, int], ...]]:

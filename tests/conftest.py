@@ -1,4 +1,8 @@
+import enum
+from typing import Iterable, NamedTuple, Sequence
+
 from tricache.analysis import binom
+from tricache.pairing import is_effective_pair, layer_weight, orient_pair
 from tricache.system import mask_of, packet
 
 
@@ -51,3 +55,109 @@ def general_class_size(K: int, t: int, w: int, h1: int | None, h2: int | None) -
     else:
         b_choices = binom(half - h2, t - w)
     return a_choices * b_choices
+
+
+class Depth(enum.Enum):
+    """How finely to split a layer: by membership of a_1/b_1, or by the exact
+    least-index A- and B-user."""
+
+    FOUR = "four"
+    FULL = "full"
+
+
+class ClassKey(NamedTuple):
+    """h1/h2 are the 1-based ranks of the least A- and B-user in the subset.
+
+    None means the subset has no user on that side.  At Depth.FOUR the value
+    2 stands for "rank greater than one", so keys range over {1, 2, None}.
+    """
+
+    w: int
+    h1: int | None
+    h2: int | None
+
+
+def partition_classes(layer, config, depth: Depth = Depth.FOUR) -> dict[ClassKey, tuple[int, ...]]:
+    """Oracle: split a layer into disjoint classes covering it exactly."""
+    buckets: dict[ClassKey, list[int]] = {}
+    a1_bit = 1 << config.users_a[0]
+    for m in layer.members:
+        if depth is Depth.FOUR:
+            h1 = _four_rank(m, a1_bit, config.mask_a)
+            h2 = _four_rank(m, 1 << config.users_b[0], config.mask_b)
+        else:
+            h1 = _least_rank(m, config.users_a)
+            h2 = _least_rank(m, config.users_b)
+        buckets.setdefault(ClassKey(layer.w, h1, h2), []).append(m)
+    ordered = sorted(buckets, key=lambda key: (key.h1 or 0, key.h2 or 0))
+    return {key: tuple(buckets[key]) for key in ordered}
+
+
+def _four_rank(m: int, first_bit: int, side_mask: int) -> int | None:
+    if m & first_bit:
+        return 1
+    if m & side_mask:
+        return 2
+    return None
+
+
+def _least_rank(m: int, side_users: Sequence[int]) -> int | None:
+    for rank, u in enumerate(side_users, 1):
+        if m >> u & 1:
+            return rank
+    return None
+
+
+def vertex_degree(m: int, opposing: Iterable[int], config) -> int:
+    """Oracle: brute-force count of effective-pair neighbours inside an
+    opposing class."""
+    degree = 0
+    for other in opposing:
+        hi, lo = orient_pair(m, other, config)
+        if hi != lo and is_effective_pair(hi, lo, config):
+            degree += 1
+    return degree
+
+
+def side_degrees(graph) -> tuple[frozenset[int], frozenset[int]]:
+    """Distinct vertex degrees on the x and y sides."""
+    return graph.x_degrees, graph.y_degrees
+
+
+def orientation(graph) -> str:
+    """Which side of a pair graph carries the extra A-users: 'x', 'y', or 'mixed'."""
+    wx = {layer_weight(m, graph.config) for m in graph.x}
+    wy = {layer_weight(m, graph.config) for m in graph.y}
+    if not wx or not wy:
+        return "mixed"
+    if min(wx) > max(wy):
+        return "x"
+    if max(wx) < min(wy):
+        return "y"
+    return "mixed"
+
+
+def exhaustive_max_matching_size(graph, *, max_vertices: int = 20, max_edges: int = 60) -> int:
+    """Oracle: exact maximum matching size by exhaustive branch-and-bound.
+
+    Guarded to toy sizes; use max_matching beyond them.
+    """
+    n_vertices = len(graph.x) + len(graph.y)
+    n_edges = graph.edge_count()
+    if n_vertices > max_vertices or n_edges > max_edges:
+        raise ValueError(
+            f"exhaustive oracle capped at {max_vertices} vertices / {max_edges} edges, "
+            f"got {n_vertices} / {n_edges}"
+        )
+    adj = graph.nbrs
+
+    def best(i: int, used: int) -> int:
+        if i == len(adj):
+            return 0
+        score = best(i + 1, used)  # leave x_i unmatched
+        for y in adj[i]:
+            if not used >> y & 1:
+                score = max(score, 1 + best(i + 1, used | 1 << y))
+        return score
+
+    return best(0, 0)

@@ -25,23 +25,27 @@ from tricache.analysis import (
 from tricache.delivery import build_plan, coverage_errors, measure_rate, verify_plan
 from tricache.mn import mn_delivery, verify_full_recovery
 from tricache.pairing import (
-    Depth,
     SCHEME_IMPROVED,
     SCHEME_LAP,
     build_layers,
     count_unpaired,
-    exhaustive_max_matching_size,
     improved_middle_graphs,
     lap_middle_graph,
     max_matching,
     middle_pairing,
+)
+from tricache.system import build_config, random_demand, worst_demand
+
+from conftest import (
+    Depth,
+    class_members,
+    exhaustive_max_matching_size,
+    four_way_class_size,
+    general_class_size,
     partition_classes,
     side_degrees,
     vertex_degree,
 )
-from tricache.system import build_config, random_demand, worst_demand
-
-from conftest import class_members, four_way_class_size, general_class_size
 
 
 def _report(number: int, detail: str) -> None:

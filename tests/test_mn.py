@@ -3,6 +3,7 @@ oracle and a full Gaussian-elimination oracle."""
 
 import random
 from fractions import Fraction
+from functools import cache
 from math import comb
 
 from hypothesis import given, settings, strategies as st
@@ -238,6 +239,111 @@ def test_intact_plans_decode_by_peeling_alone(monkeypatch):
     monkeypatch.setattr(mn, "GF2Basis", None)
     for name, cfg, demand, bcs in oracle_plans():
         assert verify_full_recovery(cfg, demand, bcs).all_ok, name
+
+
+def test_intact_plans_never_reach_the_fallback(monkeypatch):
+    # the shared peel settles every target of a well-formed plan on its own
+    def fallback(*args):
+        raise AssertionError("per-user fallback reached")
+
+    monkeypatch.setattr(mn, "_decodable", fallback)
+    for name, cfg, demand, bcs in oracle_plans():
+        assert verify_full_recovery(cfg, demand, bcs).all_ok, name
+
+
+def chain_rows(links, reverse):
+    """Rows {x_j, x_{j+1}} along a chain of packets; in reverse order the
+    shared peel learns one link forward per sweep."""
+    rows = [
+        Broadcast(ORIGIN_SINGLE, (), frozenset(pair), KIND_MN) for pair in zip(links, links[1:])
+    ]
+    return rows[::-1] if reverse else rows
+
+
+def chain_system():
+    """K=4, t=1; every user caches x_0, nobody caches the K+1 relay packets,
+    and user 0's three targets follow the relays."""
+    cfg = build_config(4, 1, 4)
+    demand = worst_demand(cfg)
+    K = cfg.K
+    server, idx = demand.of(0)
+    x0 = pkt("A", 9, range(K), K)
+    relays = [pkt("A", 10 + j, (), K) for j in range(K + 1)]
+    targets = [pkt(server, idx, (v,), K) for v in (1, 2, 3)]
+    return cfg, demand, [x0, *relays], targets
+
+
+def counting_fallback(monkeypatch):
+    calls = []
+    decodable = mn._decodable
+
+    def fallback(*args):
+        calls.append(args)
+        return decodable(*args)
+
+    monkeypatch.setattr(mn, "_decodable", fallback)
+    return calls
+
+
+def test_sweep_cap_hands_over_to_the_fallback(monkeypatch):
+    cfg, demand, links, targets = chain_system()
+    calls = counting_fallback(monkeypatch)
+    forward = verify_full_recovery(cfg, demand, chain_rows(links + targets, reverse=False))
+    assert forward.users[0].ok and not calls  # one sweep peels the whole chain
+    rows = chain_rows(links + targets, reverse=True)
+    report = verify_full_recovery(cfg, demand, rows)
+    # more than K links forward: the K sweeps stop short and user 0 falls back
+    assert len(calls) == 1
+    assert report.users[0].ok
+    assert report == elimination_oracle(cfg, demand, rows)
+
+
+def test_sweep_cap_then_stopping_set(monkeypatch):
+    # past the capped chain, three rows hold two unknowns each yet sum to
+    # x_last + d, so only elimination yields user 0's target d
+    cfg, demand, links, targets = chain_system()
+    d = targets[0]
+    a, b, c = (pkt("B", 20 + j, (), cfg.K) for j in range(3))
+    stopping = [
+        Broadcast(ORIGIN_SINGLE, (), frozenset(terms), KIND_MN)
+        for terms in ((links[-1], a, b), (a, c), (b, c, d))
+    ]
+    rows = stopping + chain_rows(links, reverse=True)
+    assert not peel_oracle({links[0]}, rows, d)
+    calls = counting_fallback(monkeypatch)
+    report = verify_full_recovery(cfg, demand, rows)
+    assert calls
+    assert report.users[0].missing == 2
+    assert report.users[0].first_failed == packet_id(targets[1], cfg.K)
+    assert report == elimination_oracle(cfg, demand, rows)
+
+
+@cache
+def small_plans():
+    return [(cfg, demand, tuple(bcs)) for _, cfg, demand, bcs in oracle_plans()]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_tampered_recovery_matches_elimination_oracle(data):
+    # Random term removals, duplicated rows and rows replaced by their XOR
+    # with another row, on small MN, lap and improved plans.  A combined row
+    # keeps the span but can stall peeling, so elimination must rescue it.
+    cfg, demand, plan = data.draw(st.sampled_from(small_plans()))
+    bcs = list(plan)
+    for _ in range(data.draw(st.integers(1, 6))):
+        r = data.draw(st.integers(0, len(bcs) - 1))
+        bc = bcs[r]
+        edit = data.draw(st.sampled_from(("remove", "duplicate", "combine")))
+        if edit == "remove" and bc.payload:
+            term = data.draw(st.sampled_from(sorted(bc.payload)))
+            bcs[r] = Broadcast(bc.origin, bc.index_sets, bc.payload - {term}, bc.kind)
+        elif edit == "combine":
+            other = bcs[data.draw(st.integers(0, len(bcs) - 1))]
+            bcs[r] = Broadcast(bc.origin, bc.index_sets, bc.payload ^ other.payload, bc.kind)
+        else:
+            bcs.insert(data.draw(st.integers(0, len(bcs))), bc)
+    assert verify_full_recovery(cfg, demand, bcs) == elimination_oracle(cfg, demand, bcs)
 
 
 def test_stopping_set_needs_elimination():

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tricache.pairing import (
-    Depth,
     SCHEME_AUTO,
     SCHEME_IMPROVED,
     SCHEME_LAP,
@@ -16,22 +15,29 @@ from tricache.pairing import (
     build_layers,
     check_saturation,
     count_unpaired,
-    exhaustive_max_matching_size,
     improved_middle_graphs,
     is_effective_pair,
     lap_middle_graph,
     layer_weight,
     max_matching,
     middle_pairing,
-    partition_classes,
     regime_of_lambda,
     single_layer_weights,
-    vertex_degree,
     _hopcroft_karp,
 )
 from tricache.system import build_config, subset_masks
 
-from conftest import class_members, four_way_class_size, general_class_size, mask
+from conftest import (
+    Depth,
+    class_members,
+    exhaustive_max_matching_size,
+    four_way_class_size,
+    general_class_size,
+    mask,
+    orientation,
+    partition_classes,
+    vertex_degree,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -426,8 +432,8 @@ def test_graph_orientation():
     cfg = build_config(6, 3, 6)
     layers = build_layers(cfg)
     g1 = improved_middle_graphs(cfg, layers, 2)[0]  # x in the middle layer, y below
-    assert g1.orientation == "x"
-    assert lap_middle_graph(cfg, layers).orientation == "mixed"
+    assert orientation(g1) == "x"
+    assert orientation(lap_middle_graph(cfg, layers)) == "mixed"
 
 
 def test_middle_pairing_t1():
