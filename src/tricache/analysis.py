@@ -261,7 +261,6 @@ class CurveRow:
     asymptote: Fraction
     delta: Fraction
     delta_prime: Fraction
-    delta_ratio: Fraction | None
 
 
 @dataclass(frozen=True)
@@ -316,7 +315,6 @@ def ratio_curves(
             window, regime = _binomial_window(K, t), regime_of_lambda(lam)
             n, n_i = _lap_count(window, t), _improved_count(window, t, regime)
             total = comb(K, t + 1)
-            ratio = Fraction(n_i, n) if n else None
             rows.append(
                 CurveRow(
                     lam=lam,
@@ -325,11 +323,10 @@ def ratio_curves(
                     regime=regime,
                     n=n,
                     n_i=n_i,
-                    ni_over_n=ratio,
+                    ni_over_n=Fraction(n_i, n) if n else None,
                     asymptote=ratio_asymptote(lam),
                     delta=Fraction(n, total),
                     delta_prime=Fraction(n_i, total),
-                    delta_ratio=ratio,
                 )
             )
     return rows, skipped

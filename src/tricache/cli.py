@@ -242,33 +242,41 @@ def _plan_lines(plan: delivery.DeliveryPlan) -> list[str]:
     }
     lines = [json.dumps(meta, sort_keys=True) + "\n"]
     K, low = config.K, (1 << config.K) - 1
-    # each subset mask decoded to its users once per plan, not once per term
-    users = {m: list(users_of(m)) for m in {p & low for bc in plan.broadcasts for p in bc.payload}}
+    # each subset mask (payload term or index set) decoded to its users once per plan
+    subsets = {p & low for bc in plan.broadcasts for p in bc.payload}
+    subsets.update(m for bc in plan.broadcasts for m in bc.index_sets)
+    users = {m: list(users_of(m)) for m in subsets}
     for bc in plan.broadcasts:
         payload = sorted(  # by (server, file, users), the order PacketIds sort in
             [SERVER_B if p >> K & 1 else SERVER_A, p >> (K + 1), users[p & low]] for p in bc.payload
         )
         record = {"kind": bc.kind, "origin": bc.origin, "payload": payload}
-        record.update(zip(delivery.GROUPS[bc.kind][0], map(list, bc.index_sets)))
+        record.update(zip(delivery.GROUPS[bc.kind][0], map(users.__getitem__, bc.index_sets)))
         lines.append(json.dumps(record, sort_keys=True) + "\n")
     return lines
 
 
-def _packet_from_json(item: Sequence, config: SystemConfig, masks: dict[tuple, int]) -> int:
-    """One payload triple as a packet int, refused unless it names a packet of
-    the system, which the int form would otherwise alias.  `masks` holds the
-    user tuples already checked."""
-    server, idx, users = item
+def _subset_mask(users: Sequence, size: int, K: int, masks: dict[tuple, int]) -> int | None:
+    """The mask of `size` strictly increasing users in 0..K-1; None for any
+    other list, which a mask would alias.  `masks` holds the tuples checked."""
     users = tuple(users)
-    if users not in masks and len(users) == config.t and list(users) == sorted(set(users)):
-        if 0 <= users[0] and users[-1] < config.K:
-            masks[users] = mask_of(users)
-    if users not in masks or server not in (SERVER_A, SERVER_B) or not 1 <= idx <= config.N // 2:
+    if len(users) != size:
+        return None
+    if users not in masks and list(users) == sorted(set(users)) and 0 <= users[0] <= users[-1] < K:
+        masks[users] = mask_of(users)
+    return masks.get(users)
+
+
+def _packet_from_json(item: Sequence, config: SystemConfig, masks: dict[tuple, int]) -> int:
+    """A payload triple as a packet int, refused unless it names a packet of the system."""
+    server, idx, users = item
+    mask = _subset_mask(users, config.t, config.K, masks)
+    if mask is None or server not in (SERVER_A, SERVER_B) or not 1 <= idx <= config.N // 2:
         raise SpecError(
             f"payload term {item} names no packet: it needs server A or B, a file index "
             f"in 1..{config.N // 2} and {config.t} strictly increasing users in 0..{config.K - 1}"
         )
-    return packet(server, idx, masks[users], config.K)
+    return packet(server, idx, mask, config.K)
 
 
 def load_plan(path: Path) -> delivery.DeliveryPlan:
@@ -296,20 +304,27 @@ def load_plan(path: Path) -> delivery.DeliveryPlan:
         broadcasts = []
         seen: set[tuple] = set()
         masks: dict[tuple, int] = {}
+        size = config.t + 1
         for record in records:
             kind = record.get("kind")
             if kind not in delivery.GROUPS:
                 raise SpecError(f"unknown plan line kind {kind!r}")
+            fields = delivery.GROUPS[kind][0]
+            index_sets = tuple(_subset_mask(record[f], size, config.K, masks) for f in fields)
+            for f, m in zip(fields, index_sets):
+                if m is None:
+                    raise SpecError(f"index set {record[f]} names no subset: it needs "
+                                    f"{size} strictly increasing users in 0..{config.K - 1}")
             bc = mn.Broadcast(
                 record["origin"],
-                tuple(tuple(int(u) for u in record[f]) for f in delivery.GROUPS[kind][0]),
+                index_sets,
                 xor_sum([_packet_from_json(p, config, masks) for p in record["payload"]]),
                 kind,
             )
-            key = (kind, bc.origin, bc.index_sets)
+            key = (kind, bc.origin, index_sets)
             if key in seen:
                 raise SpecError(
-                    f"duplicate {kind} line from {bc.origin} for {[list(s) for s in bc.index_sets]}"
+                    f"duplicate {kind} line from {bc.origin} for {delivery.user_lists(index_sets)}"
                 )
             seen.add(key)
             broadcasts.append(bc)
@@ -385,7 +400,7 @@ def _curve_csv(rows: list[analysis.CurveRow]) -> str:
             + _rational_cells(r.asymptote)
             + _rational_cells(r.delta)
             + _rational_cells(r.delta_prime)
-            + _rational_cells(r.delta_ratio)
+            + _rational_cells(r.ni_over_n)  # delta_ratio: delta'/delta = n_i/n
         )
         lines.append(",".join(cells))
     return "\n".join(lines) + "\n"

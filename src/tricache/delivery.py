@@ -19,7 +19,6 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from math import comb
 from typing import Iterable
 
@@ -52,7 +51,7 @@ from .pairing import (
     outer_graphs,
     single_layer_weights,
 )
-from .system import SERVER_A, SERVER_B, Demand, SystemConfig, users_of
+from .system import SERVER_A, SERVER_B, Demand, SystemConfig, subset_masks, users_of
 
 SCHEME_MN = "mn"
 
@@ -104,7 +103,7 @@ def synthesize_pair_messages(
     if not demand.is_symmetric(config):
         raise ValueError("pair messages require a symmetric demand")
     shared = s1 & s2
-    index_sets = (users_of(s1), users_of(s2))
+    index_sets = (s1, s2)
     return (
         message(ORIGIN_A, KIND_PAIR, index_sets, demand, ((s1, s1),)),
         message(ORIGIN_B, KIND_PAIR, index_sets, demand, ((s2, s2),)),
@@ -122,24 +121,12 @@ def synthesize_unpaired(
     fragments = UNPAIRED_FRAGMENTS.get(tuple(sorted(server_pair)))
     if fragments is None:
         raise ValueError(f"unknown server pair {server_pair!r}")
-    sub = users_of(subset)
     side_masks = {SERVER_A: config.mask_a, SERVER_B: config.mask_b, None: subset}
     first, second = (
-        message(origin, KIND_UNPAIRED, (sub,), demand, ((subset, subset & side_masks[side]),))
+        message(origin, KIND_UNPAIRED, (subset,), demand, ((subset, subset & side_masks[side]),))
         for origin, side in fragments
     )
     return first, second
-
-
-def _synthesize_single(subset: int, demand: Demand, config: SystemConfig) -> Broadcast:
-    w = layer_weight(subset, config)
-    if w == config.t + 1:
-        origin = ORIGIN_A
-    elif w == 0:
-        origin = ORIGIN_B
-    else:
-        raise ValueError("single broadcasts serve one-sided subsets only")
-    return message(origin, KIND_SINGLE, (users_of(subset),), demand, ((subset, subset),))
 
 
 def assemble_plan(
@@ -162,11 +149,12 @@ def assemble_plan(
         bc for s1, s2 in paired for bc in synthesize_pair_messages(s1, s2, demand, config)
     ]
 
-    layers = build_layers(config)
+    # layer 0 is every (t+1)-subset of B's users and layer t+1 of A's, in colex order
+    own_sides = {0: (ORIGIN_B, config.users_b), config.t + 1: (ORIGIN_A, config.users_a)}
     singles = [
-        _synthesize_single(mask, demand, config)
-        for w in single_layer_weights(config)
-        for mask in layers[w].members
+        message(origin, KIND_SINGLE, (mask,), demand, ((mask, mask),))
+        for origin, users in map(own_sides.get, single_layer_weights(config))
+        for mask in subset_masks(users, config.t + 1)
     ]
 
     loads = {ORIGIN_A: len(paired), ORIGIN_B: len(paired), ORIGIN_P: len(paired)}
@@ -225,6 +213,11 @@ def build_plan(config: SystemConfig, demand: Demand, scheme: str) -> DeliveryPla
 # ---------------------------------------------------------------------------
 # audits and measurement
 
+def user_lists(index_sets: Iterable[int]) -> list[list[int]]:
+    """Index-set masks as the user lists that plan lines and messages spell."""
+    return [list(users_of(m)) for m in index_sets]
+
+
 def group_counts(plan: DeliveryPlan) -> Counter:
     """Number of groups of each kind: pairs, unpaired sets, singles, MN sets."""
     return Counter(kind for kind, _ in {(bc.kind, bc.index_sets) for bc in plan.broadcasts})
@@ -236,32 +229,33 @@ def coverage_errors(plan: DeliveryPlan) -> list[str]:
     served by exactly one group."""
     config = plan.config
     mn = plan.scheme == SCHEME_MN
-    groups: dict[tuple[str, tuple], list[str]] = {}
+    groups: dict[tuple[str, tuple[int, ...]], list[str]] = {}
     for bc in plan.broadcasts:
         groups.setdefault((bc.kind, bc.index_sets), []).append(bc.origin)
     problems = []
-    seen: dict[tuple[int, ...], int] = {}
+    seen: Counter[int] = Counter()
     for (kind, index_sets), origins in groups.items():
         fields, complete = GROUPS.get(kind, ((), ()))
         if len(index_sets) != len(fields) or tuple(sorted(origins)) not in complete:
             problems.append(
-                f"{kind} group {[list(s) for s in index_sets]} has broadcasts "
-                f"from {sorted(origins)}"
+                f"{kind} group {user_lists(index_sets)} has broadcasts from {sorted(origins)}"
             )
         if (kind == KIND_MN) != mn:
             problems.append(
-                f"{kind} group {[list(s) for s in index_sets]} is not sent by scheme {plan.scheme}"
+                f"{kind} group {user_lists(index_sets)} is not sent by scheme {plan.scheme}"
             )
-        for sub in index_sets:
-            seen[sub] = seen.get(sub, 0) + 1
-    universe = set(combinations(config.users, config.t + 1))
-    for sub in sorted(s for s, count in seen.items() if count > 1 or s not in universe):
-        if seen[sub] > 1:
-            problems.append(f"subset {sub} served {seen[sub]} times")
-        if sub not in universe:
-            problems.append(f"subset {sub} is not a valid index set")
-    for sub in sorted(universe.difference(seen)):
-        problems.append(f"subset {sub} is not served by any broadcast")
+        seen.update(index_sets)
+    size, everyone = config.t + 1, (1 << config.K) - 1
+    invalid = {m for m in seen if not (0 <= m <= everyone and m.bit_count() == size)}
+    # problems name subsets as user tuples, in their lexicographic order
+    for m in sorted(invalid.union(m for m, n in seen.items() if n > 1), key=users_of):
+        if seen[m] > 1:
+            problems.append(f"subset {users_of(m)} served {seen[m]} times")
+        if m in invalid:
+            problems.append(f"subset {users_of(m)} is not a valid index set")
+    if len(seen) - len(invalid) < comb(config.K, size):
+        missing = [users_of(m) for m in subset_masks(config.users, size) if m not in seen]
+        problems.extend(f"subset {sub} is not served by any broadcast" for sub in sorted(missing))
     return problems
 
 

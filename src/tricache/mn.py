@@ -33,7 +33,6 @@ from .system import (
     packet,
     packet_id,
     subset_masks,
-    users_of,
     xor_sum,
 )
 
@@ -54,16 +53,17 @@ class Broadcast:
     """One transmitted XOR: origin server, the subsets its group serves, its
     payload, and the kind of group it belongs to.
 
-    The three messages of a pair all carry index sets (s1, s2); every other
-    kind carries the one set it serves.  Origin A carries only server-A
-    packets, origin B only server-B packets, and origin P only twin pairs
-    (the A and B packet with identical file index and subset), since the
-    parity server can only combine its stored parities.  The payload is the
-    set of packet ints (`system.packet`) whose XOR is sent.
+    Index sets are user masks, like the subsets inside packets; user lists
+    appear only in text.  The three messages of a pair all carry index sets
+    (s1, s2); every other kind carries the one set it serves.  Origin A
+    carries only server-A packets, origin B only server-B packets, and origin
+    P only twin pairs (the A and B packet with identical file index and
+    subset), since the parity server can only combine its stored parities.
+    The payload is the set of packet ints (`system.packet`) whose XOR is sent.
     """
 
     origin: str
-    index_sets: tuple[tuple[int, ...], ...]
+    index_sets: tuple[int, ...]
     payload: frozenset[int]
     kind: str
 
@@ -90,7 +90,7 @@ def origin_violations(broadcast: Broadcast, K: int) -> list[str]:
 def message(
     origin: str,
     kind: str,
-    index_sets: tuple[tuple[int, ...], ...],
+    index_sets: tuple[int, ...],
     demand: Demand,
     parts: Iterable[tuple[int, int]],
 ) -> Broadcast:
@@ -99,7 +99,7 @@ def message(
     For each (subset, members) part, every member k contributes the segment
     of k's requested file indexed by subset without k.  Origin A or B sends
     that server's copy, P both twins (which its stored parity combines), and
-    SINGLE the requester's own file.  Subsets and members are user masks.
+    SINGLE the requester's own file.  Index sets, subsets and members are masks.
     """
     twins = origin == ORIGIN_P
     own = origin == ORIGIN_SINGLE
@@ -123,7 +123,7 @@ def message(
 def mn_delivery(config: SystemConfig, demand: Demand) -> list[Broadcast]:
     """The C(K, t+1) single-server broadcasts, one per (t+1)-subset in colex order."""
     return [
-        message(ORIGIN_SINGLE, KIND_MN, (users_of(m),), demand, ((m, m),))
+        message(ORIGIN_SINGLE, KIND_MN, (m,), demand, ((m, m),))
         for m in subset_masks(config.users, config.t + 1)
     ]
 

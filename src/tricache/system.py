@@ -10,8 +10,10 @@ algebra over GF(2) in the packet basis.
 
 Users are 0-based integers.  By default the first K/2 users request from
 server A and the rest from server B; an explicit partition may override.
-Subsets are kept sorted and iterated in colexicographic order so that every
-derived structure (layers, matchings, plans) is deterministic.
+Subsets of users, in packets and broadcasts alike, are int masks (bit u =
+user u) iterated in colexicographic order, numeric order for masks, so that
+every derived structure (layers, matchings, plans) is deterministic.  Sorted
+user tuples appear only in text: plan files, reports and failure messages.
 """
 
 from __future__ import annotations
@@ -103,15 +105,6 @@ class SystemConfig:
     @cached_property
     def mask_b(self) -> int:
         return mask_of(self.users_b)
-
-    @cached_property
-    def a_rank(self) -> dict[int, int]:
-        """1-based rank of each A-user in the partition order (a_1 is rank 1)."""
-        return {u: i for i, u in enumerate(self.users_a, 1)}
-
-    @cached_property
-    def b_rank(self) -> dict[int, int]:
-        return {u: i for i, u in enumerate(self.users_b, 1)}
 
     def files(self) -> list[tuple[str, int]]:
         half = self.N // 2

@@ -184,7 +184,6 @@ def test_curve_row_values():
     assert row.n_i == 11349195
     assert row.ni_over_n == Fraction(37, 75)
     assert row.asymptote == 0
-    assert row.delta_ratio == row.ni_over_n
 
 
 def test_ratio_curves_zero_baseline():

@@ -277,6 +277,35 @@ def test_verify_rejects_payload_terms_naming_no_packet(tmp_path, capsys, term):
     assert "plan ok" not in out
 
 
+@pytest.mark.parametrize("index_set", [
+    [2, 1, 0, 3],
+    [0, 0, 1, 2],
+    [0, 1, 2],
+    [0, 1, 2, 6],
+    [-1, 0, 1, 2],
+    [0, 1, 2, 4000000000],
+], ids=["unsorted", "repeated", "short", "user-K", "negative", "huge"])
+def test_verify_rejects_index_sets_naming_no_subset(tmp_path, capsys, index_set):
+    # K=6, t=3: an index set needs four strictly increasing users in 0..5;
+    # anything else names no subset, so it is invalid input, not an audit failure
+    plan_path = tmp_path / "plan.jsonl"
+    code, _, _ = run(
+        ["simulate", "--K", "6", "--lambda", "1/2", "--scheme", "improved",
+         "--output", str(tmp_path / "r.json"), "--plan-out", str(plan_path)],
+        capsys,
+    )
+    assert code == 0
+    records = [json.loads(l) for l in plan_path.read_text().splitlines()]
+    next(r for r in records if r["kind"] == "pair")["s1"] = index_set
+    tampered = tmp_path / "tampered.jsonl"
+    tampered.write_text("".join(json.dumps(r) + "\n" for r in records))
+    code, out, err = run(["verify", "--plan", str(tampered)], capsys)
+    assert code == 2
+    assert f"index set {index_set}" in err
+    assert "Traceback" not in err
+    assert "plan ok" not in out
+
+
 def test_verify_failure_output_ignores_hash_seed(tmp_path):
     # two parity terms lose their twins and one A line turns into B: the
     # violations come out in plan-file term order under any hash seed

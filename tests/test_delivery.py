@@ -229,7 +229,7 @@ def test_tampered_plan_detected():
     # drop one paired triple: both of its subsets go unserved
     broken = replace(plan, broadcasts=plan.broadcasts[3:])
     problems = coverage_errors(broken)
-    s1, s2 = plan.broadcasts[0].index_sets
+    s1, s2 = map(users_of, plan.broadcasts[0].index_sets)
     assert any(str(s1) in p and "not served" in p for p in problems)
     assert any(str(s2) in p and "not served" in p for p in problems)
     # break the twin structure of a parity message

@@ -53,7 +53,7 @@ def test_payload_instantiation():
     # the broadcast for S = {0,1,2} combines each member's request indexed by S minus it
     cfg = build_config(4, 2, 4)
     demand = worst_demand(cfg)
-    bcs = {bc.index_sets[0]: bc for bc in mn_delivery(cfg, demand)}
+    bcs = {users_of(bc.index_sets[0]): bc for bc in mn_delivery(cfg, demand)}
     payload = bcs[(0, 1, 2)].payload
     assert payload == frozenset(
         {
@@ -77,7 +77,7 @@ def test_decoder_single_mn_message():
     bcs = mn_delivery(cfg, demand)
     # user 0 obtains its segment for every broadcast whose subset contains it
     for bc in bcs:
-        sub = bc.index_sets[0]
+        sub = users_of(bc.index_sets[0])
         if 0 not in sub:
             continue
         server, idx = demand.of(0)
@@ -109,7 +109,7 @@ def test_decoder_agrees_with_peeling_on_mn_plans():
             bcs = mn_delivery(cfg, demand)
             for user in cfg.users:
                 server, idx = demand.of(user)
-                for sub in (bc.index_sets[0] for bc in bcs):
+                for sub in (users_of(bc.index_sets[0]) for bc in bcs):
                     if user not in sub:
                         continue
                     target = pkt(server, idx, (u for u in sub if u != user), K)
@@ -129,7 +129,8 @@ def test_decoder_monotone(data):
     subset = [bc for bc, keep in zip(bcs, picked) if keep]
     user = data.draw(st.integers(0, cfg.K - 1))
     server, idx = demand.of(user)
-    sub = data.draw(st.sampled_from([bc.index_sets[0] for bc in bcs if user in bc.index_sets[0]]))
+    subs = [users_of(bc.index_sets[0]) for bc in bcs]
+    sub = data.draw(st.sampled_from([s for s in subs if user in s]))
     target = pkt(server, idx, (u for u in sub if u != user), cfg.K)
     if user_can_decode(caches[user], subset, target):
         assert user_can_decode(caches[user], bcs, target)

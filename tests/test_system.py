@@ -64,7 +64,6 @@ def test_build_config_rejects_out_of_range_t():
 def test_build_config_explicit_partition():
     cfg = build_config(4, 2, 4, partition=([1, 3], [0, 2]))
     assert cfg.users_a == (1, 3)
-    assert cfg.a_rank == {1: 1, 3: 2}
     with pytest.raises(ValueError):
         build_config(4, 2, 4, partition=([0, 1], [1, 2]))
 
