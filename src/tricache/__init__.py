@@ -10,7 +10,7 @@ from .system import (
     random_demand,
     worst_demand,
 )
-from .mn import Broadcast, mn_delivery, mn_rate, user_can_decode, verify_full_recovery
+from .mn import Broadcast, mn_delivery, user_can_decode, verify_full_recovery
 from .pairing import (
     Layer,
     PairGraph,
@@ -52,7 +52,6 @@ __all__ = [
     "max_matching",
     "measure_rate",
     "mn_delivery",
-    "mn_rate",
     "place_caches",
     "random_demand",
     "user_can_decode",

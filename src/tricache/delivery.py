@@ -22,7 +22,7 @@ from fractions import Fraction
 from math import comb
 from typing import Iterable
 
-from .analysis import delta_improved_exact, delta_lap_exact
+from .analysis import delta_improved_exact, delta_lap_exact, mn_rate_formula
 from .mn import (
     KIND_MN,
     KIND_PAIR,
@@ -36,7 +36,6 @@ from .mn import (
     RecoveryReport,
     message,
     mn_delivery,
-    mn_rate,
     origin_violations,
     verify_full_recovery,
 )
@@ -213,9 +212,10 @@ def build_plan(config: SystemConfig, demand: Demand, scheme: str) -> DeliveryPla
 # ---------------------------------------------------------------------------
 # audits and measurement
 
-def user_lists(index_sets: Iterable[int]) -> list[list[int]]:
-    """Index-set masks as the user lists that plan lines and messages spell."""
-    return [list(users_of(m)) for m in index_sets]
+def user_lists(index_sets: Iterable[int]) -> list[list[int] | int]:
+    """Index-set masks as the user lists that plan lines and messages spell;
+    a negative mask names no users and is spelt as its int."""
+    return [list(users_of(m)) if m >= 0 else m for m in index_sets]
 
 
 def group_counts(plan: DeliveryPlan) -> Counter:
@@ -247,12 +247,16 @@ def coverage_errors(plan: DeliveryPlan) -> list[str]:
         seen.update(index_sets)
     size, everyone = config.t + 1, (1 << config.K) - 1
     invalid = {m for m in seen if not (0 <= m <= everyone and m.bit_count() == size)}
-    # problems name subsets as user tuples, in their lexicographic order
-    for m in sorted(invalid.union(m for m, n in seen.items() if n > 1), key=users_of):
+    flagged = invalid.union(m for m, n in seen.items() if n > 1)
+    negative = sorted(m for m in flagged if m < 0)
+    # problems name subsets as user tuples, in their lexicographic order,
+    # after the negative masks, which name no users and are spelt as ints
+    for m in negative + sorted(flagged.difference(negative), key=users_of):
+        sub = m if m < 0 else users_of(m)
         if seen[m] > 1:
-            problems.append(f"subset {users_of(m)} served {seen[m]} times")
+            problems.append(f"subset {sub} served {seen[m]} times")
         if m in invalid:
-            problems.append(f"subset {users_of(m)} is not a valid index set")
+            problems.append(f"subset {sub} is not a valid index set")
     if len(seen) - len(invalid) < comb(config.K, size):
         missing = [users_of(m) for m in subset_masks(config.users, size) if m not in seen]
         problems.extend(f"subset {sub} is not served by any broadcast" for sub in sorted(missing))
@@ -306,7 +310,7 @@ def measure_rate(plan: DeliveryPlan) -> RateReport:
     F = config.packets_per_file
     rate = Fraction(max(loads.values()), F)
     groups = group_counts(plan)
-    base = mn_rate(config)
+    base = mn_rate_formula(config.K, t)
     delta: Fraction | None = None
     delta_formula: Fraction | None = None
     if mn:

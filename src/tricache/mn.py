@@ -11,8 +11,9 @@ scheme requires combining messages from several servers to extract a segment.
 One bit-sliced peel serves all users at once (a payload with one term a user
 does not know yields that term to the user) and settles every packet of a
 well-formed plan in a few sweeps over the rows.  Only a user left with an
-unknown target runs its own peel plus Gaussian elimination on the rows that
-peeling leaves unresolved.
+unknown target runs Gaussian elimination, over the packets it does not know
+after the peel.  `user_can_decode` runs the same peel and elimination for
+one cache.
 
 Verification returns structured reports instead of raising; failures are data.
 """
@@ -20,7 +21,6 @@ Verification returns structured reports instead of raising; failures are data.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Collection, Iterable, Sequence
 
 from .gf2 import GF2Basis
@@ -128,55 +128,29 @@ def mn_delivery(config: SystemConfig, demand: Demand) -> list[Broadcast]:
     ]
 
 
-def mn_rate(config: SystemConfig) -> Fraction:
-    """Broadcast volume per file: C(K,t+1)/C(K,t) = (K-t)/(t+1)."""
-    return Fraction(config.K - config.t, config.t + 1)
+def _intern(broadcasts: Iterable[Broadcast]) -> tuple[dict[int, int], list[list[int]]]:
+    """Every payload packet interned to a dense id: ids maps a packet int to
+    its id, and rows[r] lists the ids in broadcast r's payload."""
+    ids: dict[int, int] = {}
+    rows = [[ids.setdefault(p, len(ids)) for p in bc.payload] for bc in broadcasts]
+    return ids, rows
 
 
-class _PayloadTable:
-    """The payloads of a broadcast list with every packet interned to a dense id.
+def _peel(rows: list[list[int]], known_by: list[int], everyone: int) -> None:
+    """Peel for all users at once: known_by[i], the mask of the users (bits
+    of `everyone`) who know id i, gains every id peeling yields them.
 
-    rows[r] lists the ids in broadcast r's payload.  rows_of[i], the rows that
-    hold id i, is built on first use: only the per-user routine reads it.
+    A user knows what its caller seeds and any term of a row whose other
+    terms it knows.  Each sweep visits the rows in order and keeps two
+    bit-sliced counters over a row's terms: z1 holds the users with at least
+    one unknown term and z2 those with at least two, so z1 & ~z2 are the
+    users for whom the row yields its one unknown term.  Sweeps repeat until
+    one changes nothing or one per user has run, so the cost never exceeds a
+    pass per user.  Every bit set is a peeling step, and peeling has one
+    closure, so at convergence each user knows exactly what its own peel
+    would give it; after the cap it knows a subset of that.
     """
-
-    __slots__ = ("ids", "rows", "_rows_of")
-
-    def __init__(self, broadcasts: Iterable[Broadcast]) -> None:
-        ids: dict[int, int] = {}
-        self.rows = [[ids.setdefault(p, len(ids)) for p in bc.payload] for bc in broadcasts]
-        self.ids = ids
-        self._rows_of: list[list[int]] | None = None
-
-    @property
-    def rows_of(self) -> list[list[int]]:
-        if self._rows_of is None:
-            rows_of: list[list[int]] = [[] for _ in self.ids]
-            for r, row in enumerate(self.rows):
-                for i in row:
-                    rows_of[i].append(r)
-            self._rows_of = rows_of
-        return self._rows_of
-
-
-def _peel_all(table: _PayloadTable, K: int) -> list[int]:
-    """Peel for all K users at once; returns known_by, the mask of the users
-    who know each id.
-
-    A user knows a packet it caches (bit u of the packet int) and any term of
-    a row whose other terms it knows.  Each sweep visits the rows in order
-    and keeps two bit-sliced counters over a row's terms: z1 holds the users
-    with at least one unknown term and z2 those with at least two, so
-    z1 & ~z2 are the users for whom the row yields its one unknown term.
-    Sweeps repeat until one changes nothing or K of them have run, so the
-    cost never exceeds K per-user passes.  Every bit set is a peeling step,
-    and peeling has one closure, so at convergence each user knows exactly
-    what its own peel would give it; after the cap it knows a subset of that.
-    """
-    everyone = (1 << K) - 1
-    known_by = [p & everyone for p in table.ids]
-    rows = table.rows
-    for _ in range(K):
+    for _ in range(everyone.bit_length()):
         changed = False
         for row in rows:
             z1 = z2 = 0
@@ -193,56 +167,32 @@ def _peel_all(table: _PayloadTable, K: int) -> list[int]:
                         changed = True
         if not changed:
             break
-    return known_by
 
 
-def _decodable(
-    table: _PayloadTable, known: bytearray, targets: Sequence[int | None]
+def _eliminate(
+    rows: list[list[int]], known_by: list[int], user: int, targets: Sequence[int | None]
 ) -> list[bool]:
-    """Which target ids the rows determine, given the ids flagged in `known`.
+    """Which target ids the rows determine for `user`, given the ids whose
+    known_by mask holds its bit.
 
-    Peeling first: a row with one unknown term yields that term, which is then
-    cancelled from every row holding it.  A target peeling leaves unresolved
-    is checked by exact elimination over the residual rows, with known and
-    peeled columns removed; those columns are in the span, so the answer is
-    exact GF(2) span membership.  `known` gains the peeled ids.
+    Exact elimination over the rows with the known columns removed: those
+    columns are in the span, so dropping them keeps the answer, which is
+    exact GF(2) span membership.  A target id of None is not in any row.
     """
-    rows, rows_of = table.rows, table.rows_of
-    count = [0] * len(rows)  # unknown terms per row
-    xor = [0] * len(rows)  # XOR of the unknown ids per row
-    for i, flag in enumerate(known):
-        if not flag:
-            for r in rows_of[i]:
-                count[r] += 1
-                xor[r] ^= i
-    stack = [r for r, c in enumerate(count) if c == 1]
-    while stack:
-        r = stack.pop()
-        if count[r] != 1:
-            continue
-        i = xor[r]
-        known[i] = 1
-        for r2 in rows_of[i]:
-            count[r2] -= 1
-            xor[r2] ^= i
-            if count[r2] == 1:
-                stack.append(r2)
-
-    result = [i is not None and known[i] == 1 for i in targets]
-    unresolved = [n for n, i in enumerate(targets) if i is not None and not known[i]]
-    if unresolved:
-        col: dict[int, int] = {}
-        basis = GF2Basis()
-        for r, row in enumerate(rows):
-            if count[r]:
-                vec = 0
-                for i in row:
-                    if not known[i]:
-                        vec |= 1 << col.setdefault(i, len(col))
-                basis.add(vec)
-        for n in unresolved:
-            result[n] = basis.contains(1 << col[targets[n]])
-    return result
+    bit = 1 << user
+    col: dict[int, int] = {}
+    basis = GF2Basis()
+    for row in rows:
+        vec = 0
+        for i in row:
+            if not known_by[i] & bit:
+                vec |= 1 << col.setdefault(i, len(col))
+        if vec:
+            basis.add(vec)
+    return [
+        i is not None and (known_by[i] & bit != 0 or basis.contains(1 << col[i]))
+        for i in targets
+    ]
 
 
 def user_can_decode(
@@ -254,9 +204,10 @@ def user_can_decode(
     cached unit vectors plus the received payload vectors?"""
     if target in cache:
         return True
-    table = _PayloadTable(broadcasts)
-    known = bytearray(p in cache for p in table.ids)
-    return _decodable(table, known, [table.ids.get(target)])[0]
+    ids, rows = _intern(broadcasts)
+    known_by = [int(p in cache) for p in ids]
+    _peel(rows, known_by, 1)
+    return _eliminate(rows, known_by, 0, [ids.get(target)])[0]
 
 
 @dataclass(frozen=True)
@@ -288,14 +239,15 @@ def verify_full_recovery(
 
     Every user hears every broadcast (audiences on broadcasts are
     informational).  The payloads are interned once and one bit-sliced peel
-    (`_peel_all`) serves all users.  A user with a target that peel leaves
-    unknown runs the per-user routine `_decodable`, seeded with what the
-    shared peel gave it, so every answer is exact GF(2) span membership.
+    (`_peel`) serves all users, seeded with the packets each caches.  A user
+    with a target that peel leaves unknown runs `_eliminate` over the ids it
+    does not know, so every answer is exact GF(2) span membership.
     """
-    table = _PayloadTable(broadcasts)
+    ids, rows = _intern(broadcasts)
     K = config.K
-    ids = table.ids
-    known_by = _peel_all(table, K)
+    everyone = (1 << K) - 1
+    known_by = [p & everyone for p in ids]
+    _peel(rows, known_by, everyone)
     known_of = dict(zip(ids, known_by))
     tsubs = subset_masks(config.users, config.t)
     results = []
@@ -307,8 +259,7 @@ def verify_full_recovery(
         # user) that the shared peel left unknown to it, in colex order.
         failed = [base | m for m in tsubs if not m & bit and not known_of.get(base | m, 0) & bit]
         if any(p in ids for p in failed):
-            known = bytearray(k >> user & 1 for k in known_by)
-            decoded = _decodable(table, known, [ids.get(p) for p in failed])
+            decoded = _eliminate(rows, known_by, user, [ids.get(p) for p in failed])
             failed = [p for p, ok in zip(failed, decoded) if not ok]
         results.append(
             UserRecovery(

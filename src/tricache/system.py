@@ -170,6 +170,9 @@ def mask_of(users: Iterable[int]) -> int:
 
 
 def users_of(mask: int) -> tuple[int, ...]:
+    if mask < 0:
+        # two's complement has endless set bits: the loop would never end
+        raise ValueError(f"negative mask {mask} names no users")
     out = []
     while mask:
         low = mask & -mask

@@ -434,10 +434,10 @@ def test_verify_refuses_undersized_plan_before_any_work(tmp_path, capsys, monkey
     # C(60, 31) sets cannot be served by one line; enumerating them would never end
     import tricache.delivery
 
-    def no_layers(*args):
-        raise AssertionError("verify enumerated the layers of an undersized plan")
+    def no_audit(*args):
+        raise AssertionError("verify audited an undersized plan")
 
-    monkeypatch.setattr(tricache.delivery, "build_layers", no_layers)
+    monkeypatch.setattr(tricache.delivery, "verify_plan", no_audit)
     half = 30
     meta = {"kind": "meta", "K": 60, "M": "30", "N": 60, "t": 30, "scheme": "lap",
             "demand": {str(u): ["A" if u < half else "B", u % half + 1] for u in range(60)}}

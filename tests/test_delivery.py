@@ -261,6 +261,22 @@ def test_dropped_or_relabelled_broadcast_detected(scheme):
         assert any("group" in p for p in coverage_errors(mixed)), kind
 
 
+@pytest.mark.parametrize("scheme", [SCHEME_LAP, "mn"])
+def test_negative_index_set_reported_not_decoded(scheme):
+    # a negative mask names no users, so the audit spells it as its int
+    cfg = build_config(6, 3, 6)
+    plan = build_plan(cfg, worst_demand(cfg), scheme)
+    bc = plan.broadcasts[0]
+    bad = replace(bc, index_sets=(-1,) + bc.index_sets[1:])
+    problems = coverage_errors(replace(plan, broadcasts=(bad,) + plan.broadcasts[1:]))
+    assert "subset -1 is not a valid index set" in problems
+    if scheme == "mn":
+        assert problems[-1] == f"subset {users_of(bc.index_sets[0])} is not served by any broadcast"
+    else:
+        assert f"pair group [-1, {list(users_of(bc.index_sets[1]))}] has broadcasts from ['A']" in problems
+        assert problems[-1] == f"subset {users_of(bc.index_sets[1])} served 2 times"
+
+
 def test_full_recovery_improved_k6():
     cfg = build_config(6, 3, 6)
     demand = worst_demand(cfg)

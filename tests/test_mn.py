@@ -9,6 +9,7 @@ from math import comb
 from hypothesis import given, settings, strategies as st
 
 from tricache import mn
+from tricache.analysis import mn_rate_formula
 from tricache.delivery import build_plan
 from tricache.gf2 import GF2Basis
 from tricache.mn import (
@@ -18,7 +19,6 @@ from tricache.mn import (
     RecoveryReport,
     UserRecovery,
     mn_delivery,
-    mn_rate,
     user_can_decode,
     verify_full_recovery,
 )
@@ -44,9 +44,8 @@ def test_broadcast_count_k4():
 def test_rate_identity_sweep():
     for K in (4, 6, 8, 10):
         for t in range(1, K):
-            cfg = build_config(K, t, K)
-            assert mn_rate(cfg) == Fraction(K - t, t + 1)
-            assert Fraction(comb(K, t + 1), comb(K, t)) == mn_rate(cfg)
+            assert mn_rate_formula(K, t) == Fraction(K - t, t + 1)
+            assert Fraction(comb(K, t + 1), comb(K, t)) == mn_rate_formula(K, t)
 
 
 def test_payload_instantiation():
@@ -247,7 +246,7 @@ def test_intact_plans_never_reach_the_fallback(monkeypatch):
     def fallback(*args):
         raise AssertionError("per-user fallback reached")
 
-    monkeypatch.setattr(mn, "_decodable", fallback)
+    monkeypatch.setattr(mn, "_eliminate", fallback)
     for name, cfg, demand, bcs in oracle_plans():
         assert verify_full_recovery(cfg, demand, bcs).all_ok, name
 
@@ -276,13 +275,13 @@ def chain_system():
 
 def counting_fallback(monkeypatch):
     calls = []
-    decodable = mn._decodable
+    eliminate = mn._eliminate
 
     def fallback(*args):
         calls.append(args)
-        return decodable(*args)
+        return eliminate(*args)
 
-    monkeypatch.setattr(mn, "_decodable", fallback)
+    monkeypatch.setattr(mn, "_eliminate", fallback)
     return calls
 
 

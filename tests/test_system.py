@@ -74,6 +74,13 @@ def test_colex_order():
     assert subs == sorted(subs, key=lambda s: tuple(reversed(s)))
 
 
+def test_users_of_rejects_negative_masks():
+    assert users_of(0b1011) == (0, 1, 3)
+    for m in (-1, -6, -(1 << 70)):
+        with pytest.raises(ValueError, match="negative mask"):
+            users_of(m)
+
+
 def test_placement_contents_k4():
     # user 0 caches, per file, exactly the t-subsets containing it
     cfg = build_config(4, 2, 4)
