@@ -256,27 +256,40 @@ def _plan_lines(plan: delivery.DeliveryPlan) -> list[str]:
     return lines
 
 
-def _subset_mask(users: Sequence, size: int, K: int, masks: dict[tuple, int]) -> int | None:
+def _subset_mask(users: Sequence, size: int, K: int, masks: dict | None) -> int | None:
     """The mask of `size` strictly increasing users in 0..K-1; None for any
-    other list, which a mask would alias.  `masks` holds the tuples checked."""
+    other list, which a mask would alias.  `masks` holds the tuples checked;
+    with masks None every tuple is checked afresh."""
     users = tuple(users)
     if len(users) != size:
         return None
-    if users not in masks and list(users) == sorted(set(users)) and 0 <= users[0] <= users[-1] < K:
-        masks[users] = mask_of(users)
-    return masks.get(users)
+    if masks is not None and users in masks:
+        return masks[users]
+    valid = all(type(u) is int for u in users) and list(users) == sorted(set(users))
+    if not (valid and 0 <= users[0] <= users[-1] < K):
+        return None
+    mask = mask_of(users)
+    if masks is not None:
+        masks[users] = mask
+    return mask
 
 
-def _packet_from_json(item: Sequence, config: SystemConfig, masks: dict[tuple, int]) -> int:
+def _packet_from_json(item: Sequence, config: SystemConfig, masks: dict | None) -> int:
     """A payload triple as a packet int, refused unless it names a packet of the system."""
     server, idx, users = item
     mask = _subset_mask(users, config.t, config.K, masks)
-    if mask is None or server not in (SERVER_A, SERVER_B) or not 1 <= idx <= config.N // 2:
+    valid = mask is not None and server in (SERVER_A, SERVER_B) and type(idx) is int
+    if not (valid and 1 <= idx <= config.N // 2):
         raise SpecError(
             f"payload term {item} names no packet: it needs server A or B, a file index "
             f"in 1..{config.N // 2} and {config.t} strictly increasing users in 0..{config.K - 1}"
         )
     return packet(server, idx, mask, config.K)
+
+
+# Plan numbers are ints.  A JSON float stays its text, which equals no int, so
+# it names no user or file index whatever line it comes on.
+_PLAN_DECODER = json.JSONDecoder(parse_float=str)
 
 
 def load_plan(path: Path) -> delivery.DeliveryPlan:
@@ -290,8 +303,8 @@ def load_plan(path: Path) -> delivery.DeliveryPlan:
     of that size; a plan that lost fewer lines is audited and fails there.
     """
     with path.open() as f:
-        records = (json.loads(line) for line in f if line.strip())
-        meta = next(records, {})
+        lines = (line for line in f if line.strip())
+        meta = _PLAN_DECODER.decode(next(lines, "{}"))
         if meta.get("kind") != "meta":
             raise SpecError("plan file must start with a meta line")
         scheme = meta.get("scheme", SCHEME_LAP)
@@ -305,12 +318,16 @@ def load_plan(path: Path) -> delivery.DeliveryPlan:
         seen: set[tuple] = set()
         masks: dict[tuple, int] = {}
         size = config.t + 1
-        for record in records:
+        for line in lines:
+            record = _PLAN_DECODER.decode(line)
+            # JSON true/false decode to bools, which equal 1 and 0 and so would
+            # hit the memo of checked user tuples: such a line skips the memo.
+            memo = masks if "true" not in line and "false" not in line else None
             kind = record.get("kind")
             if kind not in delivery.GROUPS:
                 raise SpecError(f"unknown plan line kind {kind!r}")
             fields = delivery.GROUPS[kind][0]
-            index_sets = tuple(_subset_mask(record[f], size, config.K, masks) for f in fields)
+            index_sets = tuple(_subset_mask(record[f], size, config.K, memo) for f in fields)
             for f, m in zip(fields, index_sets):
                 if m is None:
                     raise SpecError(f"index set {record[f]} names no subset: it needs "
@@ -318,7 +335,7 @@ def load_plan(path: Path) -> delivery.DeliveryPlan:
             bc = mn.Broadcast(
                 record["origin"],
                 index_sets,
-                xor_sum([_packet_from_json(p, config, masks) for p in record["payload"]]),
+                xor_sum([_packet_from_json(p, config, memo) for p in record["payload"]]),
                 kind,
             )
             key = (kind, bc.origin, index_sets)

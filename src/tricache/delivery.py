@@ -264,10 +264,23 @@ def coverage_errors(plan: DeliveryPlan) -> list[str]:
 
 
 def origin_errors(plan: DeliveryPlan) -> list[str]:
+    """origin_violations of every broadcast, in plan order.  One pass over
+    each payload finds the violators; only those are spelled out."""
     K = plan.config.K
+    server_bit = 1 << K
     problems = []
     for bc in plan.broadcasts:
-        problems.extend(origin_violations(bc, K))
+        origin, terms = bc.origin, bc.payload
+        if origin == ORIGIN_A:
+            ok = not any(p & server_bit for p in terms)
+        elif origin == ORIGIN_B:
+            ok = all(p & server_bit for p in terms)
+        elif origin == ORIGIN_P:
+            ok = all(p ^ server_bit in terms for p in terms)
+        else:
+            ok = origin == ORIGIN_SINGLE
+        if not ok:
+            problems.extend(origin_violations(bc, K))
     return problems
 
 

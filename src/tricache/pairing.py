@@ -24,10 +24,8 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, reduce
-from itertools import chain, combinations
+from itertools import chain
 from math import comb
-from operator import or_
 from typing import Sequence
 
 from .system import SystemConfig, subset_masks
@@ -179,58 +177,90 @@ class PairGraph:
 def build_pair_graph(
     config: SystemConfig, label: str, x_members: Sequence[int], y_members: Sequence[int]
 ) -> PairGraph:
-    """Materialise adjacency by structural swap moves instead of all-pairs scans.
+    """Materialise adjacency from the product structure of the pairing predicate.
 
-    A vertex's neighbours at distance delta in layer weight are produced by
-    exchanging delta A-users for delta B-users (or vice versa) and looked up
-    in the opposing side's mask-to-index table.  Per layer weight of the
-    opposing side, the users every member holds are kept or added and the
-    users no member holds are dropped or never added, so a class side (fixed
-    a_1 / b_1 membership) gets no candidate that misses it.
+    Members of different A-weight pair exactly when the lighter one's A-part
+    lies inside the heavier one's and the heavier one's B-part inside the
+    lighter one's, so between two blocks of fixed A-weight the graph is the
+    product of an A-part and a B-part containment graph.  Each side is
+    split into such blocks.  A y block's product hull lists its A-parts x
+    B-parts, B-part major.  Once per y block, every distinct x A-part gets
+    the ascending ranks of the y A-parts it relates to, and every x B-part
+    the hull segments (one slice per B-part, indexed by A-rank) of the y
+    B-parts it relates to; a row is one segment entry per pair of the two.
+    When y is one block equal to its hull in colex order, hull positions
+    are y-indices and rows come out ascending; otherwise a position list
+    maps the hull to y-indices (-1 off y) and each row is filtered and
+    sorted.  y degrees come from per-factor counts for every x block that
+    is a full product and from its rows for any other.
+
+    The result equals an all-pairs scan with is_effective_pair.
     """
     x = tuple(sorted(x_members))
     y = tuple(sorted(y_members))
-    index_of = {m: j for j, m in enumerate(y)}.get
     mask_a, mask_b = config.mask_a, config.mask_b
-    # y layer weight -> (users in every member, users in some member)
-    y_bounds: dict[int, tuple[int, int]] = {}
-    for m in y:
-        w = (m & mask_a).bit_count()
-        every, some = y_bounds.get(w, (m, m))
-        y_bounds[w] = (every & m, some | m)
-    moves = cache(_signed_subsets)  # x vertices share their one-side parts
-    nbrs: list[list[int]] = []
-    for mask in x:
-        wx = (mask & mask_a).bit_count()
-        row: list[int] = []
-        for wy, (every, some) in y_bounds.items():
-            delta = wx - wy
-            if delta > 0:
-                drop_side, add_side = mask_a, mask_b
-            elif delta < 0:
-                drop_side, add_side, delta = mask_b, mask_a, -delta
-            else:
+    blocks = _blocks(y, mask_a, mask_b)
+    direct = len(blocks) == 1 and blocks[0][3]
+    y_blocks = []  # (A-weight, A-parts, B-parts, start in the hull)
+    hull = 0
+    for w, parts_a, parts_b, _ in blocks:
+        y_blocks.append((w, parts_a, parts_b, hull))
+        hull += len(parts_a) * len(parts_b)
+    # hull position -> y-index, -1 where the hull has no member
+    if direct:
+        slots = list(range(len(y)))
+    else:
+        # parts of different blocks differ in size, so one dict per side serves all
+        rank_a: dict[int, int] = {}
+        rank_b: dict[int, int] = {}
+        for _, parts_a, parts_b, start in y_blocks:
+            rank_a.update(zip(parts_a, range(len(parts_a))))
+            rank_b.update(zip(parts_b, range(start, hull, len(parts_a))))
+        where = [rank_b[m & mask_b] + rank_a[m & mask_a] for m in y]
+        slots = [-1] * hull
+        for j, h in enumerate(where):
+            slots[h] = j
+    # per y block: x A-part -> related y A-ranks, x B-part -> the hull segments
+    # (slot lists indexed by A-rank) of its related y B-parts
+    rels: list[tuple[dict, dict]] = [({}, {}) for _ in y_blocks]
+    hull_degrees = [0] * hull
+    counted = set()  # A-weights of x blocks whose y degrees are counted from rows
+    for wx, parts_a, parts_b, full in _blocks(x, mask_a, mask_b):
+        if not full:
+            counted.add(wx)
+        for (wy, y_parts_a, y_parts_b, start), (nbrs_a, nbrs_b) in zip(y_blocks, rels):
+            if wy == wx:  # equal A-weights never pair
+                nbrs_a.update(dict.fromkeys(parts_a, ()))
+                nbrs_b.update(dict.fromkeys(parts_b, ()))
                 continue
-            drop = mask & drop_side & ~every
-            add = add_side & some & ~mask
-            # A candidate is mask - removed + added.  With the side holding the
-            # higher user ids in the outer loop (B in the default partition)
-            # candidates come out ascending, and the sort below is one pass.
-            drops = moves(drop & ~some, drop, delta, -1)
-            adds = moves(add & every, add, delta, 1)
-            outer, inner = (adds, drops) if add_side > drop_side else (drops, adds)
-            for o in outer:
-                base = mask + o
-                for i in inner:
-                    j = index_of(base + i)
-                    if j is not None:
-                        row.append(j)
-        row.sort()
-        nbrs.append(row)
-    y_counts = Counter(chain.from_iterable(nbrs))
-    y_degrees = set(y_counts.values())
-    if len(y_counts) < len(y):
-        y_degrees.add(0)
+            n_a = len(y_parts_a)
+            segments = [slots[i:i + n_a] for i in range(start, start + n_a * len(y_parts_b), n_a)]
+            rel_a = _related(parts_a, y_parts_a, wx < wy)
+            rel_b = _related(parts_b, y_parts_b, wx > wy)
+            nbrs_a.update(rel_a)
+            nbrs_b.update({p: [segments[r] for r in ranks] for p, ranks in rel_b.items()})
+            if full:
+                count_a = Counter(chain.from_iterable(rel_a.values()))
+                for r, n in Counter(chain.from_iterable(rel_b.values())).items():
+                    base = start + r * n_a
+                    for p, k in count_a.items():
+                        hull_degrees[base + p] += n * k
+    # Rows reuse the slots' int objects, so edges hold no int of their own.
+    if direct:
+        (nbrs_a, nbrs_b), = rels
+        nbrs = [[seg[p] for seg in nbrs_b[m & mask_b] for p in nbrs_a[m & mask_a]] for m in x]
+    else:
+        nbrs = [
+            sorted([j for nbrs_a, nbrs_b in rels for seg in nbrs_b[m & mask_b]
+                    for p in nbrs_a[m & mask_a] if (j := seg[p]) >= 0])
+            for m in x
+        ]
+    y_counts = hull_degrees if direct else [hull_degrees[h] for h in where]
+    if counted:
+        for m, row in zip(x, nbrs):
+            if (m & mask_a).bit_count() in counted:
+                for j in row:
+                    y_counts[j] += 1
     return PairGraph(
         config=config,
         label=label,
@@ -238,23 +268,31 @@ def build_pair_graph(
         y=y,
         nbrs=nbrs,
         x_degrees=frozenset(map(len, nbrs)),
-        y_degrees=frozenset(y_degrees),
+        y_degrees=frozenset(y_counts),
     )
 
 
-def _signed_subsets(must: int, may: int, size: int, sign: int) -> tuple[int, ...]:
-    """sign times each size-bit subset of may that contains must, ascending;
-    must is a subset of may."""
-    bits = []
-    rest = may & ~must
-    while rest:
-        low = rest & -rest
-        bits.append(low)
-        rest ^= low
-    extra = size - must.bit_count()
-    if extra < 0:
-        return ()
-    return tuple(sorted(sign * reduce(or_, c, must) for c in combinations(bits, extra)))
+def _blocks(side: Sequence[int], mask_a: int, mask_b: int) -> list[tuple[int, list, list, bool]]:
+    """A colex-ordered side split by A-weight.  Per block: the weight, the
+    distinct A-parts and B-parts in colex order, and whether the block is
+    exactly their product in colex order, B-part major."""
+    groups: dict[int, list[int]] = {}
+    for m in side:
+        groups.setdefault((m & mask_a).bit_count(), []).append(m)
+    blocks = []
+    for w, members in groups.items():
+        parts_a = sorted({m & mask_a for m in members})
+        parts_b = sorted({m & mask_b for m in members})
+        blocks.append((w, parts_a, parts_b, members == [a | b for b in parts_b for a in parts_a]))
+    return blocks
+
+
+def _related(parts: list[int], others: list[int], inside: bool) -> dict[int, list[int]]:
+    """For each part, the ascending ranks of the others that it lies inside
+    (inside=True) or that lie inside it."""
+    if inside:
+        return {p: [r for r, q in enumerate(others) if not p & ~q] for p in parts}
+    return {p: [r for r, q in enumerate(others) if not q & ~p] for p in parts}
 
 
 # ---------------------------------------------------------------------------
@@ -347,10 +385,14 @@ def max_matching(graph: PairGraph) -> list[tuple[int, int]]:
     if not graph.x or not graph.y:
         return []
     match_x, _ = _hopcroft_karp(graph.nbrs, len(graph.y))
+    x, y, mask_a = graph.x, graph.y, graph.config.mask_a
     pairs = []
-    for xi, yi in enumerate(match_x):
+    for s1, yi in zip(x, match_x):
         if yi >= 0:
-            pairs.append(orient_pair(graph.x[xi], graph.y[yi], graph.config))
+            s2 = y[yi]
+            # orient_pair inline: the member with more A-side users first
+            heavy_first = (s1 & mask_a).bit_count() >= (s2 & mask_a).bit_count()
+            pairs.append((s1, s2) if heavy_first else (s2, s1))
     pairs.sort()
     return pairs
 

@@ -306,6 +306,57 @@ def test_verify_rejects_index_sets_naming_no_subset(tmp_path, capsys, index_set)
     assert "plan ok" not in out
 
 
+def _verify_with(tmp_path, capsys, records, container, field, value):
+    """Set container[field], a number in one of the records' payload terms or
+    index sets, to value, then verify the records as a plan file."""
+    container[field] = value
+    tampered = tmp_path / "tampered.jsonl"
+    tampered.write_text("".join(json.dumps(r) + "\n" for r in records))
+    return run(["verify", "--plan", str(tampered)], capsys)
+
+
+def _k6_records(tmp_path):
+    return [json.loads(l) for l in export_plan(tmp_path, "6", "1/2", "improved")]
+
+
+@pytest.mark.parametrize("value", [0.0, False], ids=["float", "bool"])
+@pytest.mark.parametrize("occurrence", [0, -1], ids=["first", "last"])
+def test_verify_rejects_non_int_payload_users(tmp_path, capsys, value, occurrence):
+    # 0.0 and False equal the user 0, so a memo of checked user lists would
+    # take them for (0, ...) once that list had been seen, and not before
+    records = _k6_records(tmp_path)
+    lists = [p[2] for r in records[1:] for p in r["payload"] if p[2][0] == 0]
+    common = max(lists, key=lists.count)
+    assert lists.count(common) > 1
+    same = [users for users in lists if users == common]
+    code, out, err = _verify_with(tmp_path, capsys, records, same[occurrence], 0, value)
+    assert code == 2
+    assert "payload term" in err and "names no packet" in err
+    assert "Traceback" not in err and "plan ok" not in out
+
+
+@pytest.mark.parametrize("value", [1.0, True], ids=["float", "bool"])
+@pytest.mark.parametrize("occurrence", [0, -1], ids=["first", "last"])
+def test_verify_rejects_non_int_file_index(tmp_path, capsys, value, occurrence):
+    records = _k6_records(tmp_path)
+    terms = [p for r in records[1:] for p in r["payload"] if p[1] == 1]
+    code, out, err = _verify_with(tmp_path, capsys, records, terms[occurrence], 1, value)
+    assert code == 2
+    assert "payload term" in err and "names no packet" in err
+    assert "Traceback" not in err and "plan ok" not in out
+
+
+@pytest.mark.parametrize("value", [0.0, False], ids=["float", "bool"])
+@pytest.mark.parametrize("occurrence", [0, -1], ids=["first", "last"])
+def test_verify_rejects_non_int_index_set_users(tmp_path, capsys, value, occurrence):
+    records = _k6_records(tmp_path)
+    sets = [r["s1"] for r in records[1:] if r["kind"] == "pair" and r["s1"][0] == 0]
+    code, out, err = _verify_with(tmp_path, capsys, records, sets[occurrence], 0, value)
+    assert code == 2
+    assert "index set" in err and "names no subset" in err
+    assert "Traceback" not in err and "plan ok" not in out
+
+
 def test_verify_failure_output_ignores_hash_seed(tmp_path):
     # two parity terms lose their twins and one A line turns into B: the
     # violations come out in plan-file term order under any hash seed

@@ -18,7 +18,12 @@ from tricache.delivery import (
     synthesize_unpaired,
     verify_plan,
 )
-from tricache.mn import ORIGIN_P, user_can_decode, verify_full_recovery
+from tricache.mn import (
+    ORIGIN_P,
+    origin_violations,
+    user_can_decode,
+    verify_full_recovery,
+)
 from tricache.pairing import SCHEME_IMPROVED, SCHEME_LAP
 from tricache.system import (
     build_config,
@@ -241,6 +246,29 @@ def test_tampered_plan_detected():
         broadcasts=plan.broadcasts[:2] + (replace(m_p, payload=bad_payload),) + plan.broadcasts[3:],
     )
     assert any("twin" in p for p in origin_errors(broken2))
+
+
+def test_origin_errors_spell_out_every_violation_in_plan_order():
+    # some lines relabelled, so A, B and P lines and an unknown origin each
+    # violate somewhere; the audit's pre-test must skip exactly the clean ones
+    cfg = build_config(8, 3, 8)
+    plan = build_plan(cfg, worst_demand(cfg), SCHEME_IMPROVED)
+    relabel = {"A": "B", "B": "P", "P": "A"}
+
+    def tamper(i, bc):
+        if i % 10 == 9:
+            return replace(bc, origin="Q")
+        if i % 4 == 0:
+            return replace(bc, origin=relabel[bc.origin])
+        return bc
+
+    tampered = tuple(tamper(i, bc) for i, bc in enumerate(plan.broadcasts))
+    broken = replace(plan, broadcasts=tampered)
+    expected = [v for bc in tampered for v in origin_violations(bc, cfg.K)]
+    for prefix in ("origin A payload", "origin B payload", "parity payload", "unknown origin"):
+        assert any(v.startswith(prefix) for v in expected), prefix
+    assert origin_errors(broken) == expected
+    assert origin_errors(plan) == []
 
 
 @pytest.mark.parametrize("scheme", [SCHEME_IMPROVED, "mn"])

@@ -267,6 +267,49 @@ def test_pair_graphs_equal_all_pairs_oracle(K):
     assert graphs > 0
 
 
+def every_graph(cfg):
+    """The outer, lap and improved graphs of a config, plus the middle
+    graphs of all three regimes for odd t."""
+    graphs = build_graphs(cfg, SCHEME_LAP) + build_graphs(cfg, SCHEME_IMPROVED)
+    if cfg.t % 2:
+        layers = build_layers(cfg)
+        for regime in (1, 2, 3):
+            graphs += improved_middle_graphs(cfg, layers, regime)
+    return graphs
+
+
+@pytest.mark.parametrize("t", [5, 7])
+def test_product_graphs_equal_all_pairs_oracle_k12(t):
+    # K=12 has two-class y sides (BG1-1, BG3-1) with thousands of edges
+    graphs = every_graph(build_config(12, t, 12))
+    assert {"BG1-1", "BG3-1", "lap-middle"} <= {g.label for g in graphs}
+    for g in graphs:
+        assert_graph_matches_oracle(g)
+
+
+@pytest.mark.parametrize("K", [8, 10])
+def test_interleaved_partition_graphs_equal_all_pairs_oracle(K):
+    # A- and B-users on alternate ids: colex order is not B-part major, so
+    # sides go through the position list and their rows must be sorted
+    for t in range(1, K):
+        cfg = build_config(K, t, K, partition=(range(0, K, 2), range(1, K, 2)))
+        for g in every_graph(cfg):
+            assert_graph_matches_oracle(g)
+
+
+def test_recorded_degrees_equal_recount_k14():
+    # degrees come from per-factor counts, not from a pass over the edges
+    graphs = every_graph(build_config(14, 7, 14))
+    assert len(graphs) == 27
+    for g in graphs:
+        y_counts = [0] * len(g.y)
+        for row in g.nbrs:
+            for j in row:
+                y_counts[j] += 1
+        assert g.x_degrees == {len(row) for row in g.nbrs}, g.label
+        assert g.y_degrees == set(y_counts), g.label
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_pair_graph_on_layer_slices_equals_oracle(data):
