@@ -10,11 +10,10 @@ from .system import (
     random_demand,
     worst_demand,
 )
-from .mn import Broadcast, mn_delivery, user_can_decode, verify_full_recovery
+from .mn import Broadcast, mn_delivery, verify_full_recovery
 from .pairing import (
     Layer,
     PairGraph,
-    build_graphs,
     build_layers,
     count_unpaired,
     is_effective_pair,
@@ -44,7 +43,6 @@ __all__ = [
     "analysis",
     "assemble_plan",
     "build_config",
-    "build_graphs",
     "build_layers",
     "build_plan",
     "count_unpaired",
@@ -54,7 +52,6 @@ __all__ = [
     "mn_delivery",
     "place_caches",
     "random_demand",
-    "user_can_decode",
     "verify_full_recovery",
     "verify_plan",
     "worst_demand",

@@ -170,25 +170,33 @@ def delta_prime_asymptote(lam: Fraction) -> Fraction:
 # ---------------------------------------------------------------------------
 # rates
 
-def rate_theorem(K: int, t: int, scheme: str = SCHEME_IMPROVED) -> Fraction:
-    """Peak per-server rate of the three-server system, exact.
-
-    Even t halves the single-server rate.  Odd t adds one sixth of the
-    scheme's unpaired fraction: each unpaired subset costs a transmission on
-    two of the three servers instead of sharing one three-way pair.
-    """
+def three_server_rate(K: int, t: int, delta: Fraction) -> Fraction:
+    """Peak per-server rate of the three-server system for unpaired fraction
+    delta, exact: half the single-server rate, plus delta/6 of it for odd t.
+    Each unpaired subset costs a transmission on two of the three servers
+    instead of sharing one three-way pair."""
     base = mn_rate_formula(K, t)
     if t % 2 == 0:
         return base / 2
-    if scheme == SCHEME_LAP:
-        delta = delta_lap_exact(K, t)
-    elif scheme == SCHEME_IMPROVED:
-        delta = delta_improved_exact(K, t).delta_prime
-    elif scheme == SCHEME_AUTO:
-        delta = min(delta_lap_exact(K, t), delta_improved_exact(K, t).delta_prime)
-    else:
-        raise ValueError(f"unknown scheme {scheme!r}")
     return (Fraction(1, 2) + delta / 6) * base
+
+
+def scheme_delta(K: int, t: int, scheme: str) -> Fraction:
+    """The unpaired fraction a scheme leaves, exact; at even t it is 0."""
+    if t % 2 == 0:
+        return Fraction(0)
+    if scheme == SCHEME_LAP:
+        return delta_lap_exact(K, t)
+    if scheme == SCHEME_IMPROVED:
+        return delta_improved_exact(K, t).delta_prime
+    if scheme == SCHEME_AUTO:
+        return min(delta_lap_exact(K, t), delta_improved_exact(K, t).delta_prime)
+    raise ValueError(f"unknown scheme {scheme!r}")
+
+
+def rate_theorem(K: int, t: int, scheme: str = SCHEME_IMPROVED) -> Fraction:
+    """Peak per-server rate of the three-server system under a scheme, exact."""
+    return three_server_rate(K, t, scheme_delta(K, t, scheme))
 
 
 @dataclass(frozen=True)

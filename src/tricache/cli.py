@@ -18,7 +18,7 @@ import sys
 from fractions import Fraction
 from math import comb
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 from . import analysis, delivery, mn
 from .mn import KIND_MN, KIND_PAIR, KIND_SINGLE, KIND_UNPAIRED, ORIGIN_SINGLE
@@ -83,13 +83,15 @@ def resolve_output(path: str | None) -> Path | None:
     return p
 
 
-def _write_text(path: Path | None, text: str) -> None:
+def _write_text(path: Path | None, pieces: Iterable[str]) -> None:
+    """Write the pieces in order to `path`, or to stdout for None."""
     if path is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
         return
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(text)
+        with path.open("w") as f:
+            f.writelines(pieces)
     except OSError as exc:
         raise SpecError(f"cannot write {path}: {exc}") from None
 
@@ -200,10 +202,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         text = json.dumps(report, sort_keys=True, indent=2) + "\n"
     else:
         text = _report_csv(report)
-    _write_text(resolve_output(args.output), text)
+    _write_text(resolve_output(args.output), [text])
 
     if args.plan_out:
-        _write_text(resolve_output(args.plan_out), "".join(_plan_lines(plan)))
+        _write_text(resolve_output(args.plan_out), _plan_lines(plan))
 
     return EXIT_OK if report["verified"] else EXIT_VERIFICATION
 
@@ -229,7 +231,9 @@ def _report_csv(report: dict) -> str:
 # ---------------------------------------------------------------------------
 # plan files
 
-def _plan_lines(plan: delivery.DeliveryPlan) -> list[str]:
+def _plan_lines(plan: delivery.DeliveryPlan) -> Iterator[str]:
+    """The plan file line by line, each line as json.dumps(record,
+    sort_keys=True) spells it, assembled from text made once per plan."""
     config = plan.config
     meta = {
         "kind": "meta",
@@ -240,44 +244,49 @@ def _plan_lines(plan: delivery.DeliveryPlan) -> list[str]:
         "scheme": plan.scheme,
         "demand": {str(u): [plan.demand.of(u)[0], plan.demand.of(u)[1]] for u in config.users},
     }
-    lines = [json.dumps(meta, sort_keys=True) + "\n"]
+    yield json.dumps(meta, sort_keys=True) + "\n"
     K, low = config.K, (1 << config.K) - 1
-    # each subset mask (payload term or index set) decoded to its users once per plan
+    # Text made once per plan: a spelling per subset mask (term or index set)
+    # and a '["A", 3, ' head per (server, file).  A term sorts by one int key,
+    # (server, file, rank of its user list) as PacketIds sort, whose high bits
+    # index its head and whose low bits its users.
     subsets = {p & low for bc in plan.broadcasts for p in bc.payload}
-    subsets.update(m for bc in plan.broadcasts for m in bc.index_sets)
-    users = {m: list(users_of(m)) for m in subsets}
+    users = {m: list(users_of(m))
+             for m in subsets.union(m for bc in plan.broadcasts for m in bc.index_sets)}
+    spell = {m: str(u) for m, u in users.items()}  # an int list's str is its JSON
+    ranked = sorted(subsets, key=users.__getitem__)
+    tails = [spell[m] + "]" for m in ranked]
+    bits = len(ranked).bit_length()
+    rank = {m: r for r, m in enumerate(ranked)}
+    files = sorted({p >> K for bc in plan.broadcasts for p in bc.payload},
+                   key=lambda f: (f & 1, f >> 1))  # f = file << 1 | server bit
+    code = {f: i << bits for i, f in enumerate(files)}
+    heads = [f'["{SERVER_B if f & 1 else SERVER_A}", {f >> 1}, ' for f in files]
+    low_bits = (1 << bits) - 1
     for bc in plan.broadcasts:
-        payload = sorted(  # by (server, file, users), the order PacketIds sort in
-            [SERVER_B if p >> K & 1 else SERVER_A, p >> (K + 1), users[p & low]] for p in bc.payload
-        )
-        record = {"kind": bc.kind, "origin": bc.origin, "payload": payload}
-        record.update(zip(delivery.GROUPS[bc.kind][0], map(users.__getitem__, bc.index_sets)))
-        lines.append(json.dumps(record, sort_keys=True) + "\n")
-    return lines
+        keys = sorted([code[p >> K] | rank[p & low] for p in bc.payload])
+        payload = ", ".join([heads[k >> bits] + tails[k & low_bits] for k in keys])
+        sets = ", ".join([f'"{f}": {spell[m]}'
+                          for f, m in zip(delivery.GROUPS[bc.kind][0], bc.index_sets)])
+        yield f'{{"kind": "{bc.kind}", "origin": "{bc.origin}", "payload": [{payload}], {sets}}}\n'
 
 
-def _subset_mask(users: Sequence, size: int, K: int, masks: dict | None) -> int | None:
+def _subset_mask(users: Sequence, size: int, K: int) -> int | None:
     """The mask of `size` strictly increasing users in 0..K-1; None for any
-    other list, which a mask would alias.  `masks` holds the tuples checked;
-    with masks None every tuple is checked afresh."""
+    other list, which a mask would alias."""
     users = tuple(users)
     if len(users) != size:
         return None
-    if masks is not None and users in masks:
-        return masks[users]
     valid = all(type(u) is int for u in users) and list(users) == sorted(set(users))
     if not (valid and 0 <= users[0] <= users[-1] < K):
         return None
-    mask = mask_of(users)
-    if masks is not None:
-        masks[users] = mask
-    return mask
+    return mask_of(users)
 
 
-def _packet_from_json(item: Sequence, config: SystemConfig, masks: dict | None) -> int:
+def _packet_from_json(item: Sequence, config: SystemConfig) -> int:
     """A payload triple as a packet int, refused unless it names a packet of the system."""
     server, idx, users = item
-    mask = _subset_mask(users, config.t, config.K, masks)
+    mask = _subset_mask(users, config.t, config.K)
     valid = mask is not None and server in (SERVER_A, SERVER_B) and type(idx) is int
     if not (valid and 1 <= idx <= config.N // 2):
         raise SpecError(
@@ -285,6 +294,35 @@ def _packet_from_json(item: Sequence, config: SystemConfig, masks: dict | None) 
             f"in 1..{config.N // 2} and {config.t} strictly increasing users in 0..{config.K - 1}"
         )
     return packet(server, idx, mask, config.K)
+
+
+def _checked_broadcast(record: dict, kind: str, config: SystemConfig) -> mn.Broadcast:
+    """A plan line's broadcast with every index set and payload term checked."""
+    size = config.t + 1
+    fields = delivery.GROUPS[kind][0]
+    index_sets = tuple(_subset_mask(record[f], size, config.K) for f in fields)
+    for f, m in zip(fields, index_sets):
+        if m is None:
+            raise SpecError(f"index set {record[f]} names no subset: it needs "
+                            f"{size} strictly increasing users in 0..{config.K - 1}")
+    origin = record["origin"]  # read first: a line lacking it and a term is refused for it
+    terms = [_packet_from_json(p, config) for p in record["payload"]]
+    return mn.Broadcast(origin, index_sets, xor_sum(terms), kind)
+
+
+class _CheckedSubsets(dict):
+    """Memo from user tuples of one size to their masks.  A tuple seen first
+    is checked by _subset_mask and enters, or raises KeyError."""
+
+    def __init__(self, size: int, K: int) -> None:
+        self.size, self.K = size, K
+
+    def __missing__(self, users: tuple) -> int:
+        mask = _subset_mask(users, self.size, self.K)
+        if mask is None:
+            raise KeyError(users)
+        self[users] = mask
+        return mask
 
 
 # Plan numbers are ints.  A JSON float stays its text, which equals no int, so
@@ -316,32 +354,34 @@ def load_plan(path: Path) -> delivery.DeliveryPlan:
         )
         broadcasts = []
         seen: set[tuple] = set()
-        masks: dict[tuple, int] = {}
-        size = config.t + 1
+        # Memos: the packet base of each file the meta line demands and of its
+        # twin, and the checked t-user tuples of terms and (t+1)-user index sets.
+        bases = {(s, i): packet(s, i, 0, config.K)
+                 for _, i in demand.requests for s in (SERVER_A, SERVER_B)}
+        term_masks = _CheckedSubsets(config.t, config.K)
+        set_masks = _CheckedSubsets(config.t + 1, config.K)
         for line in lines:
             record = _PLAN_DECODER.decode(line)
-            # JSON true/false decode to bools, which equal 1 and 0 and so would
-            # hit the memo of checked user tuples: such a line skips the memo.
-            memo = masks if "true" not in line and "false" not in line else None
             kind = record.get("kind")
             if kind not in delivery.GROUPS:
                 raise SpecError(f"unknown plan line kind {kind!r}")
-            fields = delivery.GROUPS[kind][0]
-            index_sets = tuple(_subset_mask(record[f], size, config.K, memo) for f in fields)
-            for f, m in zip(fields, index_sets):
-                if m is None:
-                    raise SpecError(f"index set {record[f]} names no subset: it needs "
-                                    f"{size} strictly increasing users in 0..{config.K - 1}")
-            bc = mn.Broadcast(
-                record["origin"],
-                index_sets,
-                xor_sum([_packet_from_json(p, config, memo) for p in record["payload"]]),
-                kind,
-            )
-            key = (kind, bc.origin, index_sets)
+            # JSON true/false decode to bools, which equal 1 and 0 and so would
+            # hit the memos: such a line is checked in full.  So is one that a
+            # memo refuses or that has the wrong shape, for the checks' message.
+            if "true" in line or "false" in line:
+                bc = _checked_broadcast(record, kind, config)
+            else:
+                try:  # one memo lookup per index set, two per payload term
+                    index_sets = tuple([set_masks[tuple(record[f])]
+                                        for f in delivery.GROUPS[kind][0]])
+                    terms = [bases[s, i] | term_masks[tuple(u)] for s, i, u in record["payload"]]
+                    bc = mn.Broadcast(record["origin"], index_sets, xor_sum(terms), kind)
+                except (KeyError, TypeError, ValueError):
+                    bc = _checked_broadcast(record, kind, config)
+            key = (kind, bc.origin, bc.index_sets)
             if key in seen:
                 raise SpecError(
-                    f"duplicate {kind} line from {bc.origin} for {delivery.user_lists(index_sets)}"
+                    f"duplicate {kind} line from {bc.origin} for {delivery.user_lists(bc.index_sets)}"
                 )
             seen.add(key)
             broadcasts.append(bc)
@@ -351,12 +391,8 @@ def load_plan(path: Path) -> delivery.DeliveryPlan:
             f"plan file has {len(broadcasts)} broadcast lines, fewer than half of "
             f"the C({config.K}, {config.t + 1}) = {sets} sets it must serve"
         )
-    return delivery.DeliveryPlan(
-        config=config,
-        demand=demand,
-        scheme=scheme,
-        broadcasts=tuple(broadcasts),
-    )
+    return delivery.DeliveryPlan(config=config, demand=demand, scheme=scheme,
+                                 broadcasts=tuple(broadcasts))
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -438,7 +474,7 @@ def cmd_curves(args: argparse.Namespace) -> int:
     if not rows:
         print("no admissible grid points", file=sys.stderr)
         return EXIT_INVALID
-    _write_text(resolve_output(args.output), _curve_csv(rows))
+    _write_text(resolve_output(args.output), [_curve_csv(rows)])
     return EXIT_OK
 
 

@@ -22,7 +22,7 @@ from fractions import Fraction
 from math import comb
 from typing import Iterable
 
-from .analysis import delta_improved_exact, delta_lap_exact, mn_rate_formula
+from .analysis import mn_rate_formula, scheme_delta, three_server_rate
 from .mn import (
     KIND_MN,
     KIND_PAIR,
@@ -323,22 +323,12 @@ def measure_rate(plan: DeliveryPlan) -> RateReport:
     F = config.packets_per_file
     rate = Fraction(max(loads.values()), F)
     groups = group_counts(plan)
-    base = mn_rate_formula(config.K, t)
-    delta: Fraction | None = None
-    delta_formula: Fraction | None = None
-    if mn:
-        formula = base
-    else:
+    delta = delta_formula = None
+    formula = mn_rate_formula(config.K, t)
+    if not mn:
         delta = Fraction(groups[KIND_UNPAIRED], comb(config.K, t + 1))
-        if t % 2 == 0:
-            delta_formula = Fraction(0)
-            formula = base / 2
-        else:
-            if plan.scheme == SCHEME_LAP:
-                delta_formula = delta_lap_exact(config.K, t)
-            else:
-                delta_formula = delta_improved_exact(config.K, t).delta_prime
-            formula = (Fraction(1, 2) + delta / 6) * base
+        delta_formula = scheme_delta(config.K, t, plan.scheme)
+        formula = three_server_rate(config.K, t, delta)
     return RateReport(
         loads=loads,
         packets_per_file=F,

@@ -12,8 +12,7 @@ One bit-sliced peel serves all users at once (a payload with one term a user
 does not know yields that term to the user) and settles every packet of a
 well-formed plan in a few sweeps over the rows.  Only a user left with an
 unknown target runs Gaussian elimination, over the packets it does not know
-after the peel.  `user_can_decode` runs the same peel and elimination for
-one cache.
+after the peel.
 
 Verification returns structured reports instead of raising; failures are data.
 """
@@ -21,7 +20,7 @@ Verification returns structured reports instead of raising; failures are data.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Collection, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .gf2 import GF2Basis
 from .system import (
@@ -193,21 +192,6 @@ def _eliminate(
         i is not None and (known_by[i] & bit != 0 or basis.contains(1 << col[i]))
         for i in targets
     ]
-
-
-def user_can_decode(
-    cache: Collection[int],
-    broadcasts: Iterable[Broadcast],
-    target: int,
-) -> bool:
-    """Exact decodability: is the target's unit vector in the GF(2) span of the
-    cached unit vectors plus the received payload vectors?"""
-    if target in cache:
-        return True
-    ids, rows = _intern(broadcasts)
-    known_by = [int(p in cache) for p in ids]
-    _peel(rows, known_by, 1)
-    return _eliminate(rows, known_by, 0, [ids.get(target)])[0]
 
 
 @dataclass(frozen=True)

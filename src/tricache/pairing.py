@@ -350,29 +350,6 @@ def single_layer_weights(config: SystemConfig) -> tuple[int, ...]:
     return tuple(w for w in extremes if w not in middle_weights(t))
 
 
-def build_graphs(config: SystemConfig, scheme: str) -> list[PairGraph]:
-    """Every pairing graph the scheme uses (outer layer pairs plus the middle
-    construction for odd t).  The middle graphs come from middle_pairing,
-    which matches them and resolves 'auto'."""
-    if not config.is_symmetric:
-        raise ValueError("pairing requires a symmetric user partition")
-    layers = build_layers(config)
-    graphs = outer_graphs(config, layers)
-    if config.t % 2 == 1:
-        graphs.extend(middle_pairing(config, scheme, layers).graphs)
-    return graphs
-
-
-def _middle_graphs_for(
-    config: SystemConfig, layers: Sequence[Layer], scheme: str
-) -> list[PairGraph]:
-    if scheme == SCHEME_LAP:
-        return [lap_middle_graph(config, layers)]
-    if scheme == SCHEME_IMPROVED:
-        return improved_middle_graphs(config, layers)
-    raise ValueError(f"unknown scheme {scheme!r}")
-
-
 # ---------------------------------------------------------------------------
 # maximum matching
 
@@ -401,14 +378,17 @@ def _hopcroft_karp(adj: list[list[int]], ny: int) -> tuple[list[int], list[int]]
     nx = len(adj)
     match_x = [-1] * nx
     match_y = [-1] * ny
+    matched = 0
     for x in range(nx):
         for y in adj[x]:
             if match_y[y] == -1:
                 match_x[x] = y
                 match_y[y] = x
+                matched += 1
                 break
     infinity = nx + ny + 1
-    while True:
+    # Once the smaller side is matched, no phase can find an augmenting path.
+    while matched < min(nx, ny):
         # BFS layers from free x-vertices.
         dist = [-1] * nx
         queue = [x for x in range(nx) if match_x[x] == -1]
@@ -447,6 +427,7 @@ def _hopcroft_karp(adj: list[list[int]], ny: int) -> tuple[list[int], list[int]]
                             match_x[fx] = cur
                             match_y[cur] = fx
                             cur = fy
+                        matched += 1
                         stack = []
                         advanced = True
                         break
@@ -513,13 +494,16 @@ def middle_pairing(
         lap = middle_pairing(config, SCHEME_LAP, layers)
         improved = middle_pairing(config, SCHEME_IMPROVED, layers)
         return improved if len(improved.unmatched) < len(lap.unmatched) else lap
-    graphs = _middle_graphs_for(config, layers, scheme)
+    if scheme == SCHEME_LAP:
+        graphs = [lap_middle_graph(config, layers)]
+    elif scheme == SCHEME_IMPROVED:
+        graphs = improved_middle_graphs(config, layers)
+    else:
+        raise ValueError(f"unknown scheme {scheme!r}")
     matchings = match_graphs(graphs)
     matched = {s for m in matchings for pair in m for s in pair}
-    middle_members: list[int] = []
-    for w in middle_weights(config.t):
-        middle_members.extend(layers[w].members)
-    unmatched = tuple(sorted(m for m in middle_members if m not in matched))
+    middle = (m for w in middle_weights(config.t) for m in layers[w].members)
+    unmatched = tuple(sorted(m for m in middle if m not in matched))
     return MiddlePairing(
         scheme=scheme,
         graphs=tuple(graphs),

@@ -1,9 +1,19 @@
 import enum
-from typing import Iterable, NamedTuple, Sequence
+import json
+from typing import Collection, Iterable, NamedTuple, Sequence
 
+from tricache import delivery, mn
 from tricache.analysis import binom
-from tricache.pairing import is_effective_pair, layer_weight, orient_pair
-from tricache.system import mask_of, packet
+from tricache.pairing import (
+    PairGraph,
+    build_layers,
+    is_effective_pair,
+    layer_weight,
+    middle_pairing,
+    orient_pair,
+    outer_graphs,
+)
+from tricache.system import SERVER_A, SERVER_B, SystemConfig, mask_of, packet, users_of
 
 
 def mask(*users: int) -> int:
@@ -13,6 +23,58 @@ def mask(*users: int) -> int:
 def pkt(server, file_index, users, K) -> int:
     """The packet int of a segment given as server, file index and user ids."""
     return packet(server, file_index, mask_of(users), K)
+
+
+def build_graphs(config: SystemConfig, scheme: str) -> list[PairGraph]:
+    """Every pairing graph the scheme uses (outer layer pairs plus the middle
+    construction for odd t).  The middle graphs come from middle_pairing,
+    which matches them and resolves 'auto'."""
+    if not config.is_symmetric:
+        raise ValueError("pairing requires a symmetric user partition")
+    layers = build_layers(config)
+    graphs = outer_graphs(config, layers)
+    if config.t % 2 == 1:
+        graphs.extend(middle_pairing(config, scheme, layers).graphs)
+    return graphs
+
+
+def user_can_decode(cache: Collection[int], broadcasts: Iterable[mn.Broadcast], target: int) -> bool:
+    """Exact decodability for one cache: is the target's unit vector in the
+    GF(2) span of the cached unit vectors plus the received payload vectors?
+    It runs the decoder's peel and elimination with one user."""
+    if target in cache:
+        return True
+    ids, rows = mn._intern(broadcasts)
+    known_by = [int(p in cache) for p in ids]
+    mn._peel(rows, known_by, 1)
+    return mn._eliminate(rows, known_by, 0, [ids.get(target)])[0]
+
+
+def reference_plan_lines(plan) -> list[str]:
+    """Oracle: the plan file as json.dumps spells each record, with payload
+    terms sorted as [server, file, users] lists."""
+    config = plan.config
+    meta = {
+        "kind": "meta",
+        "K": config.K,
+        "M": f"{config.M.numerator}/{config.M.denominator}",
+        "N": config.N,
+        "t": config.t,
+        "scheme": plan.scheme,
+        "demand": {str(u): list(plan.demand.of(u)) for u in config.users},
+    }
+    lines = [json.dumps(meta, sort_keys=True) + "\n"]
+    K, low = config.K, (1 << config.K) - 1
+    for bc in plan.broadcasts:
+        payload = sorted(
+            [SERVER_B if p >> K & 1 else SERVER_A, p >> (K + 1), list(users_of(p & low))]
+            for p in bc.payload
+        )
+        record = {"kind": bc.kind, "origin": bc.origin, "payload": payload}
+        fields = delivery.GROUPS[bc.kind][0]
+        record.update((f, list(users_of(m))) for f, m in zip(fields, bc.index_sets))
+        lines.append(json.dumps(record, sort_keys=True) + "\n")
+    return lines
 
 
 def class_members(config, layers, w, has_a1, has_b1):

@@ -2,19 +2,25 @@
 
 import contextlib
 import dataclasses
+import hashlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import tricache
+from tricache import cli, delivery
 from tricache.cli import load_plan, main
+from tricache.system import build_config, random_demand, worst_demand
 
+from conftest import reference_plan_lines
 from test_mn import elimination_oracle
 
 
@@ -255,7 +261,9 @@ def test_verify_survives_foreign_user_ids_in_payload(tmp_path, capsys, bad_subse
     ["C", 1, [0, 1, 2]],
     ["A", 0, [0, 1, 2]],
     ["A", 4, [0, 1, 2]],
-], ids=["unsorted", "repeated", "wrong-size", "server-C", "file-0", "file-past-half"])
+    ["A", 1, [[0], 1, 2]],
+], ids=["unsorted", "repeated", "wrong-size", "server-C", "file-0", "file-past-half",
+        "nested-user"])
 def test_verify_rejects_payload_terms_naming_no_packet(tmp_path, capsys, term):
     # K=6, t=3, N=6: a term needs server A or B, a file in 1..3 and three
     # strictly increasing users; anything else would alias a real packet
@@ -284,7 +292,8 @@ def test_verify_rejects_payload_terms_naming_no_packet(tmp_path, capsys, term):
     [0, 1, 2, 6],
     [-1, 0, 1, 2],
     [0, 1, 2, 4000000000],
-], ids=["unsorted", "repeated", "short", "user-K", "negative", "huge"])
+    [[0], 1, 2, 3],
+], ids=["unsorted", "repeated", "short", "user-K", "negative", "huge", "nested-user"])
 def test_verify_rejects_index_sets_naming_no_subset(tmp_path, capsys, index_set):
     # K=6, t=3: an index set needs four strictly increasing users in 0..5;
     # anything else names no subset, so it is invalid input, not an audit failure
@@ -472,8 +481,10 @@ def test_mn_plan_roundtrip_and_dropped_line(tmp_path, capsys):
     ["simulate", "--K", "6", "--lambda", "1/2", "--output", "{dir}"],
     ["simulate", "--K", "6", "--lambda", "1/2", "--output", "{dir}/r.json",
      "--plan-out", "{dir}"],
+    ["simulate", "--K", "6", "--lambda", "1/2", "--output", "{dir}/r.json",
+     "--plan-out", "{dir}/r.json/plan.jsonl"],
     ["curves", "--K", "14", "--lambdas", "1/2", "--output", "{dir}"],
-], ids=["simulate-output", "simulate-plan-out", "curves-output"])
+], ids=["simulate-output", "simulate-plan-out", "simulate-plan-out-under-file", "curves-output"])
 def test_unwritable_output_path_is_invalid_input(tmp_path, capsys, argv):
     code, _, err = run([a.format(dir=tmp_path) for a in argv], capsys)
     assert code == 2
@@ -573,3 +584,84 @@ def test_plan_line_mutations_fail_verify(exported_plans, data):
     if mutation == "term" and code == 0:
         plan = load_plan(path)
         assert elimination_oracle(plan.config, plan.demand, plan.broadcasts).all_ok
+
+
+# (K, M, N): odd and even t, and N = 4K so that file indices reach two digits
+WRITER_SYSTEMS = [(6, 3, 6), (6, 12, 24), (8, 3, 8), (8, 4, 8), (10, 5, 10), (10, 12, 40)]
+
+
+@pytest.mark.parametrize("scheme", ["lap", "improved", "auto", "mn"])
+@pytest.mark.parametrize("K, M, N", WRITER_SYSTEMS)
+def test_plan_lines_equal_json_dumps_reference(K, M, N, scheme):
+    config = build_config(K, M, N)
+    for demand in (worst_demand(config), random_demand(config, random.Random(K + M))):
+        plan = delivery.build_plan(config, demand, scheme)
+        assert list(cli._plan_lines(plan)) == reference_plan_lines(plan)
+
+
+@pytest.mark.parametrize("scheme, digest", [
+    ("improved", "e1cab506b2942d8415cdb6ffd9a8cc08adf5bab67df6ba4fbf1568a8cf803127"),
+    ("lap", "cc5737eef8c828d67625bee52594c3364dd02669733eebb7ddf0f07334024575"),
+])
+def test_plan_file_with_two_digit_file_indices(tmp_path, capsys, scheme, digest):
+    # users ask for files 4, 9 and 10 of A, so terms of file 10 must sort after 9
+    path = tmp_path / "plan.jsonl"
+    code, _, _ = run(
+        ["simulate", "--K", "6", "--M", "12", "--N", "24", "--demand", "random", "--seed", "3",
+         "--scheme", scheme, "--output", str(tmp_path / "r.json"), "--plan-out", str(path)],
+        capsys,
+    )
+    assert code == 0
+    assert '["A", 9, [' in path.read_text() and '["A", 10, [' in path.read_text()
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+def test_plan_out_dash_prints_the_file_bytes(tmp_path, capsysbinary):
+    argv = ["simulate", "--K", "8", "--lambda", "3/8", "--scheme", "improved",
+            "--output", str(tmp_path / "r.json"), "--plan-out"]
+    path = tmp_path / "plan.jsonl"
+    assert main(argv + [str(path)]) == 0
+    capsysbinary.readouterr()
+    assert main(argv + ["-"]) == 0
+    out, _ = capsysbinary.readouterr()
+    assert out == path.read_bytes()
+
+
+def test_payload_term_with_the_users_of_an_index_set_names_no_packet(tmp_path, capsys):
+    # index sets and terms are memoised apart: a term naming t+1 users that an
+    # earlier line's index set named must not pass as a packet
+    records = _k6_records(tmp_path)
+    first = records[1]
+    index_set = first[delivery.GROUPS[first["kind"]][0][0]]
+    last = next(r for r in reversed(records) if r["payload"])
+    code, out, err = _verify_with(tmp_path, capsys, records, last["payload"][0], 2, index_set)
+    assert code == 2
+    assert "payload term" in err and "names no packet" in err
+    assert "Traceback" not in err and "plan ok" not in out
+
+
+def test_memo_hits_and_misses_load_as_the_checked_path(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "plan.jsonl"
+    argv = ["simulate", "--K", "8", "--M", "6", "--N", "16", "--demand", "random", "--seed", "1",
+            "--scheme", "improved", "--output", str(tmp_path / "r.json"), "--plan-out", str(path)]
+    assert run(argv, capsys)[0] == 0
+    records = [json.loads(line) for line in path.read_text().splitlines()]
+    demanded = {i for _, i in records[0]["demand"].values()}
+    idle = next(i for i in range(1, 9) if i not in demanded)
+    # A boolean sends one line down the checked path; a term of a file no user
+    # asks for, on either server, misses the memo of packet bases on another
+    records[5]["note"] = True
+    seen_users = records[1]["payload"][0][2]
+    records[9]["payload"].append(["A", idle, seen_users])
+    path.write_text("".join(json.dumps(r, sort_keys=True) + "\n" for r in records))
+
+    checked = []
+    real = cli._checked_broadcast
+    monkeypatch.setattr(cli, "_checked_broadcast",
+                        lambda record, *args: checked.append(record) or real(record, *args))
+    plan = load_plan(path)
+    assert checked == [records[5], records[9]]
+    monkeypatch.undo()
+    assert plan.broadcasts == tuple(
+        cli._checked_broadcast(r, r["kind"], plan.config) for r in records[1:]
+    )

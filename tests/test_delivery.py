@@ -21,7 +21,6 @@ from tricache.delivery import (
 from tricache.mn import (
     ORIGIN_P,
     origin_violations,
-    user_can_decode,
     verify_full_recovery,
 )
 from tricache.pairing import SCHEME_IMPROVED, SCHEME_LAP
@@ -34,7 +33,7 @@ from tricache.system import (
     xor_sum,
 )
 
-from conftest import mask, pkt
+from conftest import mask, pkt, user_can_decode
 
 
 def mn_signal(config, demand, subset_mask):

@@ -19,7 +19,6 @@ from tricache.mn import (
     RecoveryReport,
     UserRecovery,
     mn_delivery,
-    user_can_decode,
     verify_full_recovery,
 )
 from tricache.system import (
@@ -33,7 +32,7 @@ from tricache.system import (
     worst_demand,
 )
 
-from conftest import pkt
+from conftest import pkt, user_can_decode
 
 
 def test_broadcast_count_k4():

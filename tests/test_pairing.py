@@ -10,7 +10,6 @@ from tricache.pairing import (
     SCHEME_AUTO,
     SCHEME_IMPROVED,
     SCHEME_LAP,
-    build_graphs,
     build_pair_graph,
     build_layers,
     check_saturation,
@@ -29,6 +28,7 @@ from tricache.system import build_config, subset_masks
 
 from conftest import (
     Depth,
+    build_graphs,
     class_members,
     exhaustive_max_matching_size,
     four_way_class_size,
