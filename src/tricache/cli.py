@@ -136,17 +136,23 @@ def _demand_from_args(args: argparse.Namespace, config: SystemConfig) -> Demand:
             raise SpecError(f"cannot read --demand-file: {exc}") from None
         except ValueError as exc:
             raise SpecError(f"--demand-file is not JSON: {exc}") from None
-        try:
-            mapping = {int(k): (v[0], int(v[1])) for k, v in raw.items()}
-        except (AttributeError, IndexError, TypeError, ValueError):
-            raise SpecError(
-                "--demand-file must map every user to [server, file index]"
-            ) from None
-        try:
-            return demand_from_mapping(config, mapping)
-        except ValueError as exc:
-            raise SpecError(str(exc)) from None
+        return _demand_from_json(config, raw)
     raise SpecError(f"unknown demand source {args.demand!r}")
+
+
+def _demand_from_json(config: SystemConfig, raw) -> Demand:
+    """The demand a JSON object spells, user id text -> [server, file index].
+    Two keys that name one user, such as "3" and "03", are refused."""
+    try:
+        mapping = {int(k): (server, idx) for k, (server, idx) in raw.items()}
+    except (AttributeError, TypeError, ValueError):
+        raise SpecError("demand must map every user to [server, file index]") from None
+    if len(mapping) != len(raw):
+        raise SpecError("demand names a user under two keys")
+    try:
+        return demand_from_mapping(config, mapping)
+    except ValueError as exc:
+        raise SpecError(str(exc)) from None
 
 
 def _rational_fields(value: Fraction | None) -> dict | None:
@@ -349,9 +355,7 @@ def load_plan(path: Path) -> delivery.DeliveryPlan:
         if scheme not in SCHEMES:
             raise SpecError(f"unknown plan scheme {scheme!r}")
         config = build_config(int(meta["K"]), Fraction(meta["M"]), int(meta["N"]))
-        demand = demand_from_mapping(
-            config, {int(u): (v[0], int(v[1])) for u, v in meta["demand"].items()}
-        )
+        demand = _demand_from_json(config, meta["demand"])
         broadcasts = []
         seen: set[tuple] = set()
         # Memos: the packet base of each file the meta line demands and of its

@@ -188,8 +188,6 @@ def build_plan(config: SystemConfig, demand: Demand, scheme: str) -> DeliveryPla
     """
     if scheme == SCHEME_MN:
         return DeliveryPlan(config, demand, SCHEME_MN, tuple(mn_delivery(config, demand)))
-    if not config.is_symmetric:
-        raise ValueError("three-server delivery requires a symmetric partition")
     if not demand.is_symmetric(config):
         raise ValueError("three-server delivery requires a symmetric demand")
     layers = build_layers(config)

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from math import comb
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .system import SystemConfig, subset_masks
 
@@ -101,23 +101,42 @@ def middle_weights(t: int) -> tuple[int, int, int]:
 
 @dataclass(frozen=True)
 class Layer:
-    """All (t+1)-subsets with exactly w users on the A side, in colex order."""
+    """A block of (t+1)-subsets with w users on the A side: every a | b for a
+    in parts_a and b in parts_b, both lists in colex order.  A-side users
+    hold the low bits, so members, the block in colex order, is B-part
+    major: members[j * len(parts_a) + i] == parts_a[i] | parts_b[j].
+    build_layers gives whole layers; restrict gives sub-blocks of them.
+    """
 
     w: int
+    parts_a: tuple[int, ...]
+    parts_b: tuple[int, ...]
     members: tuple[int, ...]
+
+    def restrict(self, keep_a: Callable[[int], bool], keep_b: Callable[[int], bool]) -> Layer:
+        """The sub-block of the kept A-parts times the kept B-parts.  Its
+        members are this block's int objects, not copies."""
+        ranks_a = [i for i, a in enumerate(self.parts_a) if keep_a(a)]
+        ranks_b = [j for j, b in enumerate(self.parts_b) if keep_b(b)]
+        n, members = len(self.parts_a), self.members
+        return Layer(
+            w=self.w,
+            parts_a=tuple(self.parts_a[i] for i in ranks_a),
+            parts_b=tuple(self.parts_b[j] for j in ranks_b),
+            members=tuple([members[base + i] for base in [j * n for j in ranks_b] for i in ranks_a]),
+        )
 
 
 def build_layers(config: SystemConfig) -> list[Layer]:
-    """Layers 0 .. t+1; requires a symmetric user partition."""
-    if not config.is_symmetric:
-        raise ValueError("layer construction needs |users_a| == |users_b|")
+    """Layers 0 .. t+1: layer w is every w-subset of the A-side users times
+    every (t+1-w)-subset of the B-side users."""
     t = config.t
     layers = []
     for w in range(t + 2):
-        bmasks = subset_masks(config.users_b, t + 1 - w)
-        members = [amask | bmask for amask in subset_masks(config.users_a, w) for bmask in bmasks]
-        members.sort()
-        layers.append(Layer(w=w, members=tuple(members)))
+        parts_a = tuple(subset_masks(config.users_a, w))
+        parts_b = tuple(subset_masks(config.users_b, t + 1 - w))
+        members = tuple([a | b for b in parts_b for a in parts_a])
+        layers.append(Layer(w=w, parts_a=parts_a, parts_b=parts_b, members=members))
     return layers
 
 
@@ -175,124 +194,88 @@ class PairGraph:
 
 
 def build_pair_graph(
-    config: SystemConfig, label: str, x_members: Sequence[int], y_members: Sequence[int]
+    config: SystemConfig, label: str, x_blocks: Sequence[Layer], y_blocks: Sequence[Layer]
 ) -> PairGraph:
     """Materialise adjacency from the product structure of the pairing predicate.
 
-    Members of different A-weight pair exactly when the lighter one's A-part
-    lies inside the heavier one's and the heavier one's B-part inside the
-    lighter one's, so between two blocks of fixed A-weight the graph is the
-    product of an A-part and a B-part containment graph.  Each side is
-    split into such blocks.  A y block's product hull lists its A-parts x
-    B-parts, B-part major.  Once per y block, every distinct x A-part gets
-    the ascending ranks of the y A-parts it relates to, and every x B-part
-    the hull segments (one slice per B-part, indexed by A-rank) of the y
-    B-parts it relates to; a row is one segment entry per pair of the two.
-    When y is one block equal to its hull in colex order, hull positions
-    are y-indices and rows come out ascending; otherwise a position list
-    maps the hull to y-indices (-1 off y) and each row is filtered and
-    sorted.  y degrees come from per-factor counts for every x block that
-    is a full product and from its rows for any other.
+    Each side is given as disjoint blocks (see Layer).  Members of different
+    A-weight pair exactly when the lighter one's A-part lies inside the
+    heavier one's and the heavier one's B-part inside the lighter one's, so
+    between two blocks the graph is the product of an A-part and a B-part
+    containment graph; equal A-weights never pair.  The hull of y is its
+    blocks' members one after another.  Per pair of an x and a y block,
+    every x A-part gets the ascending ranks of the y A-parts it relates to,
+    and every x B-part the hull segments (one slice per y B-part, indexed
+    by A-rank) of the y B-parts it relates to; a row is one segment entry
+    per pair of the two.  With one y block the hull is y and rows come out
+    ascending; with several, a position list maps the hull to y-indices and
+    each row is sorted.  y degrees come from the per-factor counts.
 
     The result equals an all-pairs scan with is_effective_pair.
     """
-    x = tuple(sorted(x_members))
-    y = tuple(sorted(y_members))
-    mask_a, mask_b = config.mask_a, config.mask_b
-    blocks = _blocks(y, mask_a, mask_b)
-    direct = len(blocks) == 1 and blocks[0][3]
-    y_blocks = []  # (A-weight, A-parts, B-parts, start in the hull)
-    hull = 0
-    for w, parts_a, parts_b, _ in blocks:
-        y_blocks.append((w, parts_a, parts_b, hull))
-        hull += len(parts_a) * len(parts_b)
-    # hull position -> y-index, -1 where the hull has no member
-    if direct:
-        slots = list(range(len(y)))
-    else:
-        # parts of different blocks differ in size, so one dict per side serves all
-        rank_a: dict[int, int] = {}
-        rank_b: dict[int, int] = {}
-        for _, parts_a, parts_b, start in y_blocks:
-            rank_a.update(zip(parts_a, range(len(parts_a))))
-            rank_b.update(zip(parts_b, range(start, hull, len(parts_a))))
-        where = [rank_b[m & mask_b] + rank_a[m & mask_a] for m in y]
-        slots = [-1] * hull
-        for j, h in enumerate(where):
+    x, x_order = _merged(x_blocks)
+    y, y_order = _merged(y_blocks)
+    # hull position -> y-index
+    slots = list(range(len(y)))
+    if y_order is not None:
+        for j, h in enumerate(y_order):
             slots[h] = j
-    # per y block: x A-part -> related y A-ranks, x B-part -> the hull segments
-    # (slot lists indexed by A-rank) of its related y B-parts
-    rels: list[tuple[dict, dict]] = [({}, {}) for _ in y_blocks]
-    hull_degrees = [0] * hull
-    counted = set()  # A-weights of x blocks whose y degrees are counted from rows
-    for wx, parts_a, parts_b, full in _blocks(x, mask_a, mask_b):
-        if not full:
-            counted.add(wx)
-        for (wy, y_parts_a, y_parts_b, start), (nbrs_a, nbrs_b) in zip(y_blocks, rels):
-            if wy == wx:  # equal A-weights never pair
-                nbrs_a.update(dict.fromkeys(parts_a, ()))
-                nbrs_b.update(dict.fromkeys(parts_b, ()))
-                continue
-            n_a = len(y_parts_a)
-            segments = [slots[i:i + n_a] for i in range(start, start + n_a * len(y_parts_b), n_a)]
-            rel_a = _related(parts_a, y_parts_a, wx < wy)
-            rel_b = _related(parts_b, y_parts_b, wx > wy)
-            nbrs_a.update(rel_a)
-            nbrs_b.update({p: [segments[r] for r in ranks] for p, ranks in rel_b.items()})
-            if full:
-                count_a = Counter(chain.from_iterable(rel_a.values()))
-                for r, n in Counter(chain.from_iterable(rel_b.values())).items():
+    hull_degrees = [0] * len(slots)
+    rows = []
+    for xb in x_blocks:
+        rels = []  # per related y block: y A-ranks per x A-part, y segments per x B-part
+        start = 0
+        for yb in y_blocks:
+            n_a = len(yb.parts_a)
+            size = n_a * len(yb.parts_b)
+            if size and xb.w != yb.w:
+                segments = [slots[i:i + n_a] for i in range(start, start + size, n_a)]
+                rel_a = _related(xb.parts_a, yb.parts_a, xb.w < yb.w)
+                rel_b = _related(xb.parts_b, yb.parts_b, xb.w > yb.w)
+                rels.append((rel_a, [[segments[r] for r in ranks] for ranks in rel_b]))
+                count_a = Counter(chain.from_iterable(rel_a))
+                for r, n in Counter(chain.from_iterable(rel_b)).items():
                     base = start + r * n_a
                     for p, k in count_a.items():
                         hull_degrees[base + p] += n * k
-    # Rows reuse the slots' int objects, so edges hold no int of their own.
-    if direct:
-        (nbrs_a, nbrs_b), = rels
-        nbrs = [[seg[p] for seg in nbrs_b[m & mask_b] for p in nbrs_a[m & mask_a]] for m in x]
-    else:
-        nbrs = [
-            sorted([j for nbrs_a, nbrs_b in rels for seg in nbrs_b[m & mask_b]
-                    for p in nbrs_a[m & mask_a] if (j := seg[p]) >= 0])
-            for m in x
-        ]
-    y_counts = hull_degrees if direct else [hull_degrees[h] for h in where]
-    if counted:
-        for m, row in zip(x, nbrs):
-            if (m & mask_a).bit_count() in counted:
-                for j in row:
-                    y_counts[j] += 1
+            start += size
+        # Rows in member order, B-part major; they reuse the slots' int
+        # objects, so edges hold no int of their own.
+        if len(y_blocks) == 1 and rels:
+            (ranks_a, segs_b), = rels
+            rows += [[seg[p] for seg in segs for p in ranks] for segs in segs_b for ranks in ranks_a]
+        else:
+            rows += [
+                sorted([seg[p] for ranks_a, segs_b in rels for seg in segs_b[j] for p in ranks_a[i]])
+                for j in range(len(xb.parts_b)) for i in range(len(xb.parts_a))
+            ]
     return PairGraph(
         config=config,
         label=label,
         x=x,
         y=y,
-        nbrs=nbrs,
-        x_degrees=frozenset(map(len, nbrs)),
-        y_degrees=frozenset(y_counts),
+        nbrs=rows if x_order is None else [rows[h] for h in x_order],
+        x_degrees=frozenset(map(len, rows)),
+        y_degrees=frozenset(hull_degrees),
     )
 
 
-def _blocks(side: Sequence[int], mask_a: int, mask_b: int) -> list[tuple[int, list, list, bool]]:
-    """A colex-ordered side split by A-weight.  Per block: the weight, the
-    distinct A-parts and B-parts in colex order, and whether the block is
-    exactly their product in colex order, B-part major."""
-    groups: dict[int, list[int]] = {}
-    for m in side:
-        groups.setdefault((m & mask_a).bit_count(), []).append(m)
-    blocks = []
-    for w, members in groups.items():
-        parts_a = sorted({m & mask_a for m in members})
-        parts_b = sorted({m & mask_b for m in members})
-        blocks.append((w, parts_a, parts_b, members == [a | b for b in parts_b for a in parts_a]))
-    return blocks
+def _merged(blocks: Sequence[Layer]) -> tuple[tuple[int, ...], list[int] | None]:
+    """A side's members in colex order, and the hull positions in that order
+    (None when the side is one block, whose members are already in order)."""
+    if len(blocks) == 1:
+        return blocks[0].members, None
+    hull = [m for block in blocks for m in block.members]
+    order = sorted(range(len(hull)), key=hull.__getitem__)
+    return tuple([hull[h] for h in order]), order
 
 
-def _related(parts: list[int], others: list[int], inside: bool) -> dict[int, list[int]]:
+def _related(parts: Sequence[int], others: Sequence[int], inside: bool) -> list[list[int]]:
     """For each part, the ascending ranks of the others that it lies inside
     (inside=True) or that lie inside it."""
     if inside:
-        return {p: [r for r, q in enumerate(others) if not p & ~q] for p in parts}
-    return {p: [r for r, q in enumerate(others) if not q & ~p] for p in parts}
+        return [[r for r, q in enumerate(others) if not p & ~q] for p in parts]
+    return [[r for r, q in enumerate(others) if not q & ~p] for p in parts]
 
 
 # ---------------------------------------------------------------------------
@@ -302,23 +285,15 @@ def outer_graphs(config: SystemConfig, layers: Sequence[Layer]) -> list[PairGrap
     """Perfectly pairable layer graphs (V_w, V_{t+1-w}) outside the middle band."""
     t = config.t
     top = (t - 3) // 2 if t % 2 else t // 2
-    out = []
-    for w in range(1, top + 1):
-        out.append(
-            build_pair_graph(
-                config,
-                f"layers-{w}x{t + 1 - w}",
-                layers[w].members,
-                layers[t + 1 - w].members,
-            )
-        )
-    return out
+    return [
+        build_pair_graph(config, f"layers-{w}x{t + 1 - w}", [layers[w]], [layers[t + 1 - w]])
+        for w in range(1, top + 1)
+    ]
 
 
 def lap_middle_graph(config: SystemConfig, layers: Sequence[Layer]) -> PairGraph:
     lo, mid, hi = middle_weights(config.t)
-    x = layers[lo].members + layers[hi].members
-    return build_pair_graph(config, "lap-middle", x, layers[mid].members)
+    return build_pair_graph(config, "lap-middle", [layers[lo], layers[hi]], [layers[mid]])
 
 
 def improved_middle_graphs(
@@ -328,17 +303,18 @@ def improved_middle_graphs(
         regime = regime_of_lambda(config.lam)
     a1_bit = 1 << config.users_a[0]
     b1_bit = 1 << config.users_b[0]
-    # (layer, has a_1, has b_1) -> members in colex order, one pass per layer
-    classes: dict[tuple[str, bool, bool], list[int]] = {}
-    for name, w in zip((LOW, MID, HIGH), middle_weights(config.t)):
-        for m in layers[w].members:
-            classes.setdefault((name, m & a1_bit != 0, m & b1_bit != 0), []).append(m)
-    graphs = []
-    for label, x_specs, y_specs in REGIME_GRAPH_SPECS[regime]:
-        x = [m for spec in x_specs for m in classes.get(spec, ())]
-        y = [m for spec in y_specs for m in classes.get(spec, ())]
-        graphs.append(build_pair_graph(config, label, x, y))
-    return graphs
+    weights = dict(zip((LOW, MID, HIGH), middle_weights(config.t)))
+
+    def block(name: str, has_a1: bool, has_b1: bool) -> Layer:
+        """One a_1/b_1 class: its layer's A-parts and B-parts filtered by a_1 and b_1."""
+        return layers[weights[name]].restrict(
+            lambda a: (a & a1_bit != 0) == has_a1, lambda b: (b & b1_bit != 0) == has_b1
+        )
+
+    return [
+        build_pair_graph(config, label, [block(*c) for c in x_specs], [block(*c) for c in y_specs])
+        for label, x_specs, y_specs in REGIME_GRAPH_SPECS[regime]
+    ]
 
 
 def single_layer_weights(config: SystemConfig) -> tuple[int, ...]:

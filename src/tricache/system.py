@@ -8,8 +8,9 @@ contains k (the Maddah-Ali-Niesen placement).  Packets are ints (see
 `packet`), never byte payloads: correctness questions reduce to linear
 algebra over GF(2) in the packet basis.
 
-Users are 0-based integers.  By default the first K/2 users request from
-server A and the rest from server B; an explicit partition may override.
+Users are 0-based integers.  The first K/2 users request from server A and
+the rest from server B: users are exchangeable, so any other split is only a
+relabelling.  A-side users therefore take the low K/2 bits of a mask.
 Subsets of users, in packets and broadcasts alike, are int masks (bit u =
 user u) iterated in colexicographic order, numeric order for masks, so that
 every derived structure (layers, matchings, plans) is deterministic.  Sorted
@@ -72,7 +73,7 @@ def xor_sum(terms: Sequence[int]) -> frozenset[int]:
 
 @dataclass(frozen=True)
 class SystemConfig:
-    """A validated (K, M, N) system with its user partition.
+    """A validated (K, M, N) system with its A-side and B-side users.
 
     t = K*M/N is the replication parameter: the number of users caching each
     packet.  lam = M/N is the cache fraction.
@@ -94,10 +95,6 @@ class SystemConfig:
     def packets_per_file(self) -> int:
         return comb(self.K, self.t)
 
-    @property
-    def is_symmetric(self) -> bool:
-        return len(self.users_a) == len(self.users_b)
-
     @cached_property
     def mask_a(self) -> int:
         return mask_of(self.users_a)
@@ -113,16 +110,11 @@ class SystemConfig:
         ]
 
 
-def build_config(
-    K: int,
-    M: int | Fraction,
-    N: int,
-    partition: tuple[Iterable[int], Iterable[int]] | None = None,
-) -> SystemConfig:
+def build_config(K: int, M: int | Fraction, N: int) -> SystemConfig:
     """Validate and construct a system configuration.
 
-    Requires K and N even and t = K*M/N an integer in [1, K-1].  The default
-    partition assigns users [0, K/2) to server A and [K/2, K) to server B.
+    Requires K and N even and t = K*M/N an integer in [1, K-1].  Users
+    [0, K/2) request from server A and [K/2, K) from server B.
     """
     if K <= 0 or K % 2 != 0:
         raise ValueError(f"user count K={K} must be a positive even integer")
@@ -140,22 +132,14 @@ def build_config(
         raise ValueError(f"t = {t} must lie in [1, {K - 1}]")
     if N % 2 != 0:
         raise ValueError(f"file count N={N} must be even to split across two servers")
-    if partition is None:
-        users_a = tuple(range(K // 2))
-        users_b = tuple(range(K // 2, K))
-    else:
-        users_a = tuple(partition[0])
-        users_b = tuple(partition[1])
-        if sorted(users_a + users_b) != list(range(K)):
-            raise ValueError("partition must split users 0..K-1 into two disjoint lists")
     return SystemConfig(
         K=K,
         M=M,
         N=N,
         t=t,
         lam=M / N,
-        users_a=users_a,
-        users_b=users_b,
+        users_a=tuple(range(K // 2)),
+        users_b=tuple(range(K // 2, K)),
     )
 
 
@@ -250,13 +234,15 @@ def random_demand(config: SystemConfig, rng: random.Random) -> Demand:
 
 
 def demand_from_mapping(config: SystemConfig, mapping: dict[int, tuple[str, int]]) -> Demand:
+    """A demand from user -> (server tag, file index).  The index must be an
+    int: a float or a bool (True == 1) names no file."""
     if sorted(mapping) != list(config.users):
         raise ValueError("demand must map every user exactly once")
     half = config.N // 2
     requests = []
     for u in config.users:
         server, idx = mapping[u]
-        if server not in (SERVER_A, SERVER_B) or not 1 <= idx <= half:
-            raise ValueError(f"user {u}: invalid request ({server!r}, {idx})")
+        if server not in (SERVER_A, SERVER_B) or type(idx) is not int or not 1 <= idx <= half:
+            raise ValueError(f"user {u}: invalid request ({server!r}, {idx!r})")
         requests.append((server, idx))
     return Demand(tuple(requests))

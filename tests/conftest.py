@@ -29,8 +29,6 @@ def build_graphs(config: SystemConfig, scheme: str) -> list[PairGraph]:
     """Every pairing graph the scheme uses (outer layer pairs plus the middle
     construction for odd t).  The middle graphs come from middle_pairing,
     which matches them and resolves 'auto'."""
-    if not config.is_symmetric:
-        raise ValueError("pairing requires a symmetric user partition")
     layers = build_layers(config)
     graphs = outer_graphs(config, layers)
     if config.t % 2 == 1:

@@ -366,6 +366,22 @@ def test_verify_rejects_non_int_index_set_users(tmp_path, capsys, value, occurre
     assert "Traceback" not in err and "plan ok" not in out
 
 
+@pytest.mark.parametrize("change, message", [
+    ({"0": ["A", True]}, "invalid request"),
+    ({"0": ["A", 1.0]}, "invalid request"),
+    ({"03": ["B", 1]}, "two keys"),
+], ids=["bool", "float", "two-keys"])
+def test_verify_rejects_bad_meta_demand(tmp_path, capsys, change, message):
+    records = _k6_records(tmp_path)
+    records[0]["demand"].update(change)
+    tampered = tmp_path / "tampered.jsonl"
+    tampered.write_text("".join(json.dumps(r) + "\n" for r in records))
+    code, out, err = run(["verify", "--plan", str(tampered)], capsys)
+    assert code == 2
+    assert message in err
+    assert "Traceback" not in err and "plan ok" not in out
+
+
 def test_verify_failure_output_ignores_hash_seed(tmp_path):
     # two parity terms lose their twins and one A line turns into B: the
     # violations come out in plan-file term order under any hash seed
@@ -419,10 +435,18 @@ def test_simulate_missing_demand_file(tmp_path, capsys):
     assert "cannot read --demand-file" in err
 
 
+K6_DEMAND = '"2": ["A", 3], "3": ["B", 1], "4": ["B", 2], "5": ["B", 3]'
+
+
 @pytest.mark.parametrize("text, message", [
     ("user 0 wants A1\n", "not JSON"),
     ('["A", 1]', "must map every user"),
     ('{"0": "A"}', "must map every user"),
+    # a float or a bool is no file index, though int() takes both
+    ('{"0": ["A", 1.9], "1": ["A", 2], %s}' % K6_DEMAND, "invalid request"),
+    ('{"0": ["A", 1], "1": ["A", true], %s}' % K6_DEMAND, "invalid request"),
+    # "3" and "03" both name user 3
+    ('{"0": ["A", 1], "1": ["A", 2], %s, "03": ["B", 2]}' % K6_DEMAND, "two keys"),
 ])
 def test_simulate_bad_demand_file(tmp_path, capsys, text, message):
     path = tmp_path / "demand.json"

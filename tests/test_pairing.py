@@ -105,12 +105,6 @@ def test_layer_cardinalities_k6():
         assert len(layers[w].members) == comb(3, w) * comb(3, cfg.t + 1 - w)
 
 
-def test_layers_reject_asymmetric():
-    cfg = build_config(6, 3, 6, partition=([0, 1], [2, 3, 4, 5]))
-    with pytest.raises(ValueError):
-        build_layers(cfg)
-
-
 def test_partition_four_way_sizes():
     # K=10, t=3, w=2: the class containing both first users has 4*4 members
     cfg = build_config(10, 3, 10)
@@ -287,16 +281,6 @@ def test_product_graphs_equal_all_pairs_oracle_k12(t):
         assert_graph_matches_oracle(g)
 
 
-@pytest.mark.parametrize("K", [8, 10])
-def test_interleaved_partition_graphs_equal_all_pairs_oracle(K):
-    # A- and B-users on alternate ids: colex order is not B-part major, so
-    # sides go through the position list and their rows must be sorted
-    for t in range(1, K):
-        cfg = build_config(K, t, K, partition=(range(0, K, 2), range(1, K, 2)))
-        for g in every_graph(cfg):
-            assert_graph_matches_oracle(g)
-
-
 def test_recorded_degrees_equal_recount_k14():
     # degrees come from per-factor counts, not from a pass over the edges
     graphs = every_graph(build_config(14, 7, 14))
@@ -310,23 +294,36 @@ def test_recorded_degrees_equal_recount_k14():
         assert g.y_degrees == set(y_counts), g.label
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=150, deadline=None)
 @given(st.data())
-def test_pair_graph_on_layer_slices_equals_oracle(data):
+def test_pair_graph_on_random_blocks_equals_oracle(data):
+    # one or two blocks per side, each from its own layer with random A-parts
+    # and B-parts kept: two y blocks take the position list and sorted rows,
+    # two x blocks the merge into colex order
     K = data.draw(st.sampled_from([6, 8, 10]))
     t = data.draw(st.integers(1, K - 1))
-    # the interleaved partition puts A- and B-users on alternate ids
-    partition = (range(0, K, 2), range(1, K, 2)) if data.draw(st.booleans()) else None
-    cfg = build_config(K, t, K, partition=partition)
+    cfg = build_config(K, t, K)
     layers = build_layers(cfg)
 
-    def side():
-        members = layers[data.draw(st.integers(0, t + 1))].members
-        lo = data.draw(st.integers(0, len(members)))
-        hi = data.draw(st.integers(lo, len(members)))
-        return members[lo:hi][::-1]  # reversed, so build_pair_graph must sort
+    def kept(parts):
+        # all parts half the time, as in whole layers and a_1/b_1 classes
+        if data.draw(st.booleans()):
+            return lambda part: True
+        flags = data.draw(st.lists(st.booleans(), min_size=len(parts), max_size=len(parts)))
+        return {p for p, keep in zip(parts, flags) if keep}.__contains__
 
-    assert_graph_matches_oracle(build_pair_graph(cfg, "slices", side(), side()))
+    def side():
+        weights = data.draw(st.lists(st.integers(0, t + 1), min_size=1, max_size=2, unique=True))
+        blocks = [layers[w].restrict(kept(layers[w].parts_a), kept(layers[w].parts_b)) for w in weights]
+        for b in blocks:
+            assert list(b.members) == sorted(a | bb for a in b.parts_a for bb in b.parts_b)
+        return blocks
+
+    x_blocks, y_blocks = side(), side()
+    g = build_pair_graph(cfg, "blocks", x_blocks, y_blocks)
+    assert sorted(g.x) == sorted(m for b in x_blocks for m in b.members)
+    assert sorted(g.y) == sorted(m for b in y_blocks for m in b.members)
+    assert_graph_matches_oracle(g)
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,6 @@ def test_build_config_basic():
     assert cfg.lam == Fraction(1, 2)
     assert cfg.users_a == (0, 1, 2)
     assert cfg.users_b == (3, 4, 5)
-    assert cfg.is_symmetric
 
 
 def test_build_config_k8():
@@ -59,13 +58,6 @@ def test_build_config_rejects_odd_n():
 def test_build_config_rejects_out_of_range_t():
     with pytest.raises(ValueError):
         build_config(4, 4, 4)  # t = 4 = K
-
-
-def test_build_config_explicit_partition():
-    cfg = build_config(4, 2, 4, partition=([1, 3], [0, 2]))
-    assert cfg.users_a == (1, 3)
-    with pytest.raises(ValueError):
-        build_config(4, 2, 4, partition=([0, 1], [1, 2]))
 
 
 def test_colex_order():
