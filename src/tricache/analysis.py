@@ -4,6 +4,11 @@ Everything here is exact big-integer or rational arithmetic; floats appear
 only when callers render output.  The improved-scheme unpaired counts are
 computed from the per-class cardinalities (products of binomials), with the
 published single-fraction simplifications recomputed as a redundant check.
+
+The schemes' class layout (REGIME_GRAPH_SPECS) and the regime rule live
+here, and pairing builds its graphs from them.  The closed forms also make
+the one choice 'auto' needs (auto_scheme): pairing matches only the
+construction they pick.
 """
 
 from __future__ import annotations
@@ -13,18 +18,70 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, lgamma, log
 
-from .pairing import (
-    HIGH,
-    LOW,
-    MID,
-    REGIME_GRAPH_SPECS,
-    REGIME_STANDALONE,
-    SCHEME_AUTO,
-    SCHEME_IMPROVED,
-    SCHEME_LAP,
-    middle_weights,
-    regime_of_lambda,
-)
+SCHEME_LAP = "lap"
+SCHEME_IMPROVED = "improved"
+SCHEME_AUTO = "auto"
+
+LOW = "low"
+MID = "mid"
+HIGH = "high"
+
+# Class-level layout of the improved constructions, one entry per regime.
+# Classes are (layer, has_a1, has_b1) with layer one of LOW/MID/HIGH; each
+# graph is (label, x classes, y classes); standalone classes join no graph.
+REGIME_GRAPH_SPECS: dict[int, tuple[tuple[str, tuple, tuple], ...]] = {
+    1: (
+        ("BG1-1", ((MID, False, False),), ((LOW, False, True), (HIGH, True, False))),
+        ("BG1-2", ((MID, False, True),), ((HIGH, False, True),)),
+        ("BG1-3", ((MID, True, False),), ((LOW, True, False),)),
+        ("BG1-4", ((LOW, False, False),), ((HIGH, False, False),)),
+        ("BG1-5", ((LOW, True, True),), ((HIGH, True, True),)),
+    ),
+    2: (
+        ("BG2-1", ((MID, True, True),), ((LOW, False, True),)),
+        ("BG2-2", ((MID, True, False),), ((LOW, True, False),)),
+        ("BG2-3", ((MID, False, True),), ((HIGH, False, True),)),
+        ("BG2-4", ((MID, False, False),), ((HIGH, True, False),)),
+        ("BG2-5", ((LOW, True, True),), ((HIGH, True, True),)),
+        ("BG2-6", ((LOW, False, False),), ((HIGH, False, False),)),
+    ),
+    3: (
+        ("BG3-1", ((MID, True, True),), ((LOW, False, True), (HIGH, True, False))),
+        ("BG3-2", ((MID, True, False),), ((LOW, True, False),)),
+        ("BG3-3", ((MID, False, True),), ((HIGH, False, True),)),
+        ("BG3-4", ((LOW, False, False),), ((HIGH, False, False),)),
+        ("BG3-5", ((LOW, True, True),), ((HIGH, True, True),)),
+    ),
+}
+
+REGIME_STANDALONE: dict[int, tuple[tuple[str, bool, bool], ...]] = {
+    1: ((MID, True, True),),
+    2: (),
+    3: ((MID, False, False),),
+}
+
+
+def regime_of_lambda(lam: Fraction) -> int:
+    """Regime index for a cache fraction, with exact rational comparisons.
+
+    Boundaries are (3 - sqrt5)/2 and (sqrt5 - 1)/2; each boundary belongs to
+    the regime on its left.  For rational lam equality never occurs, but the
+    squared comparisons keep the closed-left convention anyway.
+    """
+    lam = Fraction(lam)
+    if not 0 < lam < 1:
+        raise ValueError(f"cache fraction {lam} must lie in (0, 1)")
+    if (3 - 2 * lam) ** 2 >= 5:
+        return 1
+    if (2 * lam + 1) ** 2 <= 5:
+        return 2
+    return 3
+
+
+def middle_weights(t: int) -> tuple[int, int, int]:
+    if t % 2 == 0:
+        raise ValueError("middle layers exist only for odd t")
+    return ((t - 1) // 2, (t + 1) // 2, (t + 3) // 2)
 
 
 def binom(n: int, k: int) -> int:
@@ -82,6 +139,16 @@ def _improved_count(window: dict[int, int], t: int, regime: int) -> int:
 def lap_unpaired_count(K: int, t: int) -> int:
     """Middle-band subsets the baseline layer pairing leaves unmatched (odd t only)."""
     return _lap_count(_binomial_window(K, t), t)
+
+
+def auto_scheme(K: int, t: int) -> str:
+    """The construction 'auto' stands for at odd t: improved when its closed
+    form leaves fewer subsets unpaired than lap's, lap on a tie.  The
+    closed forms are what the matchings leave, since every pair graph is
+    biregular and its maximum matching saturates the smaller side."""
+    window = _binomial_window(K, t)
+    improved = _improved_count(window, t, regime_of_lambda(Fraction(t, K)))
+    return SCHEME_IMPROVED if improved < _lap_count(window, t) else SCHEME_LAP
 
 
 def delta_lap_exact(K: int, t: int) -> Fraction:
@@ -185,12 +252,12 @@ def scheme_delta(K: int, t: int, scheme: str) -> Fraction:
     """The unpaired fraction a scheme leaves, exact; at even t it is 0."""
     if t % 2 == 0:
         return Fraction(0)
+    if scheme == SCHEME_AUTO:
+        scheme = auto_scheme(K, t)
     if scheme == SCHEME_LAP:
         return delta_lap_exact(K, t)
     if scheme == SCHEME_IMPROVED:
         return delta_improved_exact(K, t).delta_prime
-    if scheme == SCHEME_AUTO:
-        return min(delta_lap_exact(K, t), delta_improved_exact(K, t).delta_prime)
     raise ValueError(f"unknown scheme {scheme!r}")
 
 

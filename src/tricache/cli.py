@@ -21,8 +21,8 @@ from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
 from . import analysis, delivery, mn
+from .analysis import SCHEME_AUTO, SCHEME_IMPROVED, SCHEME_LAP
 from .mn import KIND_MN, KIND_PAIR, KIND_SINGLE, KIND_UNPAIRED, ORIGIN_SINGLE
-from .pairing import SCHEME_AUTO, SCHEME_IMPROVED, SCHEME_LAP
 from .system import (
     SERVER_A,
     SERVER_B,
@@ -382,6 +382,8 @@ def load_plan(path: Path) -> delivery.DeliveryPlan:
                     bc = mn.Broadcast(record["origin"], index_sets, xor_sum(terms), kind)
                 except (KeyError, TypeError, ValueError):
                     bc = _checked_broadcast(record, kind, config)
+            if type(bc.origin) is not str:
+                raise SpecError(f"{kind} line has origin {bc.origin!r}, which is not a string")
             key = (kind, bc.origin, bc.index_sets)
             if key in seen:
                 raise SpecError(

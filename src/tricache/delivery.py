@@ -22,7 +22,7 @@ from fractions import Fraction
 from math import comb
 from typing import Iterable
 
-from .analysis import mn_rate_formula, scheme_delta, three_server_rate
+from .analysis import SCHEME_LAP, mn_rate_formula, scheme_delta, three_server_rate
 from .mn import (
     KIND_MN,
     KIND_PAIR,
@@ -40,13 +40,11 @@ from .mn import (
     verify_full_recovery,
 )
 from .pairing import (
-    SCHEME_LAP,
     build_layers,
     is_effective_pair,
     layer_weight,
     match_graphs,
     middle_pairing,
-    orient_pair,
     outer_graphs,
     single_layer_weights,
 )
@@ -99,8 +97,6 @@ def synthesize_pair_messages(
     """The three broadcasts serving an effective pair; s1 must be the A-heavy member."""
     if not is_effective_pair(s1, s2, config):
         raise ValueError("not an effective pair (A-heavy member must come first)")
-    if not demand.is_symmetric(config):
-        raise ValueError("pair messages require a symmetric demand")
     shared = s1 & s2
     index_sets = (s1, s2)
     return (
@@ -141,9 +137,10 @@ def assemble_plan(
     Unpaired server pairs are chosen greedily to minimize the running maximum
     load (the whole sorted load vector breaks ties, then the fixed rotation
     A+B, A+P, B+P); with no singles this reproduces an even 2n/3 split.
-    A coverage gap is a hard failure.
+    Each pair comes A-heavy member first, as max_matching emits it.  A
+    coverage gap is a hard failure.
     """
-    paired = sorted((orient_pair(s1, s2, config) for s1, s2 in pairs), key=lambda p: p[0])
+    paired = sorted(pairs, key=lambda p: p[0])
     broadcasts = [
         bc for s1, s2 in paired for bc in synthesize_pair_messages(s1, s2, demand, config)
     ]
@@ -191,19 +188,14 @@ def build_plan(config: SystemConfig, demand: Demand, scheme: str) -> DeliveryPla
     if not demand.is_symmetric(config):
         raise ValueError("three-server delivery requires a symmetric demand")
     layers = build_layers(config)
-    graphs = outer_graphs(config, layers)
-    pairs: list[tuple[int, int]] = []
-    for g, m in zip(graphs, match_graphs(graphs)):
-        if len(m) != min(len(g.x), len(g.y)):
-            raise CoverageError(f"outer graph {g.label} did not pair perfectly")
-        pairs.extend(m)
+    matchings = match_graphs(outer_graphs(config, layers))
     unmatched: tuple[int, ...] = ()
     if config.t % 2 == 1:
         middle = middle_pairing(config, scheme, layers)
         scheme = middle.scheme
-        for m in middle.matchings:
-            pairs.extend(m)
+        matchings += middle.matchings
         unmatched = middle.unmatched
+    pairs = [pair for m in matchings for pair in m]
     return assemble_plan(config, demand, pairs, unmatched, scheme=scheme)
 
 

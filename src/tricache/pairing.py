@@ -13,6 +13,9 @@ perfectly; the baseline construction ("lap") matches the middle layer against
 the union of its neighbours, while the improved construction splits each
 middle layer into four classes by membership of the first A-user and first
 B-user and picks one of three class pairings depending on the cache fraction.
+The class layout, the regime rule and the choice behind 'auto' come from
+analysis; this module builds the graphs, matches each one, and hands back
+only its pairs.
 
 Subsets in this module are int bitmasks (bit u set = user u present); numeric
 order on masks of equal size is exactly colexicographic order, which fixes
@@ -21,80 +24,24 @@ the deterministic iteration order used everywhere.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
 from math import comb
 from typing import Callable, Sequence
 
+from .analysis import (
+    HIGH,
+    LOW,
+    MID,
+    REGIME_GRAPH_SPECS,
+    SCHEME_AUTO,
+    SCHEME_IMPROVED,
+    SCHEME_LAP,
+    auto_scheme,
+    middle_weights,
+    regime_of_lambda,
+)
 from .system import SystemConfig, subset_masks
-
-SCHEME_LAP = "lap"
-SCHEME_IMPROVED = "improved"
-SCHEME_AUTO = "auto"
-
-LOW = "low"
-MID = "mid"
-HIGH = "high"
-
-# Class-level layout of the improved constructions, one entry per regime.
-# Classes are (layer, has_a1, has_b1) with layer one of LOW/MID/HIGH; each
-# graph is (label, x classes, y classes); standalone classes join no graph.
-REGIME_GRAPH_SPECS: dict[int, tuple[tuple[str, tuple, tuple], ...]] = {
-    1: (
-        ("BG1-1", ((MID, False, False),), ((LOW, False, True), (HIGH, True, False))),
-        ("BG1-2", ((MID, False, True),), ((HIGH, False, True),)),
-        ("BG1-3", ((MID, True, False),), ((LOW, True, False),)),
-        ("BG1-4", ((LOW, False, False),), ((HIGH, False, False),)),
-        ("BG1-5", ((LOW, True, True),), ((HIGH, True, True),)),
-    ),
-    2: (
-        ("BG2-1", ((MID, True, True),), ((LOW, False, True),)),
-        ("BG2-2", ((MID, True, False),), ((LOW, True, False),)),
-        ("BG2-3", ((MID, False, True),), ((HIGH, False, True),)),
-        ("BG2-4", ((MID, False, False),), ((HIGH, True, False),)),
-        ("BG2-5", ((LOW, True, True),), ((HIGH, True, True),)),
-        ("BG2-6", ((LOW, False, False),), ((HIGH, False, False),)),
-    ),
-    3: (
-        ("BG3-1", ((MID, True, True),), ((LOW, False, True), (HIGH, True, False))),
-        ("BG3-2", ((MID, True, False),), ((LOW, True, False),)),
-        ("BG3-3", ((MID, False, True),), ((HIGH, False, True),)),
-        ("BG3-4", ((LOW, False, False),), ((HIGH, False, False),)),
-        ("BG3-5", ((LOW, True, True),), ((HIGH, True, True),)),
-    ),
-}
-
-REGIME_STANDALONE: dict[int, tuple[tuple[str, bool, bool], ...]] = {
-    1: ((MID, True, True),),
-    2: (),
-    3: ((MID, False, False),),
-}
-
-
-def regime_of_lambda(lam: Fraction) -> int:
-    """Regime index for a cache fraction, with exact rational comparisons.
-
-    Boundaries are (3 - sqrt5)/2 and (sqrt5 - 1)/2; each boundary belongs to
-    the regime on its left.  For rational lam equality never occurs, but the
-    squared comparisons keep the closed-left convention anyway.
-    """
-    lam = Fraction(lam)
-    if not 0 < lam < 1:
-        raise ValueError(f"cache fraction {lam} must lie in (0, 1)")
-    if (3 - 2 * lam) ** 2 >= 5:
-        return 1
-    if (2 * lam + 1) ** 2 <= 5:
-        return 2
-    return 3
-
-
-def middle_weights(t: int) -> tuple[int, int, int]:
-    if t % 2 == 0:
-        raise ValueError("middle layers exist only for odd t")
-    return ((t - 1) // 2, (t + 1) // 2, (t + 3) // 2)
-
 
 # ---------------------------------------------------------------------------
 # layers
@@ -160,13 +107,6 @@ def is_effective_pair(s1: int, s2: int, config: SystemConfig) -> bool:
     return (s1 & ~s2 & ~config.mask_a) == 0 and (s2 & ~s1 & ~config.mask_b) == 0
 
 
-def orient_pair(s1: int, s2: int, config: SystemConfig) -> tuple[int, int]:
-    """Order a pair so the member with more A-side users comes first."""
-    if layer_weight(s1, config) >= layer_weight(s2, config):
-        return s1, s2
-    return s2, s1
-
-
 # ---------------------------------------------------------------------------
 # graphs
 
@@ -177,8 +117,7 @@ class PairGraph:
     indices into y of x[i]'s neighbours in ascending order, which is colex
     order again.  The A-heavy member of each edge is determined per pair by
     layer weight (a side built from a union of layers can carry both
-    directions).  The distinct degrees of each side are recorded while the
-    graph is built.
+    directions).
     """
 
     config: SystemConfig
@@ -186,8 +125,6 @@ class PairGraph:
     x: tuple[int, ...]
     y: tuple[int, ...]
     nbrs: list[list[int]]
-    x_degrees: frozenset[int]
-    y_degrees: frozenset[int]
 
     def edge_count(self) -> int:
         return sum(map(len, self.nbrs))
@@ -209,7 +146,7 @@ def build_pair_graph(
     by A-rank) of the y B-parts it relates to; a row is one segment entry
     per pair of the two.  With one y block the hull is y and rows come out
     ascending; with several, a position list maps the hull to y-indices and
-    each row is sorted.  y degrees come from the per-factor counts.
+    each row is sorted.
 
     The result equals an all-pairs scan with is_effective_pair.
     """
@@ -220,7 +157,6 @@ def build_pair_graph(
     if y_order is not None:
         for j, h in enumerate(y_order):
             slots[h] = j
-    hull_degrees = [0] * len(slots)
     rows = []
     for xb in x_blocks:
         rels = []  # per related y block: y A-ranks per x A-part, y segments per x B-part
@@ -233,11 +169,6 @@ def build_pair_graph(
                 rel_a = _related(xb.parts_a, yb.parts_a, xb.w < yb.w)
                 rel_b = _related(xb.parts_b, yb.parts_b, xb.w > yb.w)
                 rels.append((rel_a, [[segments[r] for r in ranks] for ranks in rel_b]))
-                count_a = Counter(chain.from_iterable(rel_a))
-                for r, n in Counter(chain.from_iterable(rel_b)).items():
-                    base = start + r * n_a
-                    for p, k in count_a.items():
-                        hull_degrees[base + p] += n * k
             start += size
         # Rows in member order, B-part major; they reuse the slots' int
         # objects, so edges hold no int of their own.
@@ -255,8 +186,6 @@ def build_pair_graph(
         x=x,
         y=y,
         nbrs=rows if x_order is None else [rows[h] for h in x_order],
-        x_degrees=frozenset(map(len, rows)),
-        y_degrees=frozenset(hull_degrees),
     )
 
 
@@ -343,7 +272,7 @@ def max_matching(graph: PairGraph) -> list[tuple[int, int]]:
     for s1, yi in zip(x, match_x):
         if yi >= 0:
             s2 = y[yi]
-            # orient_pair inline: the member with more A-side users first
+            # the member with more A-side users first
             heavy_first = (s1 & mask_a).bit_count() >= (s2 & mask_a).bit_count()
             pairs.append((s1, s2) if heavy_first else (s2, s1))
     pairs.sort()
@@ -428,19 +357,16 @@ def match_graphs(graphs: Sequence[PairGraph]) -> list[tuple[tuple[int, int], ...
 
 
 def check_saturation(graph: PairGraph, matching: Sequence[tuple[int, int]]) -> None:
-    """On biregular graphs a maximum matching must saturate the smaller side
-    (Hall's condition holds when every vertex of one side has the same degree);
-    raise if the matcher ever violates that."""
-    if not graph.x or not graph.y:
-        return
-    x_deg, y_deg = graph.x_degrees, graph.y_degrees
-    if len(x_deg) == 1 and len(y_deg) == 1 and min(x_deg) > 0 and min(y_deg) > 0:
-        expected = min(len(graph.x), len(graph.y))
-        if len(matching) != expected:
-            raise RuntimeError(
-                f"graph {graph.label}: biregular sides must saturate the smaller "
-                f"side ({expected}), matcher found {len(matching)}"
-            )
+    """Raise unless the matching saturates the graph's smaller side.  Every
+    graph the schemes build is biregular with no isolated vertex (or has an
+    empty side), so a maximum matching does (Hall's condition holds; König
+    1916), and the closed forms in analysis count on that."""
+    expected = min(len(graph.x), len(graph.y))
+    if len(matching) != expected:
+        raise RuntimeError(
+            f"graph {graph.label}: a maximum matching must saturate the smaller "
+            f"side ({expected}), matcher found {len(matching)}"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -448,10 +374,9 @@ def check_saturation(graph: PairGraph, matching: Sequence[tuple[int, int]]) -> N
 
 @dataclass(frozen=True)
 class MiddlePairing:
-    """Matchings over the middle band plus the leftovers, for one scheme."""
+    """Matchings over the middle band and its leftovers, for one construction (never 'auto')."""
 
     scheme: str
-    graphs: tuple[PairGraph, ...]
     matchings: tuple[tuple[tuple[int, int], ...], ...]
     unmatched: tuple[int, ...]
 
@@ -459,33 +384,24 @@ class MiddlePairing:
 def middle_pairing(
     config: SystemConfig, scheme: str, layers: Sequence[Layer] | None = None
 ) -> MiddlePairing:
-    """Match the middle band for a scheme and collect the unmatched subsets."""
+    """Match the middle band for a scheme and collect the unmatched subsets.
+    'auto' matches only the construction analysis.auto_scheme picks."""
     if config.t % 2 == 0:
         raise ValueError("the middle band exists only for odd t")
     if layers is None:
         layers = build_layers(config)
     if scheme == SCHEME_AUTO:
-        # The one place that resolves 'auto': the construction leaving fewer
-        # subsets unpaired, lap on a tie.
-        lap = middle_pairing(config, SCHEME_LAP, layers)
-        improved = middle_pairing(config, SCHEME_IMPROVED, layers)
-        return improved if len(improved.unmatched) < len(lap.unmatched) else lap
+        scheme = auto_scheme(config.K, config.t)
     if scheme == SCHEME_LAP:
-        graphs = [lap_middle_graph(config, layers)]
+        matchings = match_graphs([lap_middle_graph(config, layers)])
     elif scheme == SCHEME_IMPROVED:
-        graphs = improved_middle_graphs(config, layers)
+        matchings = match_graphs(improved_middle_graphs(config, layers))
     else:
         raise ValueError(f"unknown scheme {scheme!r}")
-    matchings = match_graphs(graphs)
     matched = {s for m in matchings for pair in m for s in pair}
     middle = (m for w in middle_weights(config.t) for m in layers[w].members)
     unmatched = tuple(sorted(m for m in middle if m not in matched))
-    return MiddlePairing(
-        scheme=scheme,
-        graphs=tuple(graphs),
-        matchings=tuple(matchings),
-        unmatched=unmatched,
-    )
+    return MiddlePairing(scheme=scheme, matchings=tuple(matchings), unmatched=unmatched)
 
 
 @dataclass(frozen=True)
@@ -497,7 +413,7 @@ class UnpairedCount:
 
 def count_unpaired(config: SystemConfig, scheme: str) -> UnpairedCount:
     """Number and ratio of middle-band subsets the scheme's matchings leave
-    unpaired.  For 'auto' the cheaper of the two constructions is reported."""
+    unpaired.  For 'auto' the one construction auto_scheme picks is matched."""
     pairing = middle_pairing(config, scheme)
     n = len(pairing.unmatched)
     return UnpairedCount(

@@ -3,14 +3,14 @@ import json
 from typing import Collection, Iterable, NamedTuple, Sequence
 
 from tricache import delivery, mn
-from tricache.analysis import binom
+from tricache.analysis import SCHEME_AUTO, SCHEME_LAP, auto_scheme, binom
 from tricache.pairing import (
     PairGraph,
     build_layers,
+    improved_middle_graphs,
     is_effective_pair,
+    lap_middle_graph,
     layer_weight,
-    middle_pairing,
-    orient_pair,
     outer_graphs,
 )
 from tricache.system import SERVER_A, SERVER_B, SystemConfig, mask_of, packet, users_of
@@ -26,14 +26,25 @@ def pkt(server, file_index, users, K) -> int:
 
 
 def build_graphs(config: SystemConfig, scheme: str) -> list[PairGraph]:
-    """Every pairing graph the scheme uses (outer layer pairs plus the middle
-    construction for odd t).  The middle graphs come from middle_pairing,
-    which matches them and resolves 'auto'."""
+    """Every pairing graph the scheme uses: outer layer pairs, plus for odd t
+    the middle construction, with 'auto' resolved by auto_scheme."""
     layers = build_layers(config)
     graphs = outer_graphs(config, layers)
     if config.t % 2 == 1:
-        graphs.extend(middle_pairing(config, scheme, layers).graphs)
+        if scheme == SCHEME_AUTO:
+            scheme = auto_scheme(config.K, config.t)
+        if scheme == SCHEME_LAP:
+            graphs.append(lap_middle_graph(config, layers))
+        else:
+            graphs += improved_middle_graphs(config, layers)
     return graphs
+
+
+def orient_pair(s1: int, s2: int, config: SystemConfig) -> tuple[int, int]:
+    """Order a pair so the member with more A-side users comes first."""
+    if layer_weight(s1, config) >= layer_weight(s2, config):
+        return s1, s2
+    return s2, s1
 
 
 def user_can_decode(cache: Collection[int], broadcasts: Iterable[mn.Broadcast], target: int) -> bool:
@@ -177,11 +188,6 @@ def vertex_degree(m: int, opposing: Iterable[int], config) -> int:
         if hi != lo and is_effective_pair(hi, lo, config):
             degree += 1
     return degree
-
-
-def side_degrees(graph) -> tuple[frozenset[int], frozenset[int]]:
-    """Distinct vertex degrees on the x and y sides."""
-    return graph.x_degrees, graph.y_degrees
 
 
 def orientation(graph) -> str:

@@ -12,12 +12,17 @@ from fractions import Fraction
 from math import comb
 
 from tricache.analysis import (
+    HIGH,
+    LOW,
+    MID,
+    REGIME_GRAPH_SPECS,
     ratio_curves,
     delta_improved_exact,
     delta_lap_exact,
     improved_count_simplified,
     improved_unpaired_count,
     lap_unpaired_count,
+    middle_weights,
     mn_rate_formula,
     rate_theorem,
     ratio_asymptote,
@@ -43,7 +48,6 @@ from conftest import (
     four_way_class_size,
     general_class_size,
     partition_classes,
-    side_degrees,
     vertex_degree,
 )
 
@@ -98,14 +102,18 @@ def test_criterion_03_baseline_delta():
     _report(3, "matcher-counted baseline leftovers equal the closed form (3 and 245)")
 
 
-def _assert_saturated(graphs, matchings):
-    for g, m in zip(graphs, matchings):
-        if not g.x or not g.y:
-            assert not m
-            continue
-        x_deg, y_deg = side_degrees(g)
-        if len(x_deg) == 1 and len(y_deg) == 1 and min(x_deg) > 0 and min(y_deg) > 0:
-            assert len(m) == min(len(g.x), len(g.y)), g.label
+def _assert_saturated(K, t, regime, matchings):
+    # every graph's matching covers its smaller side; the side sizes come
+    # from the class-size oracle, so no graph is rebuilt
+    weight_of = dict(zip((LOW, MID, HIGH), middle_weights(t)))
+
+    def size(classes):
+        return sum(four_way_class_size(K, t, weight_of[layer], a1, b1) for layer, a1, b1 in classes)
+
+    specs = REGIME_GRAPH_SPECS[regime]
+    assert len(matchings) == len(specs)
+    for (label, x, y), m in zip(specs, matchings):
+        assert len(m) == min(size(x), size(y)), label
 
 
 def test_criterion_04_improved_delta_consistency():
@@ -116,7 +124,7 @@ def test_criterion_04_improved_delta_consistency():
         assert got_regime == regime
         pairing = middle_pairing(cfg, SCHEME_IMPROVED)
         assert len(pairing.unmatched) == n_formula
-        _assert_saturated(pairing.graphs, pairing.matchings)
+        _assert_saturated(K, t, regime, pairing.matchings)
         assert improved_count_simplified(K, t) == n_formula
     # closed form against the cardinality-table sums at K=30
     for K, t, regime in ((30, 15, 2), (30, 9, 1), (30, 21, 3)):

@@ -6,6 +6,14 @@ from math import comb
 import pytest
 
 from tricache.analysis import (
+    HIGH,
+    LOW,
+    MID,
+    REGIME_GRAPH_SPECS,
+    REGIME_STANDALONE,
+    SCHEME_AUTO,
+    SCHEME_IMPROVED,
+    SCHEME_LAP,
     AsymmetricRate,
     asymmetric_rate,
     ratio_curves,
@@ -15,22 +23,13 @@ from tricache.analysis import (
     improved_count_simplified,
     improved_unpaired_count,
     lap_unpaired_count,
+    middle_weights,
     mn_rate_formula,
     multi_server_rate,
     ratio_asymptote,
     rate_theorem,
+    scheme_delta,
     server_load_for_requests,
-)
-from tricache.pairing import (
-    HIGH,
-    LOW,
-    MID,
-    REGIME_GRAPH_SPECS,
-    REGIME_STANDALONE,
-    SCHEME_AUTO,
-    SCHEME_IMPROVED,
-    SCHEME_LAP,
-    middle_weights,
 )
 
 from conftest import four_way_class_size
@@ -135,6 +134,19 @@ def test_rate_theorem_odd_t():
     assert rate_theorem(14, 7, SCHEME_AUTO) == min(
         rate_theorem(14, 7, SCHEME_LAP), rate_theorem(14, 7, SCHEME_IMPROVED)
     )
+
+
+def test_auto_delta_is_the_smaller_closed_form():
+    # the rule auto_scheme replaced in scheme_delta: the smaller of the two
+    # closed forms; improved wins somewhere in every regime by K=60
+    wins = set()
+    for K in range(2, 61, 2):
+        for t in range(1, K, 2):
+            lap, improved = delta_lap_exact(K, t), delta_improved_exact(K, t)
+            assert scheme_delta(K, t, SCHEME_AUTO) == min(lap, improved.delta_prime), (K, t)
+            if improved.delta_prime < lap:
+                wins.add(improved.regime)
+    assert wins == {1, 2, 3}
 
 
 def test_asymmetric_rate_structure():

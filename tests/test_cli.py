@@ -382,6 +382,31 @@ def test_verify_rejects_bad_meta_demand(tmp_path, capsys, change, message):
     assert "Traceback" not in err and "plan ok" not in out
 
 
+@pytest.mark.parametrize("origin", [True, 5, None], ids=["bool", "int", "null"])
+def test_verify_rejects_non_string_origin(tmp_path, capsys, origin):
+    # the audits sort origins, and nothing but a string sorts with the tags
+    records = _k6_records(tmp_path)
+    next(r for r in records if r["kind"] == "pair")["origin"] = origin
+    tampered = tmp_path / "tampered.jsonl"
+    tampered.write_text("".join(json.dumps(r) + "\n" for r in records))
+    code, out, err = run(["verify", "--plan", str(tampered)], capsys)
+    assert code == 2
+    assert "not a string" in err
+    assert "Traceback" not in err and "plan ok" not in out
+
+
+def test_verify_fails_unknown_string_origin(tmp_path, capsys):
+    # a string origin names no input error; an unknown one fails the audits
+    records = _k6_records(tmp_path)
+    next(r for r in records if r["kind"] == "pair")["origin"] = "Q"
+    tampered = tmp_path / "tampered.jsonl"
+    tampered.write_text("".join(json.dumps(r) + "\n" for r in records))
+    code, out, err = run(["verify", "--plan", str(tampered)], capsys)
+    assert code == 1
+    assert "audit failure: pair group" in out and "'Q'" in out
+    assert "Traceback" not in err and "plan ok" not in out
+
+
 def test_verify_failure_output_ignores_hash_seed(tmp_path):
     # two parity terms lose their twins and one A line turns into B: the
     # violations come out in plan-file term order under any hash seed

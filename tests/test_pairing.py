@@ -6,10 +6,15 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tricache.pairing import (
+from tricache.analysis import (
     SCHEME_AUTO,
     SCHEME_IMPROVED,
     SCHEME_LAP,
+    auto_scheme,
+    lap_unpaired_count,
+    regime_of_lambda,
+)
+from tricache.pairing import (
     build_pair_graph,
     build_layers,
     check_saturation,
@@ -20,7 +25,6 @@ from tricache.pairing import (
     layer_weight,
     max_matching,
     middle_pairing,
-    regime_of_lambda,
     single_layer_weights,
     _hopcroft_karp,
 )
@@ -228,7 +232,7 @@ def test_graph_edges_are_effective_pairs():
 
 
 def assert_graph_matches_oracle(g):
-    """Index adjacency and recorded degrees against all-pairs enumeration."""
+    """Index adjacency against all-pairs enumeration."""
     cfg = g.config
     assert list(g.x) == sorted(g.x) and list(g.y) == sorted(g.y)
     brute = [
@@ -236,13 +240,7 @@ def assert_graph_matches_oracle(g):
         for x in g.x
     ]
     assert [[g.y[j] for j in row] for row in g.nbrs] == brute, g.label
-    assert g.x_degrees == {len(row) for row in g.nbrs}
-    y_counts = [0] * len(g.y)
-    for row in g.nbrs:
-        for j in row:
-            y_counts[j] += 1
-    assert g.y_degrees == set(y_counts)
-    assert g.edge_count() == sum(y_counts)
+    assert g.edge_count() == sum(map(len, brute))
 
 
 @pytest.mark.parametrize("K", [6, 8, 10])
@@ -281,8 +279,10 @@ def test_product_graphs_equal_all_pairs_oracle_k12(t):
         assert_graph_matches_oracle(g)
 
 
-def test_recorded_degrees_equal_recount_k14():
-    # degrees come from per-factor counts, not from a pass over the edges
+def test_graphs_are_biregular_and_saturate_their_smaller_side_k14():
+    # check_saturation and the closed forms rest on this: every graph is
+    # biregular (degrees recounted from nbrs) and its maximum matching
+    # covers the smaller side
     graphs = every_graph(build_config(14, 7, 14))
     assert len(graphs) == 27
     for g in graphs:
@@ -290,8 +290,9 @@ def test_recorded_degrees_equal_recount_k14():
         for row in g.nbrs:
             for j in row:
                 y_counts[j] += 1
-        assert g.x_degrees == {len(row) for row in g.nbrs}, g.label
-        assert g.y_degrees == set(y_counts), g.label
+        assert len({len(row) for row in g.nbrs}) <= 1, g.label
+        assert len(set(y_counts)) <= 1, g.label
+        assert len(max_matching(g)) == min(len(g.x), len(g.y)), g.label
 
 
 @settings(max_examples=150, deadline=None)
@@ -417,6 +418,15 @@ def test_saturation_at_k14_regime2_g3():
     check_saturation(g3, m)
 
 
+def test_check_saturation_raises_one_pair_short():
+    cfg = build_config(10, 5, 10)
+    g = improved_middle_graphs(cfg, build_layers(cfg), 2)[2]
+    m = max_matching(g)
+    check_saturation(g, m)
+    with pytest.raises(RuntimeError, match="saturate the smaller side"):
+        check_saturation(g, m[:-1])
+
+
 # ---------------------------------------------------------------------------
 # unpaired counts
 
@@ -455,6 +465,24 @@ def test_count_unpaired_auto_takes_smaller():
     assert count_unpaired(cfg62ish, SCHEME_AUTO).n == 0
 
 
+def test_auto_scheme_equals_matcher_rule():
+    # the rule auto_scheme replaces: match both constructions and keep the
+    # one leaving fewer sets unpaired, lap on a tie
+    for K in range(2, 17, 2):
+        for t in range(1, K, 2):
+            cfg = build_config(K, t, K)
+            lap = count_unpaired(cfg, SCHEME_LAP).n
+            improved = count_unpaired(cfg, SCHEME_IMPROVED).n
+            assert auto_scheme(K, t) == (SCHEME_IMPROVED if improved < lap else SCHEME_LAP), (K, t)
+
+
+def test_auto_picks_improved_first_at_k20():
+    assert all(auto_scheme(K, t) == SCHEME_LAP for K in range(2, 20, 2) for t in range(1, K, 2))
+    uc = count_unpaired(build_config(20, 9, 20), SCHEME_AUTO)
+    assert (uc.scheme, uc.n) == (SCHEME_IMPROVED, 17640)
+    assert uc.n < lap_unpaired_count(20, 9)
+
+
 def test_count_unpaired_requires_odd_t():
     cfg = build_config(8, 4, 8)
     with pytest.raises(ValueError):
@@ -485,7 +513,7 @@ def test_middle_pairing_t1():
 
 
 def test_unpaired_ratio_monotone_at_half():
-    from tricache.analysis import improved_unpaired_count, lap_unpaired_count
+    from tricache.analysis import improved_unpaired_count
 
     ratios = []
     for K in (14, 22, 30):
