@@ -151,11 +151,6 @@ def auto_scheme(K: int, t: int) -> str:
     return SCHEME_IMPROVED if improved < _lap_count(window, t) else SCHEME_LAP
 
 
-def delta_lap_exact(K: int, t: int) -> Fraction:
-    """Unpaired fraction of the baseline pairing, exact."""
-    return Fraction(lap_unpaired_count(K, t), comb(K, t + 1))
-
-
 def improved_unpaired_count(K: int, t: int, regime: int | None = None) -> tuple[int, int]:
     """(regime, count) for the improved class pairing, from class cardinalities.
 
@@ -166,18 +161,6 @@ def improved_unpaired_count(K: int, t: int, regime: int | None = None) -> tuple[
     if regime is None:
         regime = regime_of_lambda(Fraction(t, K))
     return regime, _improved_count(_binomial_window(K, t), t, regime)
-
-
-@dataclass(frozen=True)
-class ImprovedDelta:
-    regime: int
-    n: int
-    delta_prime: Fraction
-
-
-def delta_improved_exact(K: int, t: int) -> ImprovedDelta:
-    regime, n = improved_unpaired_count(K, t)
-    return ImprovedDelta(regime=regime, n=n, delta_prime=Fraction(n, comb(K, t + 1)))
 
 
 def improved_count_simplified(K: int, t: int, regime: int | None = None) -> int:
@@ -255,10 +238,12 @@ def scheme_delta(K: int, t: int, scheme: str) -> Fraction:
     if scheme == SCHEME_AUTO:
         scheme = auto_scheme(K, t)
     if scheme == SCHEME_LAP:
-        return delta_lap_exact(K, t)
-    if scheme == SCHEME_IMPROVED:
-        return delta_improved_exact(K, t).delta_prime
-    raise ValueError(f"unknown scheme {scheme!r}")
+        n = lap_unpaired_count(K, t)
+    elif scheme == SCHEME_IMPROVED:
+        n = improved_unpaired_count(K, t)[1]
+    else:
+        raise ValueError(f"unknown scheme {scheme!r}")
+    return Fraction(n, comb(K, t + 1))
 
 
 def rate_theorem(K: int, t: int, scheme: str = SCHEME_IMPROVED) -> Fraction:
@@ -307,10 +292,7 @@ def multi_server_rate(L: int, K: int, t: int, with_two_parities: bool = False) -
         raise ValueError("need at least two data servers")
     if not with_two_parities:
         return Fraction((L - 1) * (K - t), L * (1 + t))
-    if t % 2 == 0:
-        delta_prime = Fraction(0)
-    else:
-        delta_prime = delta_improved_exact(K, t).delta_prime
+    delta_prime = scheme_delta(K, t, SCHEME_IMPROVED)
     return (Fraction(1, 2) + Fraction(L - 2, 2 * L + 4) * delta_prime) * mn_rate_formula(K, t)
 
 

@@ -18,7 +18,7 @@ import sys
 from fractions import Fraction
 from math import comb
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from . import analysis, delivery, mn
 from .analysis import SCHEME_AUTO, SCHEME_IMPROVED, SCHEME_LAP
@@ -84,9 +84,16 @@ def resolve_output(path: str | None) -> Path | None:
 
 
 def _write_text(path: Path | None, pieces: Iterable[str]) -> None:
-    """Write the pieces in order to `path`, or to stdout for None."""
+    """Write the pieces in order to `path`, or to stdout for None.  A reader
+    that closes stdout early is invalid use, not a failed verification."""
     if path is None:
-        sys.stdout.writelines(pieces)
+        try:
+            sys.stdout.writelines(pieces)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # the interpreter flushes stdout at exit: let that flush reach devnull
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            raise SpecError("stdout was closed before all output was written") from None
         return
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -277,58 +284,59 @@ def _plan_lines(plan: delivery.DeliveryPlan) -> Iterator[str]:
         yield f'{{"kind": "{bc.kind}", "origin": "{bc.origin}", "payload": [{payload}], {sets}}}\n'
 
 
-def _subset_mask(users: Sequence, size: int, K: int) -> int | None:
-    """The mask of `size` strictly increasing users in 0..K-1; None for any
-    other list, which a mask would alias."""
-    users = tuple(users)
-    if len(users) != size:
-        return None
-    valid = all(type(u) is int for u in users) and list(users) == sorted(set(users))
-    if not (valid and 0 <= users[0] <= users[-1] < K):
-        return None
-    return mask_of(users)
+def _plan_checks(config: SystemConfig) -> list[Callable]:
+    """The checks behind the loader's memos.  Each returns what its key
+    stands for or raises the SpecError that refuses it: a payload term's
+    (server, file index) gives that file's packet base, and a term's t users
+    or an index set's t+1 users their mask.  Only strictly increasing ints
+    in 0..K-1 make a mask; any other list would alias one."""
+    K, half = config.K, config.N // 2
+
+    def base(key: tuple) -> int:
+        server, idx = key
+        if server in (SERVER_A, SERVER_B) and type(idx) is int and 1 <= idx <= half:
+            return packet(server, idx, 0, K)
+        raise SpecError(f"payload term of file {[server, idx]} names no packet: it needs "
+                        f"server A or B and a file index in 1..{half}")
+
+    def subset(size: int, refusal: str) -> Callable[[Sequence], int]:
+        def check(users: Sequence) -> int:
+            users = tuple(users)
+            valid = len(users) == size and all(type(u) is int for u in users)
+            if valid and list(users) == sorted(set(users)) and 0 <= users[0] <= users[-1] < K:
+                return mask_of(users)
+            raise SpecError(f"{refusal.format(list(users))}: it needs {size} strictly "
+                            f"increasing users in 0..{K - 1}")
+        return check
+
+    return [base, subset(config.t, "payload term with users {} names no packet"),
+            subset(config.t + 1, "index set {} names no subset")]
 
 
-def _packet_from_json(item: Sequence, config: SystemConfig) -> int:
-    """A payload triple as a packet int, refused unless it names a packet of the system."""
-    server, idx, users = item
-    mask = _subset_mask(users, config.t, config.K)
-    valid = mask is not None and server in (SERVER_A, SERVER_B) and type(idx) is int
-    if not (valid and 1 <= idx <= config.N // 2):
-        raise SpecError(
-            f"payload term {item} names no packet: it needs server A or B, a file index "
-            f"in 1..{config.N // 2} and {config.t} strictly increasing users in 0..{config.K - 1}"
-        )
-    return packet(server, idx, mask, config.K)
+class _Checked(dict):
+    """Memo of checked plan values: a key seen first is checked, then kept."""
+
+    def __init__(self, check: Callable) -> None:
+        self.check = check
+
+    def __missing__(self, key):
+        self[key] = value = self.check(key)
+        return value
 
 
-def _checked_broadcast(record: dict, kind: str, config: SystemConfig) -> mn.Broadcast:
-    """A plan line's broadcast with every index set and payload term checked."""
-    size = config.t + 1
-    fields = delivery.GROUPS[kind][0]
-    index_sets = tuple(_subset_mask(record[f], size, config.K) for f in fields)
-    for f, m in zip(fields, index_sets):
-        if m is None:
-            raise SpecError(f"index set {record[f]} names no subset: it needs "
-                            f"{size} strictly increasing users in 0..{config.K - 1}")
+class _Unkept(_Checked):
+    """The same checks run on every lookup, keeping nothing and hashing no key."""
+
+    def __getitem__(self, key):
+        return self.check(key)
+
+
+def _broadcast(record: dict, kind: str, bases: dict, terms: dict, sets: dict) -> mn.Broadcast:
+    """A plan line's broadcast: one memo lookup per index set, two per term."""
+    index_sets = tuple([sets[tuple(record[f])] for f in delivery.GROUPS[kind][0]])
     origin = record["origin"]  # read first: a line lacking it and a term is refused for it
-    terms = [_packet_from_json(p, config) for p in record["payload"]]
-    return mn.Broadcast(origin, index_sets, xor_sum(terms), kind)
-
-
-class _CheckedSubsets(dict):
-    """Memo from user tuples of one size to their masks.  A tuple seen first
-    is checked by _subset_mask and enters, or raises KeyError."""
-
-    def __init__(self, size: int, K: int) -> None:
-        self.size, self.K = size, K
-
-    def __missing__(self, users: tuple) -> int:
-        mask = _subset_mask(users, self.size, self.K)
-        if mask is None:
-            raise KeyError(users)
-        self[users] = mask
-        return mask
+    payload = xor_sum([bases[s, i] | terms[tuple(u)] for s, i, u in record["payload"]])
+    return mn.Broadcast(origin, index_sets, payload, kind)
 
 
 # Plan numbers are ints.  A JSON float stays its text, which equals no int, so
@@ -339,6 +347,11 @@ _PLAN_DECODER = json.JSONDecoder(parse_float=str)
 def load_plan(path: Path) -> delivery.DeliveryPlan:
     """Rebuild a plan from an exported file, one broadcast per line, without
     trusting it.  Lines are parsed as they are read.
+
+    Every line is read by `_broadcast` through memos of `_plan_checks`.  JSON
+    true and false equal 1 and 0 and would hit a kept int, so a line holding
+    either is read with memos that keep nothing; so is a line with a key
+    that cannot be hashed (a list among users), for the check to name it.
 
     Every set takes at least one broadcast line: a pair's three lines serve
     two sets, an unpaired set takes two and a single or MN set one.  So a
@@ -358,30 +371,18 @@ def load_plan(path: Path) -> delivery.DeliveryPlan:
         demand = _demand_from_json(config, meta["demand"])
         broadcasts = []
         seen: set[tuple] = set()
-        # Memos: the packet base of each file the meta line demands and of its
-        # twin, and the checked t-user tuples of terms and (t+1)-user index sets.
-        bases = {(s, i): packet(s, i, 0, config.K)
-                 for _, i in demand.requests for s in (SERVER_A, SERVER_B)}
-        term_masks = _CheckedSubsets(config.t, config.K)
-        set_masks = _CheckedSubsets(config.t + 1, config.K)
+        checks = _plan_checks(config)
+        kept, unkept = [_Checked(c) for c in checks], [_Unkept(c) for c in checks]
         for line in lines:
             record = _PLAN_DECODER.decode(line)
             kind = record.get("kind")
             if kind not in delivery.GROUPS:
                 raise SpecError(f"unknown plan line kind {kind!r}")
-            # JSON true/false decode to bools, which equal 1 and 0 and so would
-            # hit the memos: such a line is checked in full.  So is one that a
-            # memo refuses or that has the wrong shape, for the checks' message.
-            if "true" in line or "false" in line:
-                bc = _checked_broadcast(record, kind, config)
-            else:
-                try:  # one memo lookup per index set, two per payload term
-                    index_sets = tuple([set_masks[tuple(record[f])]
-                                        for f in delivery.GROUPS[kind][0]])
-                    terms = [bases[s, i] | term_masks[tuple(u)] for s, i, u in record["payload"]]
-                    bc = mn.Broadcast(record["origin"], index_sets, xor_sum(terms), kind)
-                except (KeyError, TypeError, ValueError):
-                    bc = _checked_broadcast(record, kind, config)
+            memos = unkept if "true" in line or "false" in line else kept
+            try:
+                bc = _broadcast(record, kind, *memos)
+            except TypeError:  # a key that cannot be hashed
+                bc = _broadcast(record, kind, *unkept)
             if type(bc.origin) is not str:
                 raise SpecError(f"{kind} line has origin {bc.origin!r}, which is not a string")
             key = (kind, bc.origin, bc.index_sets)

@@ -36,7 +36,6 @@ from .mn import (
     RecoveryReport,
     message,
     mn_delivery,
-    origin_violations,
     verify_full_recovery,
 )
 from .pairing import (
@@ -48,7 +47,7 @@ from .pairing import (
     outer_graphs,
     single_layer_weights,
 )
-from .system import SERVER_A, SERVER_B, Demand, SystemConfig, subset_masks, users_of
+from .system import SERVER_A, SERVER_B, Demand, SystemConfig, packet_id, subset_masks, users_of
 
 SCHEME_MN = "mn"
 
@@ -254,23 +253,29 @@ def coverage_errors(plan: DeliveryPlan) -> list[str]:
 
 
 def origin_errors(plan: DeliveryPlan) -> list[str]:
-    """origin_violations of every broadcast, in plan order.  One pass over
-    each payload finds the violators; only those are spelled out."""
+    """The origin rule of every broadcast, audited in one pass: origin A
+    sends only server-A packets, B only server-B packets, P only twin pairs
+    and SINGLE anything.  Violations come in plan order, and within a
+    broadcast in the order of their PacketIds, as plan files spell terms."""
     K = plan.config.K
     server_bit = 1 << K
+    foreign_bits = {ORIGIN_A: server_bit, ORIGIN_B: 0}
     problems = []
     for bc in plan.broadcasts:
         origin, terms = bc.origin, bc.payload
-        if origin == ORIGIN_A:
-            ok = not any(p & server_bit for p in terms)
-        elif origin == ORIGIN_B:
-            ok = all(p & server_bit for p in terms)
+        if origin in foreign_bits:
+            foreign = foreign_bits[origin]
+            bad = [p for p in terms if p & server_bit == foreign]
         elif origin == ORIGIN_P:
-            ok = all(p ^ server_bit in terms for p in terms)
+            bad = [p for p in terms if p ^ server_bit not in terms]
         else:
-            ok = origin == ORIGIN_SINGLE
-        if not ok:
-            problems.extend(origin_violations(bc, K))
+            if origin != ORIGIN_SINGLE:
+                problems.append(f"unknown origin {origin!r}")
+            continue
+        if bad:
+            template = ("parity payload term {} lacks its twin" if origin == ORIGIN_P
+                        else f"origin {origin} payload holds foreign packet {{}}")
+            problems.extend(template.format(q) for q in sorted(packet_id(p, K) for p in bad))
     return problems
 
 

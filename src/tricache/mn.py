@@ -57,7 +57,8 @@ class Broadcast:
     (s1, s2); every other kind carries the one set it serves.  Origin A
     carries only server-A packets, origin B only server-B packets, and origin
     P only twin pairs (the A and B packet with identical file index and
-    subset), since the parity server can only combine its stored parities.
+    subset), since the parity server can only combine its stored parities;
+    `delivery.origin_errors` audits that rule.
     The payload is the set of packet ints (`system.packet`) whose XOR is sent.
     """
 
@@ -65,25 +66,6 @@ class Broadcast:
     index_sets: tuple[int, ...]
     payload: frozenset[int]
     kind: str
-
-
-def origin_violations(broadcast: Broadcast, K: int) -> list[str]:
-    """Audit the origin invariant for a system of K users; returns
-    human-readable violations in plan-file term order."""
-    origin, terms = broadcast.origin, broadcast.payload
-    server_bit = 1 << K
-    if origin in (ORIGIN_A, ORIGIN_B):
-        foreign = 0 if origin == ORIGIN_B else server_bit
-        bad = [p for p in terms if (p & server_bit) == foreign]
-        template = f"origin {origin} payload holds foreign packet {{}}"
-    elif origin == ORIGIN_P:
-        bad = [p for p in terms if (p ^ server_bit) not in terms]
-        template = "parity payload term {} lacks its twin"
-    elif origin == ORIGIN_SINGLE:
-        return []
-    else:
-        return [f"unknown origin {origin!r}"]
-    return [template.format(p) for p in sorted(packet_id(p, K) for p in bad)]
 
 
 def message(
@@ -225,14 +207,17 @@ def verify_full_recovery(
     informational).  The payloads are interned once and one bit-sliced peel
     (`_peel`) serves all users, seeded with the packets each caches.  A user
     with a target that peel leaves unknown runs `_eliminate` over the ids it
-    does not know, so every answer is exact GF(2) span membership.
+    does not know, so every answer is exact GF(2) span membership.  Targets
+    are read through the one packet map, `ids`: a packet that no payload
+    holds reads an extra slot that no user knows.
     """
     ids, rows = _intern(broadcasts)
     K = config.K
     everyone = (1 << K) - 1
     known_by = [p & everyone for p in ids]
     _peel(rows, known_by, everyone)
-    known_of = dict(zip(ids, known_by))
+    absent = len(known_by)
+    known_by.append(0)  # the slot of every packet no payload holds
     tsubs = subset_masks(config.users, config.t)
     results = []
     for user in config.users:
@@ -241,7 +226,8 @@ def verify_full_recovery(
         base = packet(server, idx, 0, K)
         # The user's targets (its file's packets whose subset misses the
         # user) that the shared peel left unknown to it, in colex order.
-        failed = [base | m for m in tsubs if not m & bit and not known_of.get(base | m, 0) & bit]
+        failed = [base | m for m in tsubs
+                  if not m & bit and not known_by[ids.get(base | m, absent)] & bit]
         if any(p in ids for p in failed):
             decoded = _eliminate(rows, known_by, user, [ids.get(p) for p in failed])
             failed = [p for p, ok in zip(failed, decoded) if not ok]

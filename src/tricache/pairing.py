@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .analysis import (
     HIGH,
@@ -210,14 +210,13 @@ def _related(parts: Sequence[int], others: Sequence[int], inside: bool) -> list[
 # ---------------------------------------------------------------------------
 # graph families per scheme
 
-def outer_graphs(config: SystemConfig, layers: Sequence[Layer]) -> list[PairGraph]:
-    """Perfectly pairable layer graphs (V_w, V_{t+1-w}) outside the middle band."""
+def outer_graphs(config: SystemConfig, layers: Sequence[Layer]) -> Iterator[PairGraph]:
+    """Perfectly pairable layer graphs (V_w, V_{t+1-w}) outside the middle
+    band, built one at a time as they are drawn."""
     t = config.t
     top = (t - 3) // 2 if t % 2 else t // 2
-    return [
-        build_pair_graph(config, f"layers-{w}x{t + 1 - w}", [layers[w]], [layers[t + 1 - w]])
-        for w in range(1, top + 1)
-    ]
+    for w in range(1, top + 1):
+        yield build_pair_graph(config, f"layers-{w}x{t + 1 - w}", [layers[w]], [layers[t + 1 - w]])
 
 
 def lap_middle_graph(config: SystemConfig, layers: Sequence[Layer]) -> PairGraph:
@@ -227,7 +226,9 @@ def lap_middle_graph(config: SystemConfig, layers: Sequence[Layer]) -> PairGraph
 
 def improved_middle_graphs(
     config: SystemConfig, layers: Sequence[Layer], regime: int | None = None
-) -> list[PairGraph]:
+) -> Iterator[PairGraph]:
+    """The regime's class graphs (REGIME_GRAPH_SPECS), built one at a time as
+    they are drawn."""
     if regime is None:
         regime = regime_of_lambda(config.lam)
     a1_bit = 1 << config.users_a[0]
@@ -240,10 +241,9 @@ def improved_middle_graphs(
             lambda a: (a & a1_bit != 0) == has_a1, lambda b: (b & b1_bit != 0) == has_b1
         )
 
-    return [
-        build_pair_graph(config, label, [block(*c) for c in x_specs], [block(*c) for c in y_specs])
-        for label, x_specs, y_specs in REGIME_GRAPH_SPECS[regime]
-    ]
+    for label, x_specs, y_specs in REGIME_GRAPH_SPECS[regime]:
+        yield build_pair_graph(config, label, [block(*c) for c in x_specs],
+                               [block(*c) for c in y_specs])
 
 
 def single_layer_weights(config: SystemConfig) -> tuple[int, ...]:
@@ -346,13 +346,16 @@ def _hopcroft_karp(adj: list[list[int]], ny: int) -> tuple[list[int], list[int]]
     return match_x, match_y
 
 
-def match_graphs(graphs: Sequence[PairGraph]) -> list[tuple[tuple[int, int], ...]]:
-    """A maximum matching of each graph, checked by check_saturation."""
+def match_graphs(graphs: Iterable[PairGraph]) -> list[tuple[tuple[int, int], ...]]:
+    """A maximum matching of each graph, checked by check_saturation.  Each
+    graph is dropped once matched, so drawn from a generator at most one is
+    alive at a time."""
     matchings = []
     for g in graphs:
         m = max_matching(g)
         check_saturation(g, m)
         matchings.append(tuple(m))
+        del g  # the loop name would keep it alive while the next one is built
     return matchings
 
 

@@ -29,7 +29,7 @@ def build_graphs(config: SystemConfig, scheme: str) -> list[PairGraph]:
     """Every pairing graph the scheme uses: outer layer pairs, plus for odd t
     the middle construction, with 'auto' resolved by auto_scheme."""
     layers = build_layers(config)
-    graphs = outer_graphs(config, layers)
+    graphs = list(outer_graphs(config, layers))
     if config.t % 2 == 1:
         if scheme == SCHEME_AUTO:
             scheme = auto_scheme(config.K, config.t)

@@ -17,8 +17,6 @@ from tricache.analysis import (
     MID,
     REGIME_GRAPH_SPECS,
     ratio_curves,
-    delta_improved_exact,
-    delta_lap_exact,
     improved_count_simplified,
     improved_unpaired_count,
     lap_unpaired_count,
@@ -26,6 +24,7 @@ from tricache.analysis import (
     mn_rate_formula,
     rate_theorem,
     ratio_asymptote,
+    scheme_delta,
 )
 from tricache.delivery import build_plan, coverage_errors, measure_rate, verify_plan
 from tricache.mn import mn_delivery, verify_full_recovery
@@ -98,7 +97,7 @@ def test_criterion_03_baseline_delta():
     cfg14 = build_config(14, 7, 14)
     uc14 = count_unpaired(cfg14, SCHEME_LAP)
     assert uc14.n == 245 == lap_unpaired_count(14, 7)
-    assert uc14.delta == delta_lap_exact(14, 7)
+    assert uc14.delta == scheme_delta(14, 7, SCHEME_LAP)
     _report(3, "matcher-counted baseline leftovers equal the closed form (3 and 245)")
 
 
@@ -236,7 +235,7 @@ def test_criterion_07_asymptotic_trends():
 def test_criterion_08_rate_arithmetic_and_limits():
     # rate formula reproduced exactly for the criterion-4 cases
     for K, t in ((14, 7), (22, 11), (30, 15), (22, 7), (30, 9), (30, 21)):
-        delta_prime = delta_improved_exact(K, t).delta_prime
+        delta_prime = scheme_delta(K, t, SCHEME_IMPROVED)
         expected = (Fraction(1, 2) + delta_prime / 6) * mn_rate_formula(K, t)
         assert rate_theorem(K, t, SCHEME_IMPROVED) == expected
 

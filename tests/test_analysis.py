@@ -17,8 +17,6 @@ from tricache.analysis import (
     AsymmetricRate,
     asymmetric_rate,
     ratio_curves,
-    delta_improved_exact,
-    delta_lap_exact,
     delta_prime_asymptote,
     improved_count_simplified,
     improved_unpaired_count,
@@ -36,20 +34,20 @@ from conftest import four_way_class_size
 
 
 def test_delta_lap_small():
-    assert delta_lap_exact(6, 3) == Fraction(1, 5)
-    assert delta_lap_exact(14, 7) == Fraction(245, comb(14, 8)) == Fraction(35, 429)
+    assert scheme_delta(6, 3, SCHEME_LAP) == Fraction(1, 5)
+    assert scheme_delta(14, 7, SCHEME_LAP) == Fraction(245, comb(14, 8)) == Fraction(35, 429)
 
 
 def test_delta_lap_rejects_even_t():
     with pytest.raises(ValueError):
-        delta_lap_exact(8, 4)
+        lap_unpaired_count(8, 4)
 
 
 def test_delta_lap_bounded_third_at_half():
     for K in range(6, 63, 8):  # lambda = 1/2 admits odd t when K = 4j + 2
         t = K // 2
         assert t % 2 == 1
-        assert delta_lap_exact(K, t) <= Fraction(1, 3)
+        assert scheme_delta(K, t, SCHEME_LAP) <= Fraction(1, 3)
 
 
 def test_improved_counts_frozen():
@@ -128,7 +126,7 @@ def test_rate_theorem_even_t():
 def test_rate_theorem_odd_t():
     assert rate_theorem(6, 3, SCHEME_LAP) == (Fraction(1, 2) + Fraction(1, 5) / 6) * Fraction(3, 4)
     assert rate_theorem(6, 3, SCHEME_LAP) == Fraction(2, 5)
-    delta_prime = delta_improved_exact(14, 7).delta_prime
+    delta_prime = scheme_delta(14, 7, SCHEME_IMPROVED)
     assert rate_theorem(14, 7, SCHEME_IMPROVED) == (Fraction(1, 2) + delta_prime / 6) * Fraction(7, 8)
     # auto never regresses past either scheme
     assert rate_theorem(14, 7, SCHEME_AUTO) == min(
@@ -142,10 +140,10 @@ def test_auto_delta_is_the_smaller_closed_form():
     wins = set()
     for K in range(2, 61, 2):
         for t in range(1, K, 2):
-            lap, improved = delta_lap_exact(K, t), delta_improved_exact(K, t)
-            assert scheme_delta(K, t, SCHEME_AUTO) == min(lap, improved.delta_prime), (K, t)
-            if improved.delta_prime < lap:
-                wins.add(improved.regime)
+            lap, improved = scheme_delta(K, t, SCHEME_LAP), scheme_delta(K, t, SCHEME_IMPROVED)
+            assert scheme_delta(K, t, SCHEME_AUTO) == min(lap, improved), (K, t)
+            if improved < lap:
+                wins.add(improved_unpaired_count(K, t)[0])
     assert wins == {1, 2, 3}
 
 
@@ -167,7 +165,7 @@ def test_asymmetric_rate_skips_invalid_inner_terms():
 def test_multi_server_rates():
     assert multi_server_rate(3, 8, 4) == Fraction(2 * 4, 3 * 5) == Fraction(2, 3) * mn_rate_formula(8, 4)
     assert multi_server_rate(2, 14, 7, with_two_parities=True) == mn_rate_formula(14, 7) / 2
-    expected = (Fraction(1, 2) + Fraction(2, 12) * delta_improved_exact(14, 7).delta_prime) * mn_rate_formula(14, 7)
+    expected = (Fraction(1, 2) + Fraction(2, 12) * scheme_delta(14, 7, SCHEME_IMPROVED)) * mn_rate_formula(14, 7)
     assert multi_server_rate(4, 14, 7, with_two_parities=True) == expected
 
 

@@ -18,7 +18,7 @@ from hypothesis import assume, given, settings, strategies as st
 import tricache
 from tricache import cli, delivery
 from tricache.cli import load_plan, main
-from tricache.system import build_config, random_demand, worst_demand
+from tricache.system import build_config, mask_of, packet, random_demand, worst_demand
 
 from conftest import reference_plan_lines
 from test_mn import elimination_oracle
@@ -689,7 +689,9 @@ def test_payload_term_with_the_users_of_an_index_set_names_no_packet(tmp_path, c
     assert "Traceback" not in err and "plan ok" not in out
 
 
-def test_memo_hits_and_misses_load_as_the_checked_path(tmp_path, capsys, monkeypatch):
+def test_boolean_line_and_idle_file_term_load_as_the_built_plan(tmp_path, capsys):
+    # A boolean sends one line to the memos that keep nothing; a term of a
+    # file no user asks for is the first sight of that file's packet base.
     path = tmp_path / "plan.jsonl"
     argv = ["simulate", "--K", "8", "--M", "6", "--N", "16", "--demand", "random", "--seed", "1",
             "--scheme", "improved", "--output", str(tmp_path / "r.json"), "--plan-out", str(path)]
@@ -697,20 +699,32 @@ def test_memo_hits_and_misses_load_as_the_checked_path(tmp_path, capsys, monkeyp
     records = [json.loads(line) for line in path.read_text().splitlines()]
     demanded = {i for _, i in records[0]["demand"].values()}
     idle = next(i for i in range(1, 9) if i not in demanded)
-    # A boolean sends one line down the checked path; a term of a file no user
-    # asks for, on either server, misses the memo of packet bases on another
     records[5]["note"] = True
     seen_users = records[1]["payload"][0][2]
     records[9]["payload"].append(["A", idle, seen_users])
     path.write_text("".join(json.dumps(r, sort_keys=True) + "\n" for r in records))
 
-    checked = []
-    real = cli._checked_broadcast
-    monkeypatch.setattr(cli, "_checked_broadcast",
-                        lambda record, *args: checked.append(record) or real(record, *args))
-    plan = load_plan(path)
-    assert checked == [records[5], records[9]]
-    monkeypatch.undo()
-    assert plan.broadcasts == tuple(
-        cli._checked_broadcast(r, r["kind"], plan.config) for r in records[1:]
+    config = build_config(8, 6, 16)
+    built = delivery.build_plan(config, random_demand(config, random.Random(1)), "improved")
+    term = packet("A", idle, mask_of(seen_users), config.K)
+    grown = dataclasses.replace(built.broadcasts[8], payload=built.broadcasts[8].payload | {term})
+    assert load_plan(path).broadcasts == built.broadcasts[:8] + (grown,) + built.broadcasts[9:]
+
+
+def test_stdout_closed_early_is_invalid_use():
+    # a reader that takes 100 bytes and closes the pipe: one error line and
+    # exit 2, with no traceback and no second failure at the exit flush
+    src = str(Path(tricache.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "tricache.cli", "simulate", "--K", "12", "--lambda", "5/12",
+         "--plan-out", "-"],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
     )
+    assert len(proc.stdout.read(100)) == 100
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=60) == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err and "Exception ignored" not in err

@@ -18,14 +18,11 @@ from tricache.delivery import (
     synthesize_unpaired,
     verify_plan,
 )
-from tricache.mn import (
-    ORIGIN_P,
-    origin_violations,
-    verify_full_recovery,
-)
+from tricache.mn import ORIGIN_P, verify_full_recovery
 from tricache.pairing import SCHEME_IMPROVED, SCHEME_LAP
 from tricache.system import (
     build_config,
+    packet_id,
     place_caches,
     random_demand,
     users_of,
@@ -249,7 +246,7 @@ def test_tampered_plan_detected():
 
 def test_origin_errors_spell_out_every_violation_in_plan_order():
     # some lines relabelled, so A, B and P lines and an unknown origin each
-    # violate somewhere; the audit's pre-test must skip exactly the clean ones
+    # violate somewhere; the expected text is spelled here from PacketIds
     cfg = build_config(8, 3, 8)
     plan = build_plan(cfg, worst_demand(cfg), SCHEME_IMPROVED)
     relabel = {"A": "B", "B": "P", "P": "A"}
@@ -263,7 +260,19 @@ def test_origin_errors_spell_out_every_violation_in_plan_order():
 
     tampered = tuple(tamper(i, bc) for i, bc in enumerate(plan.broadcasts))
     broken = replace(plan, broadcasts=tampered)
-    expected = [v for bc in tampered for v in origin_violations(bc, cfg.K)]
+    twin_server = {"A": "B", "B": "A"}
+
+    def violations(bc):
+        spelled = sorted(packet_id(p, cfg.K) for p in bc.payload)
+        if bc.origin == "Q":
+            return ["unknown origin 'Q'"]
+        if bc.origin == "P":
+            return [f"parity payload term {q} lacks its twin" for q in spelled
+                    if q._replace(server=twin_server[q.server]) not in spelled]
+        return [f"origin {bc.origin} payload holds foreign packet {q}" for q in spelled
+                if q.server != bc.origin]
+
+    expected = [v for bc in tampered for v in violations(bc)]
     for prefix in ("origin A payload", "origin B payload", "parity payload", "unknown origin"):
         assert any(v.startswith(prefix) for v in expected), prefix
     assert origin_errors(broken) == expected

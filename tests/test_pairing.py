@@ -333,7 +333,7 @@ def test_pair_graph_on_random_blocks_equals_oracle(data):
 def test_max_matching_empty_side():
     cfg = build_config(6, 3, 6)
     layers = build_layers(cfg)
-    graphs = improved_middle_graphs(cfg, layers)
+    graphs = list(improved_middle_graphs(cfg, layers))
     g2 = graphs[1]  # y side V_{1;a1,b1-free} is empty at this size
     assert g2.y == ()
     assert max_matching(g2) == []
@@ -412,7 +412,7 @@ def test_hopcroft_karp_matches_brute_force(data):
 def test_saturation_at_k14_regime2_g3():
     cfg = build_config(14, 7, 14)
     layers = build_layers(cfg)
-    g3 = improved_middle_graphs(cfg, layers, 2)[2]
+    g3 = list(improved_middle_graphs(cfg, layers, 2))[2]
     m = max_matching(g3)
     assert len(m) == min(len(g3.x), len(g3.y))
     check_saturation(g3, m)
@@ -420,7 +420,7 @@ def test_saturation_at_k14_regime2_g3():
 
 def test_check_saturation_raises_one_pair_short():
     cfg = build_config(10, 5, 10)
-    g = improved_middle_graphs(cfg, build_layers(cfg), 2)[2]
+    g = list(improved_middle_graphs(cfg, build_layers(cfg), 2))[2]
     m = max_matching(g)
     check_saturation(g, m)
     with pytest.raises(RuntimeError, match="saturate the smaller side"):
@@ -499,7 +499,7 @@ def test_build_graphs_auto_picks_winner():
 def test_graph_orientation():
     cfg = build_config(6, 3, 6)
     layers = build_layers(cfg)
-    g1 = improved_middle_graphs(cfg, layers, 2)[0]  # x in the middle layer, y below
+    g1 = list(improved_middle_graphs(cfg, layers, 2))[0]  # x in the middle layer, y below
     assert orientation(g1) == "x"
     assert orientation(lap_middle_graph(cfg, layers)) == "mixed"
 
