@@ -9,14 +9,21 @@ The schemes' class layout (REGIME_GRAPH_SPECS) and the regime rule live
 here, and pairing builds its graphs from them.  The closed forms also make
 the one choice 'auto' needs (auto_scheme): pairing matches only the
 construction they pick.
+
+Large binomials, such as the C(K, t+1) of every curve row, come from `binom`.
+It multiplies the prime powers that divide C(n, k) when min(k, n - k) > 400
+and n < 16 min(k, n - k), and calls math.comb otherwise, the side of the
+measured crossover on which each is faster.
 """
 
 from __future__ import annotations
 
 import sys
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, lgamma, log
+from math import comb, isqrt, lgamma, log
+from operator import mul
 
 SCHEME_LAP = "lap"
 SCHEME_IMPROVED = "improved"
@@ -84,11 +91,85 @@ def middle_weights(t: int) -> tuple[int, int, int]:
     return ((t - 1) // 2, (t + 1) // 2, (t + 3) // 2)
 
 
+# binom's path rule.  The prime-power product overtakes math.comb at
+# j = 370, 420, 510, 580, 800 and 1000 for n = 1000, 2000, 4000, 8000, 16000
+# and 32000 (CPython 3.11.7, shared 2-vCPU VM), so comb keeps small j, and
+# n far above j, where the product's sieve to n would cost the most.
+_COMB_MAX_J = 400
+_COMB_MIN_RATIO = 16
+
+# Every prime up to _sieved, ascending; grown (at least doubled) on demand.
+_primes: list[int] = [2]
+_sieved = 2
+
+
+def _primes_upto(n: int) -> list[int]:
+    """The sorted prime table, grown if needed to hold every prime <= n."""
+    global _primes, _sieved
+    if n > _sieved:
+        limit = max(n, 2 * _sieved)
+        flags = bytearray([1]) * (limit + 1)
+        flags[:2] = b"\0\0"
+        for p in range(2, isqrt(limit) + 1):
+            if flags[p]:
+                flags[p * p::p] = bytes(len(range(p * p, limit + 1, p)))
+        _primes = [p for p, is_prime in enumerate(flags) if is_prime]
+        _sieved = limit
+    return _primes
+
+
+def _balanced_product(factors: list[int]) -> int:
+    # pairwise rounds keep the operands of each big multiplication alike in size
+    while len(factors) > 1:
+        paired = list(map(mul, factors[::2], factors[1::2]))
+        if len(factors) % 2:
+            paired.append(factors[-1])
+        factors = paired
+    return factors[0]
+
+
+def _binom_from_primes(n: int, j: int) -> int:
+    """C(n, j) for 1 <= j <= n/2 as a product of prime powers, no division.
+
+    The exponent of p is Legendre's sum over i of floor(n/p^i) - floor(j/p^i)
+    - floor((n-j)/p^i), which by Kummer counts the carries when j and n - j
+    are added in base p.  Only primes up to sqrt(n) need the sum.  Above it n
+    has two base-p digits, so there is at most one carry, and it happens
+    exactly when j mod p > n mod p.  Above n/2 that reads p > n - j.
+    """
+    primes = _primes_upto(n)
+    root = bisect_right(primes, isqrt(n))
+    factors = []
+    for p in primes[:root]:
+        e, q = 0, p
+        while q <= n:
+            e += n // q - j // q - (n - j) // q
+            q *= p
+        if e:
+            factors.append(p ** e)
+    factors += [p for p in primes[root:bisect_right(primes, n // 2)] if j % p > n % p]
+    factors += primes[bisect_right(primes, n - j):bisect_right(primes, n)]
+    return _balanced_product(factors)
+
+
 def binom(n: int, k: int) -> int:
-    """C(n, k) with the combinatorial convention: 0 outside 0 <= k <= n."""
+    """C(n, k) with the combinatorial convention: 0 outside 0 <= k <= n.
+
+    With j = min(k, n - k), math.comb computes it when j <= 400 or
+    n >= 16 j, and a product of prime powers (`_binom_from_primes`) does
+    otherwise.  math.comb recurses through exact big-integer divisions,
+    whose cost is quadratic in the digits; the product needs none, but
+    it sieves the primes up to n.  Best of 7 on CPython 3.11.7, math.comb
+    against the product: n = 8000 takes 2.4 ms against 0.23 ms at
+    j = 4000, 0.19 ms against 0.11 ms at j = 1000, and 3.5 us against
+    71 us at j = 50; C(16002, 8002) takes 8.5 ms against 0.42 ms.
+    """
     if k < 0 or n < 0 or k > n:
         return 0
-    return comb(n, k)
+    j = min(k, n - k)
+    if j <= _COMB_MAX_J or n >= _COMB_MIN_RATIO * j:
+        return comb(n, j)
+    return _binom_from_primes(n, j)
 
 
 def mn_rate_formula(K: int, t: int) -> Fraction:
@@ -349,6 +430,7 @@ def ratio_curves(
     skipped: list[SkippedPoint] = []
     for lam in lambdas:
         lam = Fraction(lam)
+        regime = None  # with the asymptote, set at the first admitted point
         for K in K_values:
             if K % 2 != 0:
                 skipped.append(SkippedPoint(lam, K, "K must be even"))
@@ -369,9 +451,11 @@ def ratio_curves(
                 skipped.append(SkippedPoint(lam, K, f"C({K}, {t + 1}) has about {digits} digits, "
                                             f"over the int-to-text limit of {digit_limit}"))
                 continue
-            window, regime = _binomial_window(K, t), regime_of_lambda(lam)
+            if regime is None:
+                regime, asymptote = regime_of_lambda(lam), ratio_asymptote(lam)
+            window = _binomial_window(K, t)
             n, n_i = _lap_count(window, t), _improved_count(window, t, regime)
-            total = comb(K, t + 1)
+            total = binom(K, t + 1)
             rows.append(
                 CurveRow(
                     lam=lam,
@@ -381,7 +465,7 @@ def ratio_curves(
                     n=n,
                     n_i=n_i,
                     ni_over_n=Fraction(n_i, n) if n else None,
-                    asymptote=ratio_asymptote(lam),
+                    asymptote=asymptote,
                     delta=Fraction(n, total),
                     delta_prime=Fraction(n_i, total),
                 )

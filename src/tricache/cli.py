@@ -56,7 +56,8 @@ class SpecError(Exception):
 
 
 def parse_fraction(text: str) -> Fraction:
-    """Parse an exact fraction such as '1/2' or '3'; floats are rejected so
+    """Parse an exact fraction such as '1/2', '3' or '0.5'.  A decimal is read
+    exactly ('0.5' is 1/2, '1e-1' is 1/10), never through a binary float, so
     integrality checks stay exact."""
     text = text.strip()
     try:
@@ -453,14 +454,15 @@ def _rational_cells(value: Fraction | None) -> list[str]:
 def _curve_csv(rows: list[analysis.CurveRow]) -> str:
     lines = [",".join(CURVE_COLUMNS)]
     for r in rows:
+        ratio = _rational_cells(r.ni_over_n)
         cells = (
             _rational_cells(r.lam)
             + [str(r.K), str(r.t), str(r.regime), str(r.n), str(r.n_i)]
-            + _rational_cells(r.ni_over_n)
+            + ratio
             + _rational_cells(r.asymptote)
             + _rational_cells(r.delta)
             + _rational_cells(r.delta_prime)
-            + _rational_cells(r.ni_over_n)  # delta_ratio: delta'/delta = n_i/n
+            + ratio  # delta_ratio: delta'/delta = n_i/n
         )
         lines.append(",".join(cells))
     return "\n".join(lines) + "\n"

@@ -1,9 +1,12 @@
 import enum
 import json
+from math import comb
 from typing import Collection, Iterable, NamedTuple, Sequence
 
-from tricache import delivery, mn
-from tricache.analysis import SCHEME_AUTO, SCHEME_LAP, auto_scheme, binom
+import pytest
+
+from tricache import analysis, delivery, mn
+from tricache.analysis import SCHEME_AUTO, SCHEME_LAP, auto_scheme
 from tricache.pairing import (
     PairGraph,
     build_layers,
@@ -96,6 +99,20 @@ def class_members(config, layers, w, has_a1, has_b1):
         for m in layers[w].members
         if bool(m & a1_bit) == has_a1 and bool(m & b1_bit) == has_b1
     )
+
+
+def binom(n: int, k: int) -> int:
+    """math.comb with 0 outside 0 <= k <= n: the oracles' own binomial, kept
+    apart from the analysis.binom they check."""
+    return comb(n, k) if 0 <= k <= n else 0
+
+
+@pytest.fixture
+def fresh_sieve(monkeypatch):
+    """analysis's prime table cut back to the prime 2, restored afterwards."""
+    monkeypatch.setattr(analysis, "_primes", [2])
+    monkeypatch.setattr(analysis, "_sieved", 2)
+    return analysis
 
 
 def four_way_class_size(K: int, t: int, w: int, has_a1: bool, has_b1: bool) -> int:

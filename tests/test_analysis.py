@@ -4,6 +4,7 @@ from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tricache.analysis import (
     HIGH,
@@ -16,6 +17,7 @@ from tricache.analysis import (
     SCHEME_LAP,
     AsymmetricRate,
     asymmetric_rate,
+    binom,
     ratio_curves,
     delta_prime_asymptote,
     improved_count_simplified,
@@ -210,3 +212,63 @@ def test_four_way_class_size_table():
     assert four_way_class_size(14, 7, 4, False, False) == comb(6, 4) ** 2 == 225
     assert four_way_class_size(14, 7, 3, False, True) == comb(6, 3) * comb(6, 4) == 300
     assert four_way_class_size(14, 7, 5, True, False) == comb(6, 4) * comb(6, 3) == 300
+
+
+def comb0(n: int, k: int) -> int:
+    return comb(n, k) if 0 <= k <= n else 0
+
+
+def _prime_side(n: int):
+    lo = max(401, n // 16 + 1)
+    return st.tuples(st.just(n), st.integers(lo, n - lo))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 20000).flatmap(lambda n: st.tuples(st.just(n), st.integers(-2, n + 2)))
+       | st.integers(802, 20000).flatmap(_prime_side))
+def test_binom_equals_math_comb(nk):
+    # the second strategy draws only 400 < min(k, n-k) and n < 16 min(k, n-k),
+    # the prime path; hypothesis keeps the first mostly to small n, math.comb
+    n, k = nk
+    assert binom(n, k) == comb0(n, k)
+
+
+def _path_of(sieve, monkeypatch, n, k) -> str:
+    used = []
+    prime_path = sieve._binom_from_primes
+    monkeypatch.setattr(sieve, "_binom_from_primes", lambda n, j: used.append(j) or prime_path(n, j))
+    assert binom(n, k) == comb0(n, k), (n, k)
+    monkeypatch.setattr(sieve, "_binom_from_primes", prime_path)
+    return "primes" if used else "comb"
+
+
+@pytest.mark.parametrize("n, k, path", [
+    (10, -1, "comb"), (8000, -3, "comb"), (10, 11, "comb"), (8000, 8001, "comb"), (-1, 0, "comb"),
+    (8000, 0, "comb"), (8000, 1, "comb"), (8000, 7999, "comb"), (8000, 8000, "comb"),
+    (0, 0, "comb"), (1, 1, "comb"), (2, 1, "comb"),
+    (7919, 3000, "primes"), (7919, 3959, "primes"), (7919, 3960, "primes"),  # n prime
+    (7921, 3960, "primes"), (7920, 3960, "primes"), (7921, 2640, "primes"),  # 89^2, 89^2 - 1
+    (9409, 4704, "primes"), (9408, 4704, "primes"), (9409, 97, "comb"),  # 97^2, 97^2 - 1
+    (800, 400, "comb"), (802, 401, "primes"), (802, 400, "comb"),  # j at the j bound
+    (6399, 400, "comb"), (6415, 401, "primes"), (6416, 401, "comb"), (6417, 401, "comb"),
+    (6415, 6014, "primes"), (6416, 6015, "comb"),  # n at 16 j, from either side of n/2
+])
+def test_binom_edges_and_switch(fresh_sieve, monkeypatch, n, k, path):
+    assert _path_of(fresh_sieve, monkeypatch, n, k) == path
+
+
+def test_binom_sieve_follows_n_down_and_up(fresh_sieve):
+    for n in (9000, 5000, 1300, 2600, 6000, 12011, 20000, 47):
+        for k in (n // 2, n // 3, n // 15 + 1):
+            assert binom(n, k) == comb(n, k), (n, k)
+    assert fresh_sieve._sieved >= 20000
+    assert fresh_sieve._primes[-1] <= fresh_sieve._sieved
+    assert len(fresh_sieve._primes) == sum(
+        all(p % d for d in range(2, int(p ** 0.5) + 1)) for p in range(2, fresh_sieve._sieved + 1)
+    )
+
+
+def test_binom_far_above_j_sieves_nothing(fresh_sieve):
+    assert binom(10**8, 402) == comb(10**8, 402)
+    assert binom(10**8, 10**8 - 6000) == comb(10**8, 6000)
+    assert len(fresh_sieve._primes) <= 1000

@@ -193,6 +193,37 @@ def test_curves_empty_grid(capsys):
     assert "no admissible" in err
 
 
+def test_curves_large_k_golden(capsys):
+    # every row's C(K, t+1), and the window seed of every row but two, take
+    # analysis.binom's prime path; the digest was recorded while math.comb
+    # computed them all
+    code, out, _ = run(["curves", "--K", "2060,4100,6020,7940", "--lambdas", "1/4,9/20,3/4"], capsys)
+    assert code == 0
+    rows = out.splitlines()[1:]
+    assert len(rows) == 12 and {r.split(",")[5] for r in rows} == {"1", "2", "3"}
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "4e872fc01b3a05452887fa379995ab584568f83ee924805c8845ac449fb9a54e")
+
+
+def test_curves_far_above_t_sieve_nothing(fresh_sieve, capsys):
+    code, out, _ = run(["curves", "--K", "100000000", "--lambdas", "3/100000000"], capsys)
+    assert code == 0 and len(out.splitlines()) == 2
+    assert len(fresh_sieve._primes) <= 1000
+
+
+def test_decimal_lambdas_read_exactly(tmp_path, capsys):
+    # Fraction reads a decimal string exactly, so 0.5 is the fraction 1/2
+    outputs = {}
+    for lam in ("1/2", "0.5"):
+        assert main(["simulate", "--K", "12", "--lambda", lam,
+                     "--output", str(tmp_path / f"r{len(outputs)}.json")]) == 0
+        assert main(["curves", "--K", "14,22", "--lambdas", lam,
+                     "--output", str(tmp_path / f"c{len(outputs)}.csv")]) == 0
+        outputs[lam] = [(tmp_path / f"{kind}{len(outputs)}.{ext}").read_bytes()
+                        for kind, ext in (("r", "json"), ("c", "csv"))]
+    assert outputs["0.5"] == outputs["1/2"]
+
+
 @pytest.fixture
 def default_int_str_limit():
     if not hasattr(sys, "set_int_max_str_digits"):
