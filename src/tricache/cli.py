@@ -16,6 +16,7 @@ import os
 import random
 import sys
 from fractions import Fraction
+from itertools import combinations
 from math import comb
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
@@ -33,7 +34,6 @@ from .system import (
     mask_of,
     packet,
     random_demand,
-    users_of,
     worst_demand,
     xor_sum,
 )
@@ -179,7 +179,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             "own data server); use --scheme mn"
         )
 
-    plan = delivery.build_plan(config, demand, scheme)
+    try:
+        plan = delivery.build_plan(config, demand, scheme)
+    except delivery.CoverageError as exc:
+        raise SpecError(f"scheme {scheme} cannot serve K={config.K}, t={config.t}: {exc}") from None
     problems, recovery = delivery.verify_plan(plan)
     rr = delivery.measure_rate(plan)
     report = {
@@ -247,7 +250,11 @@ def _report_csv(report: dict) -> str:
 
 def _plan_lines(plan: delivery.DeliveryPlan) -> Iterator[str]:
     """The plan file line by line, each line as json.dumps(record,
-    sort_keys=True) spells it, assembled from text made once per plan."""
+    sort_keys=True) spells it, assembled from text made once per plan.
+
+    The plan must be whole, as `delivery.build_plan` and `load_plan` give
+    it: its terms name t users and its index sets t+1, so the tables of all
+    such subsets are no larger than the plan."""
     config = plan.config
     meta = {
         "kind": "meta",
@@ -259,27 +266,27 @@ def _plan_lines(plan: delivery.DeliveryPlan) -> Iterator[str]:
         "demand": {str(u): [plan.demand.of(u)[0], plan.demand.of(u)[1]] for u in config.users},
     }
     yield json.dumps(meta, sort_keys=True) + "\n"
-    K, low = config.K, (1 << config.K) - 1
-    # Text made once per plan: a spelling per subset mask (term or index set)
-    # and a '["A", 3, ' head per (server, file).  A term sorts by one int key,
-    # (server, file, rank of its user list) as PacketIds sort, whose high bits
-    # index its head and whose low bits its users.
-    subsets = {p & low for bc in plan.broadcasts for p in bc.payload}
-    users = {m: list(users_of(m))
-             for m in subsets.union(m for bc in plan.broadcasts for m in bc.index_sets)}
-    spell = {m: str(u) for m, u in users.items()}  # an int list's str is its JSON
-    ranked = sorted(subsets, key=users.__getitem__)
-    tails = [spell[m] + "]" for m in ranked]
-    bits = len(ranked).bit_length()
-    rank = {m: r for r, m in enumerate(ranked)}
+    K, t, low = config.K, config.t, (1 << config.K) - 1
+    # Text made once per plan: a spelling per t-subset (a term's users) and
+    # (t+1)-subset (an index set's), and a '["A", 3, ' head per (server,
+    # file).  `combinations` yields subsets in the lexicographic order of
+    # their user lists, so a t-subset's place in it is its rank.  A term sorts
+    # by one int key, (server, file, rank of its users) as PacketIds sort,
+    # whose high bits index its head and whose low bits its users.
+    bits = [1 << u for u in config.users]
+    rank = {m: r for r, m in enumerate(map(sum, combinations(bits, t)))}
+    tails = [f"{list(u)}]" for u in combinations(config.users, t)]  # an int list's str is its JSON
+    spell = dict(zip(map(sum, combinations(bits, t + 1)),
+                     map(str, map(list, combinations(config.users, t + 1)))))
+    rank_bits = len(tails).bit_length()
     files = sorted({p >> K for bc in plan.broadcasts for p in bc.payload},
                    key=lambda f: (f & 1, f >> 1))  # f = file << 1 | server bit
-    code = {f: i << bits for i, f in enumerate(files)}
+    code = {f: i << rank_bits for i, f in enumerate(files)}
     heads = [f'["{SERVER_B if f & 1 else SERVER_A}", {f >> 1}, ' for f in files]
-    low_bits = (1 << bits) - 1
+    low_bits = (1 << rank_bits) - 1
     for bc in plan.broadcasts:
         keys = sorted([code[p >> K] | rank[p & low] for p in bc.payload])
-        payload = ", ".join([heads[k >> bits] + tails[k & low_bits] for k in keys])
+        payload = ", ".join([heads[k >> rank_bits] + tails[k & low_bits] for k in keys])
         sets = ", ".join([f'"{f}": {spell[m]}'
                           for f, m in zip(delivery.GROUPS[bc.kind][0], bc.index_sets)])
         yield f'{{"kind": "{bc.kind}", "origin": "{bc.origin}", "payload": [{payload}], {sets}}}\n'
@@ -290,7 +297,10 @@ def _plan_checks(config: SystemConfig) -> list[Callable]:
     stands for or raises the SpecError that refuses it: a payload term's
     (server, file index) gives that file's packet base, and a term's t users
     or an index set's t+1 users their mask.  Only strictly increasing ints
-    in 0..K-1 make a mask; any other list would alias one."""
+    in 0..K-1 make a mask; any other list would alias one.  Masks are built
+    per subset, not read from a table of 1 << u: that table would hold
+    K^2/2 bits for whatever K the meta line claims, before the line count
+    is checked."""
     K, half = config.K, config.N // 2
 
     def base(key: tuple) -> int:
@@ -303,8 +313,8 @@ def _plan_checks(config: SystemConfig) -> list[Callable]:
     def subset(size: int, refusal: str) -> Callable[[Sequence], int]:
         def check(users: Sequence) -> int:
             users = tuple(users)
-            valid = len(users) == size and all(type(u) is int for u in users)
-            if valid and list(users) == sorted(set(users)) and 0 <= users[0] <= users[-1] < K:
+            valid = len(users) == size and set(map(type, users)) == {int}
+            if valid and users == tuple(sorted(set(users))) and 0 <= users[0] and users[-1] < K:
                 return mask_of(users)
             raise SpecError(f"{refusal.format(list(users))}: it needs {size} strictly "
                             f"increasing users in 0..{K - 1}")

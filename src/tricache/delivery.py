@@ -215,14 +215,15 @@ def group_counts(plan: DeliveryPlan) -> Counter:
 def coverage_errors(plan: DeliveryPlan) -> list[str]:
     """Check every group is complete and of a kind the plan's scheme sends
     (mn groups in an mn plan only), and every (t+1)-subset of users is
-    served by exactly one group."""
+    served by exactly one group.  The index sets of all groups are counted
+    in one `Counter`; the C(K, t+1) sets are enumerated only to name the
+    ones no group serves."""
     config = plan.config
     mn = plan.scheme == SCHEME_MN
     groups: dict[tuple[str, tuple[int, ...]], list[str]] = {}
     for bc in plan.broadcasts:
         groups.setdefault((bc.kind, bc.index_sets), []).append(bc.origin)
     problems = []
-    seen: Counter[int] = Counter()
     for (kind, index_sets), origins in groups.items():
         fields, complete = GROUPS.get(kind, ((), ()))
         if len(index_sets) != len(fields) or tuple(sorted(origins)) not in complete:
@@ -233,7 +234,7 @@ def coverage_errors(plan: DeliveryPlan) -> list[str]:
             problems.append(
                 f"{kind} group {user_lists(index_sets)} is not sent by scheme {plan.scheme}"
             )
-        seen.update(index_sets)
+    seen = Counter([m for _, index_sets in groups for m in index_sets])
     size, everyone = config.t + 1, (1 << config.K) - 1
     invalid = {m for m in seen if not (0 <= m <= everyone and m.bit_count() == size)}
     flagged = invalid.union(m for m, n in seen.items() if n > 1)

@@ -29,7 +29,6 @@ from .system import (
     Demand,
     PacketId,
     SystemConfig,
-    packet,
     packet_id,
     subset_masks,
     xor_sum,
@@ -45,6 +44,10 @@ KIND_PAIR = "pair"  # m_A, m_B or m_P of an effective pair (s1, s2)
 KIND_UNPAIRED = "unpaired"  # one of two fragments that XOR to one set's signal
 KIND_SINGLE = "single"  # a one-sided set sent by its own data server
 KIND_MN = "mn"  # the single-server MN signal of one set
+
+# The server whose copy of a member's file each origin sends; None is the
+# member's own server.  P sends the A copy and its B twin.
+_BASE_SERVERS = {ORIGIN_A: SERVER_A, ORIGIN_B: SERVER_B, ORIGIN_P: SERVER_A, ORIGIN_SINGLE: None}
 
 
 @dataclass(frozen=True)
@@ -81,23 +84,21 @@ def message(
     of k's requested file indexed by subset without k.  Origin A or B sends
     that server's copy, P both twins (which its stored parity combines), and
     SINGLE the requester's own file.  Index sets, subsets and members are masks.
+    A term is the member's packet base, made once per demand
+    (`Demand.packet_bases`), ORed with the subset less the member; P adds the
+    B twin by setting the server bit.
     """
-    twins = origin == ORIGIN_P
-    own = origin == ORIGIN_SINGLE
-    requests = demand.requests
-    K = len(requests)
+    bases = demand.packet_bases[_BASE_SERVERS[origin]]
+    twin = 1 << len(bases) if origin == ORIGIN_P else 0
     terms = []
     for subset, members in parts:
         while members:
             low = members & -members
             members ^= low
-            server, idx = requests[low.bit_length() - 1]
-            rest = subset & ~low
-            if twins:
-                terms.append(packet(SERVER_A, idx, rest, K))
-                terms.append(packet(SERVER_B, idx, rest, K))
-            else:
-                terms.append(packet(server if own else origin, idx, rest, K))
+            p = bases[low.bit_length() - 1] | (subset & ~low)
+            terms.append(p)
+            if twin:
+                terms.append(p | twin)
     return Broadcast(origin, index_sets, xor_sum(terms), kind)
 
 
@@ -222,8 +223,7 @@ def verify_full_recovery(
     results = []
     for user in config.users:
         bit = 1 << user
-        server, idx = demand.of(user)
-        base = packet(server, idx, 0, K)
+        base = demand.packet_bases[None][user]
         # The user's targets (its file's packets whose subset misses the
         # user) that the shared peel left unknown to it, in colex order.
         failed = [base | m for m in tsubs

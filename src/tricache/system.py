@@ -203,6 +203,14 @@ class Demand:
     def of(self, user: int) -> tuple[str, int]:
         return self.requests[user]
 
+    @cached_property
+    def packet_bases(self) -> dict[str | None, tuple[int, ...]]:
+        """Each user's requested file index as a packet with an empty subset,
+        per user: on server A, on server B, and (key None) on its own server."""
+        K = len(self.requests)
+        return {server: tuple([packet(server or own, idx, 0, K) for own, idx in self.requests])
+                for server in (SERVER_A, SERVER_B, None)}
+
     def is_symmetric(self, config: SystemConfig) -> bool:
         """True when every user requests a file held by its own data server."""
         return all(self.requests[u][0] == SERVER_A for u in config.users_a) and all(

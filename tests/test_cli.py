@@ -65,6 +65,18 @@ def test_simulate_rejects_non_integral_t(capsys):
     assert "not an integer" in err
 
 
+def test_simulate_scheme_that_cannot_serve_the_system_is_invalid_use(capsys):
+    # K=4, t=1: improved leaves the one-sided subset {2, 3} unmatched, and no
+    # two-server split serves it; that is a refused invocation, not a failed
+    # verification
+    code, out, err = run(["simulate", "--K", "4", "--lambda", "1/4", "--scheme", "improved"],
+                         capsys)
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "(2, 3)" in err and "Traceback" not in err
+    assert out == ""
+
+
 def test_simulate_requires_seed_for_random(capsys):
     code, _, err = run(
         ["simulate", "--K", "6", "--lambda", "1/2", "--demand", "random"], capsys
@@ -293,8 +305,11 @@ def test_verify_survives_foreign_user_ids_in_payload(tmp_path, capsys, bad_subse
     ["A", 0, [0, 1, 2]],
     ["A", 4, [0, 1, 2]],
     ["A", 1, [[0], 1, 2]],
+    ["A", 1, [0, 1, 6]],
+    ["A", 1, [-1, 0, 1]],
+    ["A", 1, [0, 1, 4000000000]],
 ], ids=["unsorted", "repeated", "wrong-size", "server-C", "file-0", "file-past-half",
-        "nested-user"])
+        "nested-user", "user-K", "negative", "huge"])
 def test_verify_rejects_payload_terms_naming_no_packet(tmp_path, capsys, term):
     # K=6, t=3, N=6: a term needs server A or B, a file in 1..3 and three
     # strictly increasing users; anything else would alias a real packet
@@ -666,8 +681,10 @@ def test_plan_line_mutations_fail_verify(exported_plans, data):
         assert elimination_oracle(plan.config, plan.demand, plan.broadcasts).all_ok
 
 
-# (K, M, N): odd and even t, and N = 4K so that file indices reach two digits
-WRITER_SYSTEMS = [(6, 3, 6), (6, 12, 24), (8, 3, 8), (8, 4, 8), (10, 5, 10), (10, 12, 40)]
+# (K, M, N): odd and even t, N = 4K so that file indices reach two digits,
+# and K=12 and 14 with t near K/2, where the subset tables are largest
+WRITER_SYSTEMS = [(6, 3, 6), (6, 12, 24), (8, 3, 8), (8, 4, 8), (10, 5, 10), (10, 12, 40),
+                  (12, 5, 12), (14, 9, 14)]
 
 
 @pytest.mark.parametrize("scheme", ["lap", "improved", "auto", "mn"])

@@ -2,6 +2,7 @@
 oracle and a full Gaussian-elimination oracle."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 from functools import cache
 from math import comb
@@ -14,6 +15,10 @@ from tricache.delivery import build_plan
 from tricache.gf2 import GF2Basis
 from tricache.mn import (
     KIND_MN,
+    KIND_PAIR,
+    ORIGIN_A,
+    ORIGIN_B,
+    ORIGIN_P,
     ORIGIN_SINGLE,
     Broadcast,
     RecoveryReport,
@@ -24,6 +29,8 @@ from tricache.mn import (
 from tricache.system import (
     PacketId,
     build_config,
+    demand_from_mapping,
+    packet,
     packet_id,
     place_caches,
     random_demand,
@@ -379,3 +386,40 @@ def test_user_can_decode_is_span_membership(data):
     assert user_can_decode(cache, rows, packets[target]) == GF2Basis(masks + units).contains(
         1 << target
     )
+
+
+def message_oracle(origin, demand, parts, K):
+    """A message payload built term by term with `system.packet`: each member
+    k of a part sends its file indexed by the part's subset without k, from
+    the origin's server, both data servers for P, its own for SINGLE."""
+    terms = Counter()
+    for subset, members in parts:
+        for k in users_of(members):
+            server, idx = demand.of(k)
+            for s in {ORIGIN_SINGLE: [server], ORIGIN_P: ["A", "B"]}.get(origin, [origin]):
+                terms[packet(s, idx, subset & ~(1 << k), K)] += 1
+    return frozenset(p for p, n in terms.items() if n % 2)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_message_matches_term_by_term_packets(data):
+    # N = 2K files and any request per user, so files repeat and a user may
+    # ask for the twin of another's file; every part shape the synthesizers
+    # use: a whole set, one side of a set, and the P message's shared users
+    K = data.draw(st.sampled_from([2, 4, 6, 8, 10]), label="K")
+    t = data.draw(st.integers(1, K - 1), label="t")
+    cfg = build_config(K, 2 * t, 2 * K)
+    files = st.tuples(st.sampled_from(["A", "B"]), st.integers(1, K))
+    demand = demand_from_mapping(cfg, dict(enumerate(data.draw(
+        st.lists(files, min_size=K, max_size=K), label="requests"))))
+    sets = subset_masks(cfg.users, t + 1)
+    s1, s2 = (data.draw(st.sampled_from(sets), label=f"s{i}") for i in (1, 2))
+    shared = s1 & s2
+    shapes = [((s1, s1),), ((s1, s1 & cfg.mask_a),), ((s1, s1 & cfg.mask_b),),
+              ((s1, shared & cfg.mask_b), (s2, shared & cfg.mask_a))]
+    for origin in (ORIGIN_A, ORIGIN_B, ORIGIN_P, ORIGIN_SINGLE):
+        for parts in shapes:
+            bc = mn.message(origin, KIND_PAIR, (s1, s2), demand, parts)
+            assert bc == Broadcast(origin, (s1, s2), message_oracle(origin, demand, parts, K),
+                                   KIND_PAIR)
