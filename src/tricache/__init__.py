@@ -10,7 +10,7 @@ from .system import (
     random_demand,
     worst_demand,
 )
-from .mn import Broadcast, mn_delivery, verify_full_recovery
+from .mn import Broadcast, Group, mn_delivery, verify_full_recovery
 from .pairing import (
     Layer,
     PairGraph,
@@ -35,6 +35,7 @@ __all__ = [
     "Broadcast",
     "DeliveryPlan",
     "Demand",
+    "Group",
     "Layer",
     "PacketId",
     "PairGraph",

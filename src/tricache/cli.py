@@ -284,12 +284,14 @@ def _plan_lines(plan: delivery.DeliveryPlan) -> Iterator[str]:
     code = {f: i << rank_bits for i, f in enumerate(files)}
     heads = [f'["{SERVER_B if f & 1 else SERVER_A}", {f >> 1}, ' for f in files]
     low_bits = (1 << rank_bits) - 1
-    for bc in plan.broadcasts:
-        keys = sorted([code[p >> K] | rank[p & low] for p in bc.payload])
-        payload = ", ".join([heads[k >> rank_bits] + tails[k & low_bits] for k in keys])
-        sets = ", ".join([f'"{f}": {spell[m]}'
-                          for f, m in zip(delivery.GROUPS[bc.kind][0], bc.index_sets)])
-        yield f'{{"kind": "{bc.kind}", "origin": "{bc.origin}", "payload": [{payload}], {sets}}}\n'
+    for g in plan.groups:
+        # a line ends in its group's index sets, spelt once per group
+        end = ", ".join([f'"{f}": {spell[m]}'
+                         for f, m in zip(delivery.GROUPS[g.kind][0], g.index_sets)]) + "}\n"
+        for bc in g.broadcasts:
+            keys = sorted([code[p >> K] | rank[p & low] for p in bc.payload])
+            payload = ", ".join([heads[k >> rank_bits] + tails[k & low_bits] for k in keys])
+            yield f'{{"kind": "{g.kind}", "origin": "{bc.origin}", "payload": [{payload}], {end}'
 
 
 def _plan_checks(config: SystemConfig) -> list[Callable]:
@@ -301,14 +303,14 @@ def _plan_checks(config: SystemConfig) -> list[Callable]:
     per subset, not read from a table of 1 << u: that table would hold
     K^2/2 bits for whatever K the meta line claims, before the line count
     is checked."""
-    K, half = config.K, config.N // 2
+    K = config.K
 
     def base(key: tuple) -> int:
         server, idx = key
-        if server in (SERVER_A, SERVER_B) and type(idx) is int and 1 <= idx <= half:
+        if config.names_file(server, idx):
             return packet(server, idx, 0, K)
         raise SpecError(f"payload term of file {[server, idx]} names no packet: it needs "
-                        f"server A or B and a file index in 1..{half}")
+                        f"server A or B and a file index in 1..{config.N // 2}")
 
     def subset(size: int, refusal: str) -> Callable[[Sequence], int]:
         def check(users: Sequence) -> int:
@@ -342,12 +344,12 @@ class _Unkept(_Checked):
         return self.check(key)
 
 
-def _broadcast(record: dict, kind: str, bases: dict, terms: dict, sets: dict) -> mn.Broadcast:
-    """A plan line's broadcast: one memo lookup per index set, two per term."""
+def _broadcast(record: dict, kind: str, bases: dict, terms: dict, sets: dict) -> tuple:
+    """A plan line's index sets and broadcast: one memo lookup per index set, two per term."""
     index_sets = tuple([sets[tuple(record[f])] for f in delivery.GROUPS[kind][0]])
     origin = record["origin"]  # read first: a line lacking it and a term is refused for it
     payload = xor_sum([bases[s, i] | terms[tuple(u)] for s, i, u in record["payload"]])
-    return mn.Broadcast(origin, index_sets, payload, kind)
+    return index_sets, mn.Broadcast(origin, payload)
 
 
 # Plan numbers are ints.  A JSON float stays its text, which equals no int, so
@@ -357,7 +359,9 @@ _PLAN_DECODER = json.JSONDecoder(parse_float=str)
 
 def load_plan(path: Path) -> delivery.DeliveryPlan:
     """Rebuild a plan from an exported file, one broadcast per line, without
-    trusting it.  Lines are parsed as they are read.
+    trusting it.  Lines are parsed and grouped as they are read: the lines
+    of a kind and index sets form a group, in the order of its first line,
+    and a second line from one origin in a group is refused.
 
     Every line is read by `_broadcast` through memos of `_plan_checks`.  JSON
     true and false equal 1 and 0 and would hit a kept int, so a line holding
@@ -380,8 +384,7 @@ def load_plan(path: Path) -> delivery.DeliveryPlan:
             raise SpecError(f"unknown plan scheme {scheme!r}")
         config = build_config(int(meta["K"]), Fraction(meta["M"]), int(meta["N"]))
         demand = _demand_from_json(config, meta["demand"])
-        broadcasts = []
-        seen: set[tuple] = set()
+        grouped: dict[tuple[str, tuple[int, ...]], dict[str, mn.Broadcast]] = {}
         checks = _plan_checks(config)
         kept, unkept = [_Checked(c) for c in checks], [_Unkept(c) for c in checks]
         for line in lines:
@@ -391,26 +394,23 @@ def load_plan(path: Path) -> delivery.DeliveryPlan:
                 raise SpecError(f"unknown plan line kind {kind!r}")
             memos = unkept if "true" in line or "false" in line else kept
             try:
-                bc = _broadcast(record, kind, *memos)
+                index_sets, bc = _broadcast(record, kind, *memos)
             except TypeError:  # a key that cannot be hashed
-                bc = _broadcast(record, kind, *unkept)
+                index_sets, bc = _broadcast(record, kind, *unkept)
             if type(bc.origin) is not str:
                 raise SpecError(f"{kind} line has origin {bc.origin!r}, which is not a string")
-            key = (kind, bc.origin, bc.index_sets)
-            if key in seen:
+            if grouped.setdefault((kind, index_sets), {}).setdefault(bc.origin, bc) is not bc:
                 raise SpecError(
-                    f"duplicate {kind} line from {bc.origin} for {delivery.user_lists(bc.index_sets)}"
+                    f"duplicate {kind} line from {bc.origin} for {delivery.user_lists(index_sets)}"
                 )
-            seen.add(key)
-            broadcasts.append(bc)
-    sets = comb(config.K, config.t + 1)
-    if 2 * len(broadcasts) < sets:
+    groups = tuple([mn.Group(*key, tuple(bcs.values())) for key, bcs in grouped.items()])
+    count, sets = sum(len(g.broadcasts) for g in groups), comb(config.K, config.t + 1)
+    if 2 * count < sets:
         raise SpecError(
-            f"plan file has {len(broadcasts)} broadcast lines, fewer than half of "
+            f"plan file has {count} broadcast lines, fewer than half of "
             f"the C({config.K}, {config.t + 1}) = {sets} sets it must serve"
         )
-    return delivery.DeliveryPlan(config=config, demand=demand, scheme=scheme,
-                                 broadcasts=tuple(broadcasts))
+    return delivery.DeliveryPlan(config=config, demand=demand, scheme=scheme, groups=groups)
 
 
 def cmd_verify(args: argparse.Namespace) -> int:

@@ -33,6 +33,7 @@ from .mn import (
     ORIGIN_P,
     ORIGIN_SINGLE,
     Broadcast,
+    Group,
     RecoveryReport,
     message,
     mn_delivery,
@@ -62,7 +63,7 @@ UNPAIRED_FRAGMENTS: dict[tuple[str, str], tuple[tuple[str, str | None], ...]] = 
 SERVER_PAIR_ROTATION: tuple[tuple[str, str], ...] = tuple(UNPAIRED_FRAGMENTS)
 
 # The shape of each kind of group: the plan-file fields that hold its index
-# sets, and the sorted origins of every complete group.
+# sets, and the sorted origins of its broadcasts in every complete group.
 GROUPS: dict[str, tuple[tuple[str, ...], tuple[tuple[str, ...], ...]]] = {
     KIND_PAIR: (("s1", "s2"), ((ORIGIN_A, ORIGIN_B, ORIGIN_P),)),
     KIND_UNPAIRED: (("s",), SERVER_PAIR_ROTATION),
@@ -77,50 +78,46 @@ class CoverageError(RuntimeError):
 
 @dataclass(frozen=True)
 class DeliveryPlan:
-    """Every broadcast of one delivery, in transmission order.
-
-    A group is the broadcasts that share a kind and index sets: the three
-    messages of a pair, the two fragments of an unpaired set, or the one
-    broadcast of a single or MN set.
-    """
+    """The groups of one delivery (`mn.Group`), in transmission order: a
+    pair's three messages, an unpaired set's two fragments, or the one
+    broadcast of a single or MN set.  Everything that reads a plan walks its
+    groups, so none regroups broadcasts."""
 
     config: SystemConfig
     demand: Demand
     scheme: str
-    broadcasts: tuple[Broadcast, ...]
+    groups: tuple[Group, ...]
+
+    @property
+    def broadcasts(self) -> tuple[Broadcast, ...]:
+        """Every broadcast in transmission order, a view made anew on each read."""
+        return tuple([bc for g in self.groups for bc in g.broadcasts])
 
 
-def synthesize_pair_messages(
-    s1: int, s2: int, demand: Demand, config: SystemConfig
-) -> tuple[Broadcast, Broadcast, Broadcast]:
-    """The three broadcasts serving an effective pair; s1 must be the A-heavy member."""
+def synthesize_pair_messages(s1: int, s2: int, demand: Demand, config: SystemConfig) -> Group:
+    """The group of three broadcasts serving an effective pair; s1 must be the A-heavy member."""
     if not is_effective_pair(s1, s2, config):
         raise ValueError("not an effective pair (A-heavy member must come first)")
     shared = s1 & s2
-    index_sets = (s1, s2)
-    return (
-        message(ORIGIN_A, KIND_PAIR, index_sets, demand, ((s1, s1),)),
-        message(ORIGIN_B, KIND_PAIR, index_sets, demand, ((s2, s2),)),
-        message(ORIGIN_P, KIND_PAIR, index_sets, demand, (
-            (s1, shared & config.mask_b),
-            (s2, shared & config.mask_a),
-        )),
-    )
+    return Group(KIND_PAIR, (s1, s2), (
+        message(ORIGIN_A, demand, ((s1, s1),)),
+        message(ORIGIN_B, demand, ((s2, s2),)),
+        message(ORIGIN_P, demand, ((s1, shared & config.mask_b), (s2, shared & config.mask_a))),
+    ))
 
 
 def synthesize_unpaired(
     subset: int, server_pair: tuple[str, str], demand: Demand, config: SystemConfig
-) -> tuple[Broadcast, Broadcast]:
-    """Two broadcasts that jointly reproduce the single-server signal for one set."""
+) -> Group:
+    """The group of two broadcasts that jointly reproduce one set's single-server signal."""
     fragments = UNPAIRED_FRAGMENTS.get(tuple(sorted(server_pair)))
     if fragments is None:
         raise ValueError(f"unknown server pair {server_pair!r}")
     side_masks = {SERVER_A: config.mask_a, SERVER_B: config.mask_b, None: subset}
-    first, second = (
-        message(origin, KIND_UNPAIRED, (subset,), demand, ((subset, subset & side_masks[side]),))
+    return Group(KIND_UNPAIRED, (subset,), tuple([
+        message(origin, demand, ((subset, subset & side_masks[side]),))
         for origin, side in fragments
-    )
-    return first, second
+    ]))
 
 
 def assemble_plan(
@@ -130,31 +127,31 @@ def assemble_plan(
     unmatched: Iterable[int],
     scheme: str = SCHEME_LAP,
 ) -> DeliveryPlan:
-    """Assemble the full plan: paired triples, balanced two-server unpaired
-    assignments, and one-server singles for layers 0 and t+1, in that order.
+    """Assemble the plan's groups: paired triples, balanced two-server
+    unpaired sets, and one-server singles for layers 0 and t+1, in that order.
 
-    Unpaired server pairs are chosen greedily to minimize the running maximum
-    load (the whole sorted load vector breaks ties, then the fixed rotation
-    A+B, A+P, B+P); with no singles this reproduces an even 2n/3 split.
-    Each pair comes A-heavy member first, as max_matching emits it.  A
-    coverage gap is a hard failure.
+    Each unpaired set goes to the server pair with the least summed running
+    load, which spares a busiest server; a tie goes to the first pair in the
+    fixed rotation A+B, A+P, B+P.  With no singles this reproduces an even
+    2n/3 split.  Each pair comes A-heavy member first, as max_matching emits
+    it.  A one-sided unmatched set, which no two-server split can serve,
+    raises CoverageError; the plan is not audited here, `verify_plan` is the
+    one audit of every plan.
     """
     paired = sorted(pairs, key=lambda p: p[0])
-    broadcasts = [
-        bc for s1, s2 in paired for bc in synthesize_pair_messages(s1, s2, demand, config)
-    ]
+    groups = [synthesize_pair_messages(s1, s2, demand, config) for s1, s2 in paired]
 
     # layer 0 is every (t+1)-subset of B's users and layer t+1 of A's, in colex order
     own_sides = {0: (ORIGIN_B, config.users_b), config.t + 1: (ORIGIN_A, config.users_a)}
     singles = [
-        message(origin, KIND_SINGLE, (mask,), demand, ((mask, mask),))
+        Group(KIND_SINGLE, (mask,), (message(origin, demand, ((mask, mask),)),))
         for origin, users in map(own_sides.get, single_layer_weights(config))
         for mask in subset_masks(users, config.t + 1)
     ]
 
-    loads = {ORIGIN_A: len(paired), ORIGIN_B: len(paired), ORIGIN_P: len(paired)}
-    for bc in singles:
-        loads[bc.origin] += 1
+    loads = dict.fromkeys((ORIGIN_A, ORIGIN_B, ORIGIN_P), len(paired))
+    for group in singles:
+        loads[group.broadcasts[0].origin] += 1
 
     for mask in sorted(unmatched):
         w = layer_weight(mask, config)
@@ -162,25 +159,19 @@ def assemble_plan(
             raise CoverageError(
                 f"one-sided subset {users_of(mask)} cannot take a two-server split"
             )
-        best_pair = min(
-            SERVER_PAIR_ROTATION,
-            key=lambda pair: sorted((n + (o in pair) for o, n in loads.items()), reverse=True),
-        )
+        best_pair = min(SERVER_PAIR_ROTATION, key=lambda pair: loads[pair[0]] + loads[pair[1]])
         for origin in best_pair:
             loads[origin] += 1
-        broadcasts.extend(synthesize_unpaired(mask, best_pair, demand, config))
+        groups.append(synthesize_unpaired(mask, best_pair, demand, config))
 
-    plan = DeliveryPlan(config, demand, scheme, tuple(broadcasts + singles))
-    problems = coverage_errors(plan)
-    if problems:
-        raise CoverageError("; ".join(problems))
-    return plan
+    return DeliveryPlan(config, demand, scheme, tuple(groups + singles))
 
 
 def build_plan(config: SystemConfig, demand: Demand, scheme: str) -> DeliveryPlan:
     """Drive the full pipeline for one scheme: graphs, matchings, assembly.
 
-    Scheme 'mn' is the single-server baseline, one broadcast per set.
+    Scheme 'mn' is the single-server baseline, one group per set.  The plan
+    is not audited here (see `assemble_plan`); `verify_plan` audits it.
     """
     if scheme == SCHEME_MN:
         return DeliveryPlan(config, demand, SCHEME_MN, tuple(mn_delivery(config, demand)))
@@ -209,32 +200,30 @@ def user_lists(index_sets: Iterable[int]) -> list[list[int] | int]:
 
 def group_counts(plan: DeliveryPlan) -> Counter:
     """Number of groups of each kind: pairs, unpaired sets, singles, MN sets."""
-    return Counter(kind for kind, _ in {(bc.kind, bc.index_sets) for bc in plan.broadcasts})
+    return Counter(g.kind for g in plan.groups)
 
 
 def coverage_errors(plan: DeliveryPlan) -> list[str]:
-    """Check every group is complete and of a kind the plan's scheme sends
-    (mn groups in an mn plan only), and every (t+1)-subset of users is
-    served by exactly one group.  The index sets of all groups are counted
-    in one `Counter`; the C(K, t+1) sets are enumerated only to name the
-    ones no group serves."""
+    """Check, walking the plan's groups in order, that every group is
+    complete and of a kind the plan's scheme sends (mn groups in an mn plan
+    only), and that every (t+1)-subset of users is served by exactly one
+    group.  The index sets of all groups are counted in one `Counter`; the
+    C(K, t+1) sets are enumerated only to name the ones no group serves."""
     config = plan.config
     mn = plan.scheme == SCHEME_MN
-    groups: dict[tuple[str, tuple[int, ...]], list[str]] = {}
-    for bc in plan.broadcasts:
-        groups.setdefault((bc.kind, bc.index_sets), []).append(bc.origin)
     problems = []
-    for (kind, index_sets), origins in groups.items():
-        fields, complete = GROUPS.get(kind, ((), ()))
-        if len(index_sets) != len(fields) or tuple(sorted(origins)) not in complete:
+    for g in plan.groups:
+        fields, complete = GROUPS.get(g.kind, ((), ()))
+        origins = sorted([bc.origin for bc in g.broadcasts])
+        if len(g.index_sets) != len(fields) or tuple(origins) not in complete:
             problems.append(
-                f"{kind} group {user_lists(index_sets)} has broadcasts from {sorted(origins)}"
+                f"{g.kind} group {user_lists(g.index_sets)} has broadcasts from {origins}"
             )
-        if (kind == KIND_MN) != mn:
+        if (g.kind == KIND_MN) != mn:
             problems.append(
-                f"{kind} group {user_lists(index_sets)} is not sent by scheme {plan.scheme}"
+                f"{g.kind} group {user_lists(g.index_sets)} is not sent by scheme {plan.scheme}"
             )
-    seen = Counter([m for _, index_sets in groups for m in index_sets])
+    seen = Counter([m for g in plan.groups for m in g.index_sets])
     size, everyone = config.t + 1, (1 << config.K) - 1
     invalid = {m for m in seen if not (0 <= m <= everyone and m.bit_count() == size)}
     flagged = invalid.union(m for m, n in seen.items() if n > 1)
@@ -256,8 +245,9 @@ def coverage_errors(plan: DeliveryPlan) -> list[str]:
 def origin_errors(plan: DeliveryPlan) -> list[str]:
     """The origin rule of every broadcast, audited in one pass: origin A
     sends only server-A packets, B only server-B packets, P only twin pairs
-    and SINGLE anything.  Violations come in plan order, and within a
-    broadcast in the order of their PacketIds, as plan files spell terms."""
+    and SINGLE anything.  Violations come in plan order, group by group,
+    and within a broadcast in the order of their PacketIds, as plan files
+    spell terms."""
     K = plan.config.K
     server_bit = 1 << K
     foreign_bits = {ORIGIN_A: server_bit, ORIGIN_B: 0}
@@ -281,7 +271,8 @@ def origin_errors(plan: DeliveryPlan) -> list[str]:
 
 
 def verify_plan(plan: DeliveryPlan) -> tuple[list[str], RecoveryReport]:
-    """Structural audits plus the full per-user decodability check."""
+    """The one audit of a plan: coverage and origins, plus the full
+    per-user decodability check."""
     problems = coverage_errors(plan) + origin_errors(plan)
     report = verify_full_recovery(plan.config, plan.demand, plan.broadcasts)
     return problems, report

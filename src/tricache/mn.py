@@ -39,9 +39,9 @@ ORIGIN_A = "A"
 ORIGIN_B = "B"
 ORIGIN_P = "P"
 
-# What a broadcast is part of; a plan file names it on every line.
-KIND_PAIR = "pair"  # m_A, m_B or m_P of an effective pair (s1, s2)
-KIND_UNPAIRED = "unpaired"  # one of two fragments that XOR to one set's signal
+# The kind of a transmission group; a plan file names it on every line.
+KIND_PAIR = "pair"  # m_A, m_B and m_P of an effective pair (s1, s2)
+KIND_UNPAIRED = "unpaired"  # two fragments that XOR to one set's signal
 KIND_SINGLE = "single"  # a one-sided set sent by its own data server
 KIND_MN = "mn"  # the single-server MN signal of one set
 
@@ -50,40 +50,42 @@ KIND_MN = "mn"  # the single-server MN signal of one set
 _BASE_SERVERS = {ORIGIN_A: SERVER_A, ORIGIN_B: SERVER_B, ORIGIN_P: SERVER_A, ORIGIN_SINGLE: None}
 
 
-@dataclass(frozen=True)
+# Slotted: a plan holds one Broadcast per line and one Group per group, and
+# per-instance dicts would add about 5 MiB to the K=18 t=9 decode peak.
+@dataclass(frozen=True, slots=True)
 class Broadcast:
-    """One transmitted XOR: origin server, the subsets its group serves, its
-    payload, and the kind of group it belongs to.
+    """One transmitted XOR: its origin server and its payload.
 
-    Index sets are user masks, like the subsets inside packets; user lists
-    appear only in text.  The three messages of a pair all carry index sets
-    (s1, s2); every other kind carries the one set it serves.  Origin A
-    carries only server-A packets, origin B only server-B packets, and origin
-    P only twin pairs (the A and B packet with identical file index and
-    subset), since the parity server can only combine its stored parities;
-    `delivery.origin_errors` audits that rule.
+    Origin A carries only server-A packets, origin B only server-B packets,
+    and origin P only twin pairs (the A and B packet with identical file
+    index and subset), since the parity server can only combine its stored
+    parities; `delivery.origin_errors` audits that rule.
     The payload is the set of packet ints (`system.packet`) whose XOR is sent.
     """
 
     origin: str
-    index_sets: tuple[int, ...]
     payload: frozenset[int]
+
+
+@dataclass(frozen=True, slots=True)
+class Group:
+    """The unit of a plan: the broadcasts that serve one kind of index sets,
+    the m_A, m_B and m_P of a pair (s1, s2), or the fragments or the one
+    broadcast of a set (s,).  Index sets are user masks, like the subsets
+    inside packets; user lists appear only in text."""
+
     kind: str
+    index_sets: tuple[int, ...]
+    broadcasts: tuple[Broadcast, ...]
 
 
-def message(
-    origin: str,
-    kind: str,
-    index_sets: tuple[int, ...],
-    demand: Demand,
-    parts: Iterable[tuple[int, int]],
-) -> Broadcast:
+def message(origin: str, demand: Demand, parts: Iterable[tuple[int, int]]) -> Broadcast:
     """The one transmission rule of every scheme.
 
     For each (subset, members) part, every member k contributes the segment
     of k's requested file indexed by subset without k.  Origin A or B sends
     that server's copy, P both twins (which its stored parity combines), and
-    SINGLE the requester's own file.  Index sets, subsets and members are masks.
+    SINGLE the requester's own file.  Subsets and members are masks.
     A term is the member's packet base, made once per demand
     (`Demand.packet_bases`), ORed with the subset less the member; P adds the
     B twin by setting the server bit.
@@ -99,13 +101,13 @@ def message(
             terms.append(p)
             if twin:
                 terms.append(p | twin)
-    return Broadcast(origin, index_sets, xor_sum(terms), kind)
+    return Broadcast(origin, xor_sum(terms))
 
 
-def mn_delivery(config: SystemConfig, demand: Demand) -> list[Broadcast]:
-    """The C(K, t+1) single-server broadcasts, one per (t+1)-subset in colex order."""
+def mn_delivery(config: SystemConfig, demand: Demand) -> list[Group]:
+    """The C(K, t+1) single-server groups of one broadcast, one per (t+1)-subset in colex order."""
     return [
-        message(ORIGIN_SINGLE, KIND_MN, (m,), demand, ((m, m),))
+        Group(KIND_MN, (m,), (message(ORIGIN_SINGLE, demand, ((m, m),)),))
         for m in subset_masks(config.users, config.t + 1)
     ]
 
@@ -204,7 +206,7 @@ def verify_full_recovery(
 ) -> RecoveryReport:
     """Check that every user can decode every uncached packet of its file.
 
-    Every user hears every broadcast (audiences on broadcasts are
+    Every user hears every broadcast (the index sets of its group are
     informational).  The payloads are interned once and one bit-sliced peel
     (`_peel`) serves all users, seeded with the packets each caches.  A user
     with a target that peel leaves unknown runs `_eliminate` over the ids it

@@ -103,6 +103,10 @@ class SystemConfig:
     def mask_b(self) -> int:
         return mask_of(self.users_b)
 
+    def names_file(self, server: object, idx: object) -> bool:
+        """Whether (server, idx) names a file: server A or B, an int (not bool) index in 1..N/2."""
+        return server in (SERVER_A, SERVER_B) and type(idx) is int and 1 <= idx <= self.N // 2
+
     def files(self) -> list[tuple[str, int]]:
         half = self.N // 2
         return [(SERVER_A, i) for i in range(1, half + 1)] + [
@@ -242,15 +246,14 @@ def random_demand(config: SystemConfig, rng: random.Random) -> Demand:
 
 
 def demand_from_mapping(config: SystemConfig, mapping: dict[int, tuple[str, int]]) -> Demand:
-    """A demand from user -> (server tag, file index).  The index must be an
-    int: a float or a bool (True == 1) names no file."""
+    """A demand from user -> (server tag, file index), each naming a file
+    (`SystemConfig.names_file`)."""
     if sorted(mapping) != list(config.users):
         raise ValueError("demand must map every user exactly once")
-    half = config.N // 2
     requests = []
     for u in config.users:
         server, idx = mapping[u]
-        if server not in (SERVER_A, SERVER_B) or type(idx) is not int or not 1 <= idx <= half:
+        if not config.names_file(server, idx):
             raise ValueError(f"user {u}: invalid request ({server!r}, {idx!r})")
         requests.append((server, idx))
     return Demand(tuple(requests))

@@ -77,15 +77,16 @@ def reference_plan_lines(plan) -> list[str]:
     }
     lines = [json.dumps(meta, sort_keys=True) + "\n"]
     K, low = config.K, (1 << config.K) - 1
-    for bc in plan.broadcasts:
-        payload = sorted(
-            [SERVER_B if p >> K & 1 else SERVER_A, p >> (K + 1), list(users_of(p & low))]
-            for p in bc.payload
-        )
-        record = {"kind": bc.kind, "origin": bc.origin, "payload": payload}
-        fields = delivery.GROUPS[bc.kind][0]
-        record.update((f, list(users_of(m))) for f, m in zip(fields, bc.index_sets))
-        lines.append(json.dumps(record, sort_keys=True) + "\n")
+    for g in plan.groups:
+        for bc in g.broadcasts:
+            payload = sorted(
+                [SERVER_B if p >> K & 1 else SERVER_A, p >> (K + 1), list(users_of(p & low))]
+                for p in bc.payload
+            )
+            record = {"kind": g.kind, "origin": bc.origin, "payload": payload}
+            fields = delivery.GROUPS[g.kind][0]
+            record.update((f, list(users_of(m))) for f, m in zip(fields, g.index_sets))
+            lines.append(json.dumps(record, sort_keys=True) + "\n")
     return lines
 
 

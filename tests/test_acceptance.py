@@ -64,7 +64,7 @@ def test_criterion_01_mn_correctness():
             cfg = build_config(K, t, K)
             for _ in range(20):
                 demand = random_demand(cfg, rng)
-                broadcasts = mn_delivery(cfg, demand)
+                broadcasts = [bc for g in mn_delivery(cfg, demand) for bc in g.broadcasts]
                 rate = Fraction(len(broadcasts), cfg.packets_per_file)
                 assert rate == Fraction(K - t, t + 1)
                 assert verify_full_recovery(cfg, demand, broadcasts).all_ok

@@ -103,7 +103,9 @@ def test_simulate_report_names_first_failed_packet(tmp_path, capsys, monkeypatch
     seen = []
 
     def short_plan_verify(plan):
-        problems, recovery = real(dataclasses.replace(plan, broadcasts=plan.broadcasts[1:]))
+        first = plan.groups[0]
+        short = dataclasses.replace(first, broadcasts=first.broadcasts[1:])
+        problems, recovery = real(dataclasses.replace(plan, groups=(short,) + plan.groups[1:]))
         seen.extend(recovery.failures())
         return problems, recovery
 
@@ -496,6 +498,55 @@ def test_verify_rejects_duplicated_pair_line(tmp_path, capsys):
     assert "plan ok" not in out
 
 
+@pytest.mark.parametrize("scheme", ["lap", "improved", "mn"])
+@pytest.mark.parametrize("K, lam", [("6", "1/2"), ("8", "3/8")])
+def test_plan_with_scattered_group_lines_verifies(tmp_path, capsys, K, lam, scheme):
+    # sorted body lines scatter every group; the loader regroups them by
+    # kind and index sets, so the file verifies as the exported one does
+    lines = export_plan(tmp_path, K, lam, scheme)
+    exported = tmp_path / f"K{K}-{scheme}.jsonl"
+    body = sorted(lines[1:])
+    assert body != lines[1:]
+    scattered = tmp_path / "scattered.jsonl"
+    scattered.write_text("".join(lines[:1] + body))
+    code, want, _ = run(["verify", "--plan", str(exported)], capsys)
+    assert code == 0 and want.startswith("plan ok")
+    code, out, _ = run(["verify", "--plan", str(scattered)], capsys)
+    assert code == 0
+    assert out == want
+    assert set(load_plan(scattered).groups) == set(load_plan(exported).groups)
+
+
+def test_verify_rejects_duplicated_line_far_from_its_group(tmp_path, capsys):
+    # the copy of the first pair line comes last, after every other group
+    lines = export_plan(tmp_path, "6", "1/2", "improved")
+    first_pair = next(i for i, l in enumerate(lines) if json.loads(l)["kind"] == "pair")
+    record = json.loads(lines[first_pair])
+    doubled = tmp_path / "doubled.jsonl"
+    doubled.write_text("".join(lines + [lines[first_pair]]))
+    code, out, err = run(["verify", "--plan", str(doubled)], capsys)
+    assert code == 2
+    users = f"[{record['s1']}, {record['s2']}]"
+    assert err == f"error: duplicate pair line from {record['origin']} for {users}\n"
+    assert "plan ok" not in out
+
+
+@pytest.mark.parametrize("scheme", ["improved", "mn"])
+def test_simulate_audits_coverage_once(tmp_path, capsys, monkeypatch, scheme):
+    calls = []
+    real = delivery.coverage_errors
+
+    def counted(plan):
+        calls.append(plan)
+        return real(plan)
+
+    monkeypatch.setattr(delivery, "coverage_errors", counted)
+    code, _, _ = run(["simulate", "--K", "8", "--lambda", "3/8", "--scheme", scheme,
+                      "--output", str(tmp_path / "r.json")], capsys)
+    assert code == 0
+    assert len(calls) == 1
+
+
 def test_simulate_missing_demand_file(tmp_path, capsys):
     code, _, err = run(
         ["simulate", "--K", "6", "--lambda", "1/2", "--demand", "file",
@@ -755,8 +806,12 @@ def test_boolean_line_and_idle_file_term_load_as_the_built_plan(tmp_path, capsys
     config = build_config(8, 6, 16)
     built = delivery.build_plan(config, random_demand(config, random.Random(1)), "improved")
     term = packet("A", idle, mask_of(seen_users), config.K)
-    grown = dataclasses.replace(built.broadcasts[8], payload=built.broadcasts[8].payload | {term})
-    assert load_plan(path).broadcasts == built.broadcasts[:8] + (grown,) + built.broadcasts[9:]
+    # line 9 is the m_P of the third pair group
+    group = built.groups[2]
+    m_a, m_b, m_p = group.broadcasts
+    grown = dataclasses.replace(
+        group, broadcasts=(m_a, m_b, dataclasses.replace(m_p, payload=m_p.payload | {term})))
+    assert load_plan(path).groups == built.groups[:2] + (grown,) + built.groups[3:]
 
 
 def test_stdout_closed_early_is_invalid_use():

@@ -2,6 +2,7 @@
 
 import random
 from dataclasses import replace
+from itertools import count
 from fractions import Fraction
 
 import pytest
@@ -44,7 +45,9 @@ def mn_signal(config, demand, subset_mask):
 def test_pair_messages_disjoint_pair_has_empty_parity():
     cfg = build_config(4, 1, 4)
     demand = worst_demand(cfg)
-    m_a, m_b, m_p = synthesize_pair_messages(mask(0, 1), mask(2, 3), demand, cfg)
+    group = synthesize_pair_messages(mask(0, 1), mask(2, 3), demand, cfg)
+    assert (group.kind, group.index_sets) == ("pair", (mask(0, 1), mask(2, 3)))
+    m_a, m_b, m_p = group.broadcasts
     assert not m_p.payload
     assert len(m_a.payload) == 2 and len(m_b.payload) == 2
 
@@ -62,7 +65,7 @@ def test_pair_messages_decode_k6():
     demand = worst_demand(cfg)
     caches = place_caches(cfg)
     s1, s2 = mask(0, 1, 2, 3), mask(0, 1, 3, 4)
-    triple = synthesize_pair_messages(s1, s2, demand, cfg)
+    triple = synthesize_pair_messages(s1, s2, demand, cfg).broadcasts
     for source in (s1, s2):
         for k in users_of(source):
             server, idx = demand.of(k)
@@ -75,7 +78,7 @@ def test_pair_messages_shared_user_gets_both_segments():
     demand = worst_demand(cfg)
     caches = place_caches(cfg)
     s1, s2 = mask(0, 1, 2, 3), mask(0, 1, 3, 4)
-    triple = synthesize_pair_messages(s1, s2, demand, cfg)
+    triple = synthesize_pair_messages(s1, s2, demand, cfg).broadcasts
     k = 0  # in the shared A-part
     server, idx = demand.of(k)
     for source in (s1, s2):
@@ -87,7 +90,9 @@ def test_unpaired_ab_split_partitions_mn_signal():
     cfg = build_config(6, 3, 6)
     demand = worst_demand(cfg)
     s = mask(0, 1, 3, 4)
-    first, second = synthesize_unpaired(s, ("A", "B"), demand, cfg)
+    group = synthesize_unpaired(s, ("A", "B"), demand, cfg)
+    assert (group.kind, group.index_sets) == ("unpaired", (s,))
+    first, second = group.broadcasts
     assert first.payload ^ second.payload == mn_signal(cfg, demand, s)
     assert not set(first.payload) & set(second.payload)
 
@@ -97,7 +102,7 @@ def test_unpaired_parity_split_xors_to_mn_signal(pair):
     cfg = build_config(6, 3, 6)
     demand = worst_demand(cfg)
     s = mask(0, 1, 3, 4)
-    first, second = synthesize_unpaired(s, pair, demand, cfg)
+    first, second = synthesize_unpaired(s, pair, demand, cfg).broadcasts
     assert first.payload ^ second.payload == mn_signal(cfg, demand, s)
 
 
@@ -107,7 +112,7 @@ def test_unpaired_users_decode():
     caches = place_caches(cfg)
     s = mask(0, 1, 3, 4)
     for pair in (("A", "B"), ("A", "P"), ("B", "P")):
-        bcs = synthesize_unpaired(s, pair, demand, cfg)
+        bcs = synthesize_unpaired(s, pair, demand, cfg).broadcasts
         for k in users_of(s):
             server, idx = demand.of(k)
             target = pkt(server, idx, (u for u in users_of(s) if u != k), cfg.K)
@@ -132,9 +137,10 @@ def test_plan_balance_without_singles():
     cfg = build_config(6, 3, 6)
     plan = build_plan(cfg, worst_demand(cfg), SCHEME_LAP)
     per_server = {"A": 0, "B": 0, "P": 0}
-    for bc in plan.broadcasts:
-        if bc.kind == "unpaired":
-            per_server[bc.origin] += 1
+    for g in plan.groups:
+        if g.kind == "unpaired":
+            for bc in g.broadcasts:
+                per_server[bc.origin] += 1
     assert max(per_server.values()) - min(per_server.values()) <= 1
     n = group_counts(plan)["unpaired"]
     assert max(per_server.values()) <= -(-2 * n // 3)  # ceil(2n/3) per server
@@ -169,9 +175,10 @@ def test_plan_with_singles_k10_t3():
     plan = build_plan(cfg, demand, SCHEME_IMPROVED)
     assert group_counts(plan)["single"] == 10
     by_server = {"A": 0, "B": 0}
-    for bc in plan.broadcasts:
-        if bc.kind == "single":
-            by_server[bc.origin] += 1
+    for g in plan.groups:
+        if g.kind == "single":
+            for bc in g.broadcasts:
+                by_server[bc.origin] += 1
     assert by_server == {"A": 5, "B": 5}
     problems, recovery = verify_plan(plan)
     assert not problems and recovery.all_ok
@@ -212,35 +219,45 @@ def test_measured_delta_matches_counter():
 
 
 def test_assemble_rejects_coverage_gap():
+    # assembly leaves the audit to verify_plan: a set that neither a pair nor
+    # the unmatched list names is reported as unserved there
     cfg = build_config(6, 3, 6)
     demand = worst_demand(cfg)
     from tricache.pairing import middle_pairing
 
     pairing = middle_pairing(cfg, SCHEME_LAP)
     pairs = [p for m in pairing.matchings for p in m]
-    with pytest.raises(CoverageError, match="not served"):
-        assemble_plan(cfg, demand, pairs, pairing.unmatched[1:])
+    plan = assemble_plan(cfg, demand, pairs, pairing.unmatched[1:])
+    gap = f"subset {users_of(pairing.unmatched[0])} is not served by any broadcast"
+    assert coverage_errors(plan) == [gap]
+    assert verify_plan(plan)[0] == [gap]
+
+
+def test_assemble_refuses_a_one_sided_unmatched_set():
+    # K=4, t=1 improved leaves {2, 3} unmatched, which no two-server split serves
+    cfg = build_config(4, 1, 4)
+    with pytest.raises(CoverageError, match=r"one-sided subset \(2, 3\)"):
+        assemble_plan(cfg, worst_demand(cfg), [], [mask(2, 3)])
 
 
 def test_tampered_plan_detected():
     cfg = build_config(6, 3, 6)
     demand = worst_demand(cfg)
     plan = build_plan(cfg, demand, SCHEME_LAP)
-    assert plan.broadcasts[0].kind == "pair"
+    first = plan.groups[0]
+    assert first.kind == "pair"
     # drop one paired triple: both of its subsets go unserved
-    broken = replace(plan, broadcasts=plan.broadcasts[3:])
+    broken = replace(plan, groups=plan.groups[1:])
     problems = coverage_errors(broken)
-    s1, s2 = map(users_of, plan.broadcasts[0].index_sets)
+    s1, s2 = map(users_of, first.index_sets)
     assert any(str(s1) in p and "not served" in p for p in problems)
     assert any(str(s2) in p and "not served" in p for p in problems)
     # break the twin structure of a parity message
-    m_p = plan.broadcasts[2]
+    m_a, m_b, m_p = first.broadcasts
     assert m_p.origin == ORIGIN_P
     bad_payload = frozenset(list(m_p.payload)[:-1])
-    broken2 = replace(
-        plan,
-        broadcasts=plan.broadcasts[:2] + (replace(m_p, payload=bad_payload),) + plan.broadcasts[3:],
-    )
+    thinned = replace(first, broadcasts=(m_a, m_b, replace(m_p, payload=bad_payload)))
+    broken2 = replace(plan, groups=(thinned,) + plan.groups[1:])
     assert any("twin" in p for p in origin_errors(broken2))
 
 
@@ -258,8 +275,12 @@ def test_origin_errors_spell_out_every_violation_in_plan_order():
             return replace(bc, origin=relabel[bc.origin])
         return bc
 
-    tampered = tuple(tamper(i, bc) for i, bc in enumerate(plan.broadcasts))
-    broken = replace(plan, broadcasts=tampered)
+    line = count()
+    broken = replace(plan, groups=tuple(
+        replace(g, broadcasts=tuple(tamper(next(line), bc) for bc in g.broadcasts))
+        for g in plan.groups
+    ))
+    tampered = broken.broadcasts
     twin_server = {"A": "B", "B": "A"}
 
     def violations(bc):
@@ -283,17 +304,23 @@ def test_origin_errors_spell_out_every_violation_in_plan_order():
 def test_dropped_or_relabelled_broadcast_detected(scheme):
     cfg = build_config(10, 3, 10)
     plan = build_plan(cfg, worst_demand(cfg), scheme)
-    bcs = plan.broadcasts
-    kinds = {bc.kind for bc in bcs}
+    groups = plan.groups
+    kinds = {g.kind for g in groups}
     assert kinds == ({"mn"} if scheme == "mn" else {"pair", "unpaired", "single"})
     assert coverage_errors(plan) == []
     for kind in kinds:
-        i = next(i for i, bc in enumerate(bcs) if bc.kind == kind)
+        i = next(i for i, g in enumerate(groups) if g.kind == kind)
+        g = groups[i]
         # a pair or unpaired group loses a member; a single or MN set goes unserved
-        dropped = replace(plan, broadcasts=bcs[:i] + bcs[i + 1:])
+        rest = replace(g, broadcasts=g.broadcasts[1:])
+        kept = (rest,) if rest.broadcasts else ()
+        dropped = replace(plan, groups=groups[:i] + kept + groups[i + 1:])
         assert coverage_errors(dropped), kind
-        relabelled = replace(bcs[i], kind="mn" if kind == "single" else "single")
-        mixed = replace(plan, broadcasts=bcs[:i] + (relabelled,) + bcs[i + 1:])
+        # a relabelled first line is read as a group of the other kind,
+        # ahead of the rest of its old group
+        other = "mn" if kind == "single" else "single"
+        relabelled = replace(g, kind=other, broadcasts=g.broadcasts[:1])
+        mixed = replace(plan, groups=groups[:i] + (relabelled,) + kept + groups[i + 1:])
         assert any("group" in p for p in coverage_errors(mixed)), kind
 
 
@@ -302,15 +329,17 @@ def test_negative_index_set_reported_not_decoded(scheme):
     # a negative mask names no users, so the audit spells it as its int
     cfg = build_config(6, 3, 6)
     plan = build_plan(cfg, worst_demand(cfg), scheme)
-    bc = plan.broadcasts[0]
-    bad = replace(bc, index_sets=(-1,) + bc.index_sets[1:])
-    problems = coverage_errors(replace(plan, broadcasts=(bad,) + plan.broadcasts[1:]))
+    g = plan.groups[0]
+    # the first line's index set is spelt -1: it starts a group of its own
+    bad = replace(g, index_sets=(-1,) + g.index_sets[1:], broadcasts=g.broadcasts[:1])
+    rest = (replace(g, broadcasts=g.broadcasts[1:]),) if len(g.broadcasts) > 1 else ()
+    problems = coverage_errors(replace(plan, groups=(bad,) + rest + plan.groups[1:]))
     assert "subset -1 is not a valid index set" in problems
     if scheme == "mn":
-        assert problems[-1] == f"subset {users_of(bc.index_sets[0])} is not served by any broadcast"
+        assert problems[-1] == f"subset {users_of(g.index_sets[0])} is not served by any broadcast"
     else:
-        assert f"pair group [-1, {list(users_of(bc.index_sets[1]))}] has broadcasts from ['A']" in problems
-        assert problems[-1] == f"subset {users_of(bc.index_sets[1])} served 2 times"
+        assert f"pair group [-1, {list(users_of(g.index_sets[1]))}] has broadcasts from ['A']" in problems
+        assert problems[-1] == f"subset {users_of(g.index_sets[1])} served 2 times"
 
 
 def test_full_recovery_improved_k6():

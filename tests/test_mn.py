@@ -15,7 +15,6 @@ from tricache.delivery import build_plan
 from tricache.gf2 import GF2Basis
 from tricache.mn import (
     KIND_MN,
-    KIND_PAIR,
     ORIGIN_A,
     ORIGIN_B,
     ORIGIN_P,
@@ -42,9 +41,16 @@ from tricache.system import (
 from conftest import pkt, user_can_decode
 
 
+def mn_broadcasts(cfg, demand):
+    """The MN broadcasts in transmission order, one per group."""
+    return [bc for g in mn_delivery(cfg, demand) for bc in g.broadcasts]
+
+
 def test_broadcast_count_k4():
     cfg = build_config(4, 2, 4)
-    assert len(mn_delivery(cfg, worst_demand(cfg))) == comb(4, 3) == 4
+    groups = mn_delivery(cfg, worst_demand(cfg))
+    assert len(groups) == comb(4, 3) == 4
+    assert all(g.kind == KIND_MN and len(g.broadcasts) == 1 for g in groups)
 
 
 def test_rate_identity_sweep():
@@ -58,7 +64,7 @@ def test_payload_instantiation():
     # the broadcast for S = {0,1,2} combines each member's request indexed by S minus it
     cfg = build_config(4, 2, 4)
     demand = worst_demand(cfg)
-    bcs = {users_of(bc.index_sets[0]): bc for bc in mn_delivery(cfg, demand)}
+    bcs = {users_of(g.index_sets[0]): g.broadcasts[0] for g in mn_delivery(cfg, demand)}
     payload = bcs[(0, 1, 2)].payload
     assert payload == frozenset(
         {
@@ -79,15 +85,14 @@ def test_decoder_single_mn_message():
     cfg = build_config(4, 2, 4)
     demand = worst_demand(cfg)
     caches = place_caches(cfg)
-    bcs = mn_delivery(cfg, demand)
     # user 0 obtains its segment for every broadcast whose subset contains it
-    for bc in bcs:
-        sub = users_of(bc.index_sets[0])
+    for g in mn_delivery(cfg, demand):
+        sub = users_of(g.index_sets[0])
         if 0 not in sub:
             continue
         server, idx = demand.of(0)
         target = pkt(server, idx, (u for u in sub if u != 0), cfg.K)
-        assert user_can_decode(caches[0], [bc], target)
+        assert user_can_decode(caches[0], g.broadcasts, target)
 
 
 def peel_oracle(cache, broadcasts, target):
@@ -111,10 +116,11 @@ def test_decoder_agrees_with_peeling_on_mn_plans():
         cfg = build_config(K, t, K)
         for demand in (worst_demand(cfg), random_demand(cfg, rng)):
             caches = place_caches(cfg)
-            bcs = mn_delivery(cfg, demand)
+            groups = mn_delivery(cfg, demand)
+            bcs = [g.broadcasts[0] for g in groups]
             for user in cfg.users:
                 server, idx = demand.of(user)
-                for sub in (users_of(bc.index_sets[0]) for bc in bcs):
+                for sub in (users_of(g.index_sets[0]) for g in groups):
                     if user not in sub:
                         continue
                     target = pkt(server, idx, (u for u in sub if u != user), K)
@@ -129,12 +135,13 @@ def test_decoder_monotone(data):
     cfg = build_config(4, 2, 4)
     demand = worst_demand(cfg)
     caches = place_caches(cfg)
-    bcs = mn_delivery(cfg, demand)
+    groups = mn_delivery(cfg, demand)
+    bcs = [g.broadcasts[0] for g in groups]
     picked = data.draw(st.lists(st.booleans(), min_size=len(bcs), max_size=len(bcs)))
     subset = [bc for bc, keep in zip(bcs, picked) if keep]
     user = data.draw(st.integers(0, cfg.K - 1))
     server, idx = demand.of(user)
-    subs = [users_of(bc.index_sets[0]) for bc in bcs]
+    subs = [users_of(g.index_sets[0]) for g in groups]
     sub = data.draw(st.sampled_from([s for s in subs if user in s]))
     target = pkt(server, idx, (u for u in sub if u != user), cfg.K)
     if user_can_decode(caches[user], subset, target):
@@ -144,14 +151,14 @@ def test_decoder_monotone(data):
 def test_full_recovery_mn():
     cfg = build_config(6, 3, 6)
     demand = worst_demand(cfg)
-    report = verify_full_recovery(cfg, demand, mn_delivery(cfg, demand))
+    report = verify_full_recovery(cfg, demand, mn_broadcasts(cfg, demand))
     assert report.all_ok
 
 
 def test_full_recovery_detects_missing_broadcast():
     cfg = build_config(6, 3, 6)
     demand = worst_demand(cfg)
-    bcs = mn_delivery(cfg, demand)
+    bcs = mn_broadcasts(cfg, demand)
     report = verify_full_recovery(cfg, demand, bcs[1:])
     assert not report.all_ok
     failing = report.failures()
@@ -162,7 +169,7 @@ def test_full_recovery_t_equals_k_minus_1():
     # every user caches all but one packet of each file; one broadcast suffices
     cfg = build_config(4, 3, 4)
     demand = worst_demand(cfg)
-    bcs = mn_delivery(cfg, demand)
+    bcs = mn_broadcasts(cfg, demand)
     assert len(bcs) == 1
     assert verify_full_recovery(cfg, demand, bcs).all_ok
 
@@ -170,7 +177,7 @@ def test_full_recovery_t_equals_k_minus_1():
 def test_repeated_requests_still_decode():
     cfg = build_config(4, 2, 4)
     demand = random_demand(cfg, random.Random(3))
-    assert verify_full_recovery(cfg, demand, mn_delivery(cfg, demand)).all_ok
+    assert verify_full_recovery(cfg, demand, mn_broadcasts(cfg, demand)).all_ok
 
 
 def elimination_oracle(config, demand, broadcasts):
@@ -207,7 +214,7 @@ def oracle_plans():
     for K, t in ((4, 2), (6, 2), (6, 3), (8, 1), (8, 3), (8, 5)):
         cfg = build_config(K, t, K)
         for demand in (worst_demand(cfg), random_demand(cfg, rng)):
-            yield f"mn K={K} t={t}", cfg, demand, mn_delivery(cfg, demand)
+            yield f"mn K={K} t={t}", cfg, demand, mn_broadcasts(cfg, demand)
             for scheme in ("lap", "improved"):
                 plan = build_plan(cfg, demand, scheme)
                 yield f"{scheme} K={K} t={t}", cfg, demand, list(plan.broadcasts)
@@ -221,7 +228,7 @@ def tampered(broadcasts, rng):
     victim = rng.choice([i for i, bc in enumerate(broadcasts) if len(bc.payload) > 1])
     bc = broadcasts[victim]
     term = rng.choice(sorted(bc.payload))
-    thinned = Broadcast(bc.origin, bc.index_sets, bc.payload - {term}, bc.kind)
+    thinned = Broadcast(bc.origin, bc.payload - {term})
     yield "remove term", broadcasts[:victim] + [thinned] + broadcasts[victim + 1:]
     dup = rng.randrange(n)
     yield "duplicate", broadcasts[:dup + 1] + broadcasts[dup:]
@@ -261,7 +268,7 @@ def chain_rows(links, reverse):
     """Rows {x_j, x_{j+1}} along a chain of packets; in reverse order the
     shared peel learns one link forward per sweep."""
     rows = [
-        Broadcast(ORIGIN_SINGLE, (), frozenset(pair), KIND_MN) for pair in zip(links, links[1:])
+        Broadcast(ORIGIN_SINGLE, frozenset(pair)) for pair in zip(links, links[1:])
     ]
     return rows[::-1] if reverse else rows
 
@@ -311,7 +318,7 @@ def test_sweep_cap_then_stopping_set(monkeypatch):
     d = targets[0]
     a, b, c = (pkt("B", 20 + j, (), cfg.K) for j in range(3))
     stopping = [
-        Broadcast(ORIGIN_SINGLE, (), frozenset(terms), KIND_MN)
+        Broadcast(ORIGIN_SINGLE, frozenset(terms))
         for terms in ((links[-1], a, b), (a, c), (b, c, d))
     ]
     rows = stopping + chain_rows(links, reverse=True)
@@ -343,10 +350,10 @@ def test_tampered_recovery_matches_elimination_oracle(data):
         edit = data.draw(st.sampled_from(("remove", "duplicate", "combine")))
         if edit == "remove" and bc.payload:
             term = data.draw(st.sampled_from(sorted(bc.payload)))
-            bcs[r] = Broadcast(bc.origin, bc.index_sets, bc.payload - {term}, bc.kind)
+            bcs[r] = Broadcast(bc.origin, bc.payload - {term})
         elif edit == "combine":
             other = bcs[data.draw(st.integers(0, len(bcs) - 1))]
-            bcs[r] = Broadcast(bc.origin, bc.index_sets, bc.payload ^ other.payload, bc.kind)
+            bcs[r] = Broadcast(bc.origin, bc.payload ^ other.payload)
         else:
             bcs.insert(data.draw(st.integers(0, len(bcs))), bc)
     assert verify_full_recovery(cfg, demand, bcs) == elimination_oracle(cfg, demand, bcs)
@@ -356,7 +363,7 @@ def test_stopping_set_needs_elimination():
     # every row holds two unknowns, so peeling stalls, yet the rows sum to d
     a, b, c, d = (pkt("A", 1, (u,), 4) for u in range(4))
     rows = [
-        Broadcast(ORIGIN_SINGLE, (), frozenset(terms), KIND_MN)
+        Broadcast(ORIGIN_SINGLE, frozenset(terms))
         for terms in ((a, b), (a, c), (b, c, d))
     ]
     assert not peel_oracle(set(), rows, d)
@@ -373,12 +380,7 @@ def test_user_can_decode_is_span_membership(data):
     cached = data.draw(st.integers(0, 255))
     target = data.draw(st.integers(0, 7))
     rows = [
-        Broadcast(
-            ORIGIN_SINGLE,
-            (),
-            frozenset(p for j, p in enumerate(packets) if m >> j & 1),
-            KIND_MN,
-        )
+        Broadcast(ORIGIN_SINGLE, frozenset(p for j, p in enumerate(packets) if m >> j & 1))
         for m in masks
     ]
     cache = {p for j, p in enumerate(packets) if cached >> j & 1}
@@ -420,6 +422,5 @@ def test_message_matches_term_by_term_packets(data):
               ((s1, shared & cfg.mask_b), (s2, shared & cfg.mask_a))]
     for origin in (ORIGIN_A, ORIGIN_B, ORIGIN_P, ORIGIN_SINGLE):
         for parts in shapes:
-            bc = mn.message(origin, KIND_PAIR, (s1, s2), demand, parts)
-            assert bc == Broadcast(origin, (s1, s2), message_oracle(origin, demand, parts, K),
-                                   KIND_PAIR)
+            bc = mn.message(origin, demand, parts)
+            assert bc == Broadcast(origin, message_oracle(origin, demand, parts, K))
