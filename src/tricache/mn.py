@@ -8,11 +8,12 @@ another server's copy or a subset of the members, so `message` builds every
 broadcast of every scheme.  The decoder below does not assume that structure:
 it checks exact GF(2) span membership, because the three-server pairing
 scheme requires combining messages from several servers to extract a segment.
-One bit-sliced peel serves all users at once (a payload with one term a user
-does not know yields that term to the user) and settles every packet of a
-well-formed plan in a few sweeps over the rows.  Only a user left with an
-unknown target runs Gaussian elimination, over the packets it does not know
-after the peel.
+One bit-sliced peel serves all users at once over the payloads as they are,
+keyed by packet int (a payload with one term a user does not know yields
+that term to the user), and counts the (user, target) slots it fills: a
+well-formed plan in transmission order fills them all in one sweep and is
+certified with no per-user work.  Only a user left with an unknown target
+runs Gaussian elimination, over the packets it does not know after the peel.
 
 Verification returns structured reports instead of raising; failures are data.
 """
@@ -20,6 +21,7 @@ Verification returns structured reports instead of raising; failures are data.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 from typing import Iterable, Sequence
 
 from .gf2 import GF2Basis
@@ -112,71 +114,70 @@ def mn_delivery(config: SystemConfig, demand: Demand) -> list[Group]:
     ]
 
 
-def _intern(broadcasts: Iterable[Broadcast]) -> tuple[dict[int, int], list[list[int]]]:
-    """Every payload packet interned to a dense id: ids maps a packet int to
-    its id, and rows[r] lists the ids in broadcast r's payload."""
-    ids: dict[int, int] = {}
-    rows = [[ids.setdefault(p, len(ids)) for p in bc.payload] for bc in broadcasts]
-    return ids, rows
+def _peel(payloads: Sequence[frozenset[int]], known: dict[int, int], everyone: int,
+          wants: dict[int, int], t: int, remaining: int) -> int:
+    """Peel for all users at once: known[p], the mask of the users (bits of
+    `everyone`, K of them) who know packet p, gains every packet peeling
+    yields them.  Returns `remaining` less the (user, target) slots filled.
 
-
-def _peel(rows: list[list[int]], known_by: list[int], everyone: int) -> None:
-    """Peel for all users at once: known_by[i], the mask of the users (bits
-    of `everyone`) who know id i, gains every id peeling yields them.
-
-    A user knows what its caller seeds and any term of a row whose other
-    terms it knows.  Each sweep visits the rows in order and keeps two
-    bit-sliced counters over a row's terms: z1 holds the users with at least
-    one unknown term and z2 those with at least two, so z1 & ~z2 are the
-    users for whom the row yields its one unknown term.  Sweeps repeat until
-    one changes nothing or one per user has run, so the cost never exceeds a
-    pass per user.  Every bit set is a peeling step, and peeling has one
-    closure, so at convergence each user knows exactly what its own peel
-    would give it; after the cap it knows a subset of that.
+    A user knows what its caller seeds and any term of a payload whose other
+    terms it knows.  Each sweep keeps two bit-sliced counters over a
+    payload's terms: z1 holds the users with at least one unknown term and
+    z2 those with at least two, so each user in z1 & ~z2 learns its one
+    unknown term.  Each user in `new`, those p gains, fills a slot when it
+    requests p's file (`wants[p >> K]`) and p's subset has t users; `new`
+    has only bits not set before, so no slot counts twice.  Sweeps stop when
+    one changes nothing or ends with no slot left, or after one per user.
+    Peeling has one closure, so at convergence each user knows exactly what
+    its own peel would give it; before it, a subset of that.
     """
-    for _ in range(everyone.bit_length()):
+    K = everyone.bit_length()
+    for _ in range(K):
         changed = False
-        for row in rows:
+        for payload in payloads:
             z1 = z2 = 0
-            for i in row:
-                unknown = everyone ^ known_by[i]
+            for p in payload:
+                unknown = everyone ^ known[p]
                 z2 |= z1 & unknown
                 z1 |= unknown
             one = z1 & ~z2
             if one:
-                for i in row:
-                    k = known_by[i]
-                    if one & ~k:
-                        known_by[i] = k | one
+                for p in payload:
+                    k = known[p]
+                    new = one & ~k
+                    if new:
+                        known[p] = k | new
                         changed = True
-        if not changed:
+                        slots = new & wants.get(p >> K, 0)
+                        if slots and (p & everyone).bit_count() == t:
+                            remaining -= slots.bit_count()
+        if not changed or not remaining:
             break
+    return remaining
 
 
-def _eliminate(
-    rows: list[list[int]], known_by: list[int], user: int, targets: Sequence[int | None]
-) -> list[bool]:
-    """Which target ids the rows determine for `user`, given the ids whose
-    known_by mask holds its bit.
+def _eliminate(payloads: Sequence[frozenset[int]], known: dict[int, int], user: int,
+               targets: Sequence[int]) -> list[bool]:
+    """Which target packets the payloads determine for `user`, given the
+    packets whose known mask holds its bit.
 
-    Exact elimination over the rows with the known columns removed: those
-    columns are in the span, so dropping them keeps the answer, which is
-    exact GF(2) span membership.  A target id of None is not in any row.
+    Exact elimination over the payloads with the known packets removed (they
+    are in the span, so the answer is exact GF(2) span membership).  Columns
+    are packet ints numbered as first met; a target that no payload holds is
+    not in `known` and is not determined.
     """
     bit = 1 << user
     col: dict[int, int] = {}
     basis = GF2Basis()
-    for row in rows:
+    for payload in payloads:
         vec = 0
-        for i in row:
-            if not known_by[i] & bit:
-                vec |= 1 << col.setdefault(i, len(col))
+        for p in payload:
+            if not known[p] & bit:
+                vec |= 1 << col.setdefault(p, len(col))
         if vec:
             basis.add(vec)
-    return [
-        i is not None and (known_by[i] & bit != 0 or basis.contains(1 << col[i]))
-        for i in targets
-    ]
+    return [p in known and (known[p] & bit != 0 or basis.contains(1 << col[p]))
+            for p in targets]
 
 
 @dataclass(frozen=True)
@@ -207,38 +208,35 @@ def verify_full_recovery(
     """Check that every user can decode every uncached packet of its file.
 
     Every user hears every broadcast (the index sets of its group are
-    informational).  The payloads are interned once and one bit-sliced peel
-    (`_peel`) serves all users, seeded with the packets each caches.  A user
-    with a target that peel leaves unknown runs `_eliminate` over the ids it
-    does not know, so every answer is exact GF(2) span membership.  Targets
-    are read through the one packet map, `ids`: a packet that no payload
-    holds reads an extra slot that no user knows.
+    informational).  One peel (`_peel`) serves all users; `known` maps each
+    payload packet to its users, seeded with the cache bits.  `wants` maps
+    each requested file (its packet base >> K) to its requesters, so the
+    peel counts down the K * C(K-1, t) (user, target) slots; at 0 every user
+    decodes.  Otherwise each user's targets are read from `known` in colex
+    order, and a user with one left unknown runs `_eliminate`, so every
+    answer is exact GF(2) span membership.
     """
-    ids, rows = _intern(broadcasts)
-    K = config.K
+    K, t = config.K, config.t
     everyone = (1 << K) - 1
-    known_by = [p & everyone for p in ids]
-    _peel(rows, known_by, everyone)
-    absent = len(known_by)
-    known_by.append(0)  # the slot of every packet no payload holds
-    tsubs = subset_masks(config.users, config.t)
+    payloads = [bc.payload for bc in broadcasts]
+    known = {p: p & everyone for payload in payloads for p in payload}
+    bases = demand.packet_bases[None]
+    wants: dict[int, int] = {}
+    for user, base in enumerate(bases):
+        wants[base >> K] = wants.get(base >> K, 0) | 1 << user
+    if not _peel(payloads, known, everyone, wants, t, K * comb(K - 1, t)):
+        return RecoveryReport(tuple(UserRecovery(u, True, None, 0) for u in config.users))
+    tsubs = subset_masks(config.users, t)
     results = []
-    for user in config.users:
+    for user, base in enumerate(bases):
         bit = 1 << user
-        base = demand.packet_bases[None][user]
         # The user's targets (its file's packets whose subset misses the
         # user) that the shared peel left unknown to it, in colex order.
         failed = [base | m for m in tsubs
-                  if not m & bit and not known_by[ids.get(base | m, absent)] & bit]
-        if any(p in ids for p in failed):
-            decoded = _eliminate(rows, known_by, user, [ids.get(p) for p in failed])
+                  if not m & bit and not known.get(base | m, 0) & bit]
+        if any(p in known for p in failed):
+            decoded = _eliminate(payloads, known, user, failed)
             failed = [p for p, ok in zip(failed, decoded) if not ok]
-        results.append(
-            UserRecovery(
-                user=user,
-                ok=not failed,
-                first_failed=packet_id(failed[0], K) if failed else None,
-                missing=len(failed),
-            )
-        )
+        first_failed = packet_id(failed[0], K) if failed else None
+        results.append(UserRecovery(user, not failed, first_failed, len(failed)))
     return RecoveryReport(tuple(results))

@@ -38,7 +38,7 @@ from tricache.system import (
     worst_demand,
 )
 
-from conftest import pkt, user_can_decode
+from conftest import mask, pkt, user_can_decode
 
 
 def mn_broadcasts(cfg, demand):
@@ -262,6 +262,87 @@ def test_intact_plans_never_reach_the_fallback(monkeypatch):
     monkeypatch.setattr(mn, "_eliminate", fallback)
     for name, cfg, demand, bcs in oracle_plans():
         assert verify_full_recovery(cfg, demand, bcs).all_ok, name
+
+
+def test_intact_plans_skip_the_target_scan(monkeypatch):
+    # the peel counts every (user, target) slot it fills, so an intact plan
+    # is certified without reading a single target
+    plans = [*oracle_plans(), *shared_file_plans()]
+    cfg = build_config(12, 5, 12)
+    demand = worst_demand(cfg)
+    plans.append(("improved K=12 t=5", cfg, demand, list(build_plan(cfg, demand, "improved").broadcasts)))
+
+    def scan(*args):
+        raise AssertionError("per-user target scan reached")
+
+    monkeypatch.setattr(mn, "subset_masks", scan)
+    for name, cfg, demand, bcs in plans:
+        assert verify_full_recovery(cfg, demand, bcs).all_ok, name
+
+
+def test_reversed_plans_match_elimination_oracle():
+    # a pair's P line before its A and B lines: the peel needs a second sweep
+    for name, cfg, demand, bcs in oracle_plans():
+        report = verify_full_recovery(cfg, demand, bcs[::-1])
+        assert report.all_ok, name
+        assert report == elimination_oracle(cfg, demand, bcs[::-1]), name
+
+
+def off_size_decoys(t_offsets):
+    """User 0's MN plan at K=6, t=2 with one of its targets dropped and, per
+    offset, a broadcast giving every user a packet of user 0's file whose
+    subset misses user 0 and has t + offset users."""
+    cfg = build_config(6, 2, 6)
+    demand = worst_demand(cfg)
+    bcs = mn_broadcasts(cfg, demand)
+    base = demand.packet_bases[None][0]
+    target = base | mask(1, 2)
+    bcs = [Broadcast(bc.origin, bc.payload - {target}) for bc in bcs]
+    for offset in t_offsets:
+        decoy = base | mask(*range(1, cfg.t + offset + 1))
+        bcs.append(Broadcast(ORIGIN_SINGLE, frozenset({decoy})))
+    return cfg, demand, bcs, target
+
+
+def test_slot_counter_ignores_off_size_subsets():
+    # a term of a requested file counts only when its subset has t users;
+    # with one decoy per dropped target an uncounted decoy would balance it
+    for offsets in ((1,), (-1,), (1, -1)):
+        cfg, demand, bcs, target = off_size_decoys(offsets)
+        report = verify_full_recovery(cfg, demand, bcs)
+        user0 = report.users[0]
+        assert not user0.ok and user0.missing == 1, offsets
+        assert user0.first_failed == packet_id(target, cfg.K), offsets
+        assert report == elimination_oracle(cfg, demand, bcs), offsets
+
+
+def shared_file_plans():
+    """MN, lap and improved plans with N < K, where each file is requested
+    by several users, so a `wants` mask holds several bits."""
+    for K, M, N in ((6, 1, 2), (8, 1, 4), (8, Fraction(3, 2), 4), (10, Fraction(6, 5), 4)):
+        cfg = build_config(K, M, N)
+        half = N // 2
+        demand = demand_from_mapping(cfg, {
+            u: ("A" if u in cfg.users_a else "B", 1 + u % half) for u in cfg.users})
+        yield f"mn K={K} N={N}", cfg, demand, mn_broadcasts(cfg, demand)
+        for scheme in ("lap", "improved"):
+            plan = build_plan(cfg, demand, scheme)
+            yield f"{scheme} K={K} N={N}", cfg, demand, list(plan.broadcasts)
+
+
+def test_shared_files_match_elimination_oracle():
+    rng = random.Random(23)
+    checked = failing = 0
+    for name, cfg, demand, bcs in shared_file_plans():
+        requests = Counter(demand.requests)
+        assert min(requests.values()) >= 2, name
+        assert verify_full_recovery(cfg, demand, bcs).all_ok, name
+        for how, variant in [("intact", bcs), ("reversed", bcs[::-1]), *tampered(bcs, rng)]:
+            report = verify_full_recovery(cfg, demand, variant)
+            assert report == elimination_oracle(cfg, demand, variant), (name, how)
+            checked += 1
+            failing += not report.all_ok
+    assert failing > 0 and checked == 4 * 3 * 5
 
 
 def chain_rows(links, reverse):
