@@ -58,9 +58,20 @@ class SpecError(Exception):
 def parse_fraction(text: str) -> Fraction:
     """Parse an exact fraction such as '1/2', '3' or '0.5'.  A decimal is read
     exactly ('0.5' is 1/2, '1e-1' is 1/10), never through a binary float, so
-    integrality checks stay exact."""
+    integrality checks stay exact.
+
+    The length of the text before any exponent, plus the exponent's size,
+    bounds the digits of the numerator and denominator it spells.  Under the
+    interpreter's int-to-text digit limit (`sys.get_int_max_str_digits`), text
+    whose bound exceeds the limit is refused before any number is built: the
+    number might not print, and 1e10000000 alone takes seconds to build."""
     text = text.strip()
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    mantissa, _, exponent = text.lower().partition("e")
     try:
+        if limit and len(mantissa) + abs(int(exponent or 0)) > limit:
+            raise SpecError(f"fraction {text[:40]!r}{'...' if len(text) > 40 else ''} could spell "
+                            f"a number of more than {limit} digits, the interpreter's int-to-text limit")
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise SpecError(f"expected an exact fraction like 1/2, got {text!r}: {exc}") from None
@@ -382,7 +393,7 @@ def load_plan(path: Path) -> delivery.DeliveryPlan:
         scheme = meta.get("scheme", SCHEME_LAP)
         if scheme not in SCHEMES:
             raise SpecError(f"unknown plan scheme {scheme!r}")
-        config = build_config(int(meta["K"]), Fraction(meta["M"]), int(meta["N"]))
+        config = build_config(int(meta["K"]), parse_fraction(str(meta["M"])), int(meta["N"]))
         demand = _demand_from_json(config, meta["demand"])
         grouped: dict[tuple[str, tuple[int, ...]], dict[str, mn.Broadcast]] = {}
         checks = _plan_checks(config)

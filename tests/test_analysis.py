@@ -4,8 +4,9 @@ from fractions import Fraction
 from math import comb
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from tricache import analysis
 from tricache.analysis import (
     HIGH,
     LOW,
@@ -28,6 +29,7 @@ from tricache.analysis import (
     multi_server_rate,
     ratio_asymptote,
     rate_theorem,
+    regime_of_lambda,
     scheme_delta,
     server_load_for_requests,
 )
@@ -204,6 +206,82 @@ def test_ratio_curves_zero_baseline():
     (row,) = rows
     assert row.n == 0
     assert row.ni_over_n is None
+
+
+# One lambda per regime at least: 1/4 and 3/8 in regime 1, 7/16 and 1/2 in 2,
+# 5/8 and 3/4 in 3; and four that no K admits.
+COLUMN_LAMBDAS = [Fraction(1, 4), Fraction(3, 8), Fraction(7, 16), Fraction(1, 2),
+                  Fraction(5, 8), Fraction(3, 4), Fraction(-1, 2), Fraction(3, 2),
+                  Fraction(0), Fraction(1)]
+
+
+def _skip_reason(lam: Fraction, K: int) -> str | None:
+    """The reason ratio_curves gives for skipping (lam, K), spelt from
+    Fraction arithmetic; None for an admitted point."""
+    if K % 2:
+        return "K must be even"
+    t = lam * K
+    if t.denominator != 1:
+        return f"t = K*lambda = {t} not integral"
+    if not 1 <= t <= K - 1:
+        return f"t = {t} outside [1, {K - 1}]"
+    return f"t = {t} is even" if t % 2 == 0 else None
+
+
+def _arranged(K_values: list[int], order: str) -> list[int]:
+    if order == "ascending":
+        return sorted(K_values)
+    if order == "descending":
+        return sorted(K_values, reverse=True)
+    if order == "repeated":
+        return [K for K in sorted(K_values) for _ in range(2)]
+    return K_values  # shuffled: in the order drawn
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.integers(-2, 1501).map(lambda i: 2 * i) | st.integers(-3, 3003),
+                min_size=1, max_size=8),
+       st.sampled_from(["shuffled", "ascending", "descending", "repeated"]))
+# an ascending column steps every row after its first; a gap of 960 falls back
+@example([2004, 2012, 2020, 2028, 2036, 2996], "ascending")
+@example([2060, 2180, 2300, 2420, 2540, 3000], "ascending")
+@example([2060, 2180, 2300, 2420, 2540], "descending")
+@example([2300, 2060, 2540, 2180, 2420], "shuffled")
+@example([14, 22, 30, 2996, 2060, 2068], "repeated")
+def test_curve_columns_equal_fresh_points(K_values, order):
+    # rows stepped along a column equal each point computed on its own, with
+    # both binom paths in play (C(K, t+1) takes the prime-power path once
+    # min(t+1, K-t-1) > 400), and every skip reason is the one Fraction
+    # arithmetic spells
+    K_values = _arranged(K_values, order)
+    rows, skipped = ratio_curves(K_values, COLUMN_LAMBDAS)
+    points = [(lam, K, _skip_reason(lam, K)) for lam in COLUMN_LAMBDAS for K in K_values]
+    assert [(s.lam, s.K, s.reason) for s in skipped] == [p for p in points if p[2]]
+    admitted = [(lam, K) for lam, K, reason in points if reason is None]
+    assert [(r.lam, r.K) for r in rows] == admitted
+    for r in rows:
+        t = int(r.lam * r.K)
+        total = comb(r.K, t + 1)
+        assert (r.t, r.regime) == (t, regime_of_lambda(r.lam))
+        assert (r.regime, r.n_i) == improved_unpaired_count(r.K, t)
+        assert r.n == lap_unpaired_count(r.K, t)
+        assert (r.delta, r.delta_prime) == (Fraction(r.n, total), Fraction(r.n_i, total))
+
+
+def test_ascending_column_calls_binom_for_its_first_point_only(monkeypatch):
+    # lambda 1/4 admits all five K; only the first row's C(K, t+1) and window
+    # seed C(K/2 - 1, (t+1)/2 - 2) come from binom, the rest are stepped.  The
+    # same column read with K falling computes every row afresh.
+    calls = []
+    fresh = analysis.binom
+    monkeypatch.setattr(analysis, "binom", lambda n, k: calls.append((n, k)) or fresh(n, k))
+    column = [2060, 2180, 2300, 2420, 2540]
+    rows, _ = ratio_curves(column, [Fraction(1, 4)])
+    assert len(rows) == 5
+    assert calls == [(2060, 516), (1029, 256)]
+    calls.clear()
+    assert ratio_curves(column[::-1], [Fraction(1, 4)])[0] == rows[::-1]
+    assert calls == [(n, k) for K in column[::-1] for n, k in ((K, K // 4 + 1), (K // 2 - 1, K // 8 - 1))]
 
 
 def test_four_way_class_size_table():

@@ -266,6 +266,46 @@ def test_curves_skip_points_over_the_digit_limit(tmp_path, capsys, default_int_s
     assert "K=16002" in err
 
 
+@pytest.mark.parametrize("command", ["curves", "simulate", "verify"])
+def test_number_text_over_the_digit_limit_exits_2(tmp_path, capsys, default_int_str_limit, command):
+    # 1e-5000 spells a 5001-digit denominator, which a skip reason could not
+    # print; 1e10000000 and 1e3000000 spell numerators that take seconds to
+    # build.  Each is refused from its text, before any number is built.
+    if command == "curves":
+        text, argv = "1e-5000", ["curves", "--K", "10", "--lambdas", "1e-5000"]
+    elif command == "simulate":
+        text, argv = "1e10000000", ["simulate", "--K", "4", "--lambda", "1e10000000"]
+    else:
+        text, path = "1e3000000", tmp_path / "plan.jsonl"
+        assert main(["simulate", "--K", "6", "--lambda", "1/2", "--output", str(tmp_path / "r.json"),
+                     "--plan-out", str(path)]) == 0
+        meta, *body = path.read_text().splitlines(keepends=True)
+        path.write_text(meta.replace('"M": "3/1"', f'"M": "{text}"') + "".join(body))
+        argv = ["verify", "--plan", str(path)]
+    capsys.readouterr()
+    code, out, err = run(argv, capsys)
+    assert (code, out) == (2, "")
+    assert err.splitlines() == [f"error: fraction {text!r} could spell a number of more than "
+                                "4300 digits, the interpreter's int-to-text limit"]
+
+
+@pytest.mark.parametrize("text, digits", [
+    ("1e-4299", (1, 4300)), ("1e4299", (4300, 1)), (".1e-4298", (1, 4300)),
+    ("2/" + "9" * 4298, (1, 4298)), ("0.5", (1, 1)), ("-1_000e-3", (1, 1)), (" 3 ", (1, 1)),
+])
+def test_number_text_at_the_digit_limit_parses(default_int_str_limit, text, digits):
+    # the text before any exponent, plus the exponent, is at most 4300 long
+    value = cli.parse_fraction(text)
+    assert (len(str(abs(value.numerator))), len(str(value.denominator))) == digits
+
+
+@pytest.mark.parametrize("text", ["1e-4300", "1e4300", ".1e-4299", "1/" + "9" * 4299,
+                                  "9" * 4301, "0." + "0" * 4300 + "1", "1e-00000000000000005000"])
+def test_number_text_past_the_digit_limit_is_refused(default_int_str_limit, text):
+    with pytest.raises(cli.SpecError, match="could spell a number of more than 4300 digits"):
+        cli.parse_fraction(text)
+
+
 def test_outdir_env(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("TRICACHE_OUTDIR", str(tmp_path))
     code, _, _ = run(
