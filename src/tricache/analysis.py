@@ -460,6 +460,20 @@ class SkippedPoint:
     reason: str
 
 
+def _spelled(n: int, limit: int) -> str:
+    """n in decimal, or as <d digits> when its d digits are past the
+    int-to-text limit (0 for none), so that a reason always prints."""
+    m = abs(n)
+    if not limit or m.bit_length() <= 3 * limit:  # then at most 0.91 limit + 1 digits
+        return str(n)
+    digits = int(m.bit_length() * 0.30103)
+    while 10 ** digits <= m:
+        digits += 1
+    while 10 ** (digits - 1) > m:
+        digits -= 1
+    return f"{'-' if n < 0 else ''}<{digits} digits>" if digits > limit else str(n)
+
+
 def _binomial_digits(n: int, k: int) -> int:
     """Decimal digits of C(n, k) from log-gamma, rounded up near a power of ten."""
     return int((lgamma(n + 1) - lgamma(k + 1) - lgamma(n - k + 1)) / log(10) + 1e-9) + 1
@@ -477,7 +491,8 @@ def ratio_curves(
     denominator q: t is integral when q divides K, and then t = (K/q) p.
     A point is also skipped when C(K, t+1), the bound on every integer of
     its row, has more decimal digits than the interpreter converts to text
-    (`sys.get_int_max_str_digits`, 0 for none).
+    (`sys.get_int_max_str_digits`, 0 for none); a number in a skip reason
+    that has too many digits to print is spelled by its digit count.
 
     A row's two big binomials, C(K, t+1) and the seed of its binomial
     window, come from `_binom_next`: stepped from the previous admitted row
@@ -499,11 +514,12 @@ def ratio_curves(
                 continue
             if K % q:
                 g = gcd(K, q)  # K * lambda in lowest terms, as Fraction spells it
-                skipped.append(SkippedPoint(lam, K, f"t = K*lambda = {K // g * p}/{q // g} not integral"))
+                skipped.append(SkippedPoint(lam, K, f"t = K*lambda = {_spelled(K // g * p, digit_limit)}/"
+                                            f"{_spelled(q // g, digit_limit)} not integral"))
                 continue
             t = K // q * p
             if not 1 <= t <= K - 1:
-                skipped.append(SkippedPoint(lam, K, f"t = {t} outside [1, {K - 1}]"))
+                skipped.append(SkippedPoint(lam, K, f"t = {_spelled(t, digit_limit)} outside [1, {K - 1}]"))
                 continue
             if t % 2 == 0:
                 skipped.append(SkippedPoint(lam, K, f"t = {t} is even"))

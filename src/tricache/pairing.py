@@ -24,8 +24,10 @@ the deterministic iteration order used everywhere.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import comb
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -113,79 +115,75 @@ def is_effective_pair(s1: int, s2: int, config: SystemConfig) -> bool:
 @dataclass(frozen=True, eq=False)
 class PairGraph:
     """A bipartite graph whose edges are exactly the effective pairs between
-    the two sides.  Both sides are in colex order, and nbrs[i] lists the
-    indices into y of x[i]'s neighbours in ascending order, which is colex
-    order again.  The A-heavy member of each edge is determined per pair by
-    layer weight (a side built from a union of layers can carry both
-    directions).
+    the two sides, kept as the product factors build_pair_graph finds.
+
+    Both sides are in colex order; x_order and y_order give each member's
+    position in its side's hull, the blocks' members one after another
+    (None when the side is one block).  y_blocks holds each y block's
+    (A-part count, B-part count); x_blocks each x block's
+    (A-part count, B-part count, links), with one link
+    (y block index, rel_a, rel_b) per y block it relates to: rel_a[i] the
+    ascending ranks of the y A-parts that x A-part i relates to, rel_b[j]
+    those of the y B-parts for x B-part j.  The member (i, j) is joined to
+    every y member (p, r) of the block with p in rel_a[i] and r in rel_b[j].
+    nbrs[i], built on first read, lists the indices into y of x[i]'s
+    neighbours in ascending order.
     """
 
     config: SystemConfig
     label: str
     x: tuple[int, ...]
     y: tuple[int, ...]
-    nbrs: list[list[int]]
+    x_order: list[int] | None
+    y_order: list[int] | None
+    x_blocks: tuple
+    y_blocks: tuple
 
     def edge_count(self) -> int:
-        return sum(map(len, self.nbrs))
+        return sum(sum(map(len, rel_a)) * sum(map(len, rel_b))
+                   for *_, links in self.x_blocks for _, rel_a, rel_b in links)
+
+    @cached_property
+    def nbrs(self) -> list[list[int]]:
+        return _rows(self)
 
 
 def build_pair_graph(
     config: SystemConfig, label: str, x_blocks: Sequence[Layer], y_blocks: Sequence[Layer]
 ) -> PairGraph:
-    """Materialise adjacency from the product structure of the pairing predicate.
+    """Factor the pairing predicate over the product structure of the blocks.
 
     Each side is given as disjoint blocks (see Layer).  Members of different
     A-weight pair exactly when the lighter one's A-part lies inside the
     heavier one's and the heavier one's B-part inside the lighter one's, so
     between two blocks the graph is the product of an A-part and a B-part
-    containment graph; equal A-weights never pair.  The hull of y is its
-    blocks' members one after another.  Per pair of an x and a y block,
-    every x A-part gets the ascending ranks of the y A-parts it relates to,
-    and every x B-part the hull segments (one slice per y B-part, indexed
-    by A-rank) of the y B-parts it relates to; a row is one segment entry
-    per pair of the two.  With one y block the hull is y and rows come out
-    ascending; with several, a position list maps the hull to y-indices and
-    each row is sorted.
+    containment graph; equal A-weights never pair.  Per pair of an x and a
+    y block that relate, the graph keeps one link: per x A-part the
+    ascending ranks of the y A-parts it relates to, and per x B-part those
+    of the y B-parts (see PairGraph).  The lists come from scans over a few
+    hundred parts per block, not from the edges, and no edge is stored:
+    rows are built from the links only when nbrs is read.
 
-    The result equals an all-pairs scan with is_effective_pair.
+    The edges equal an all-pairs scan with is_effective_pair.
     """
     x, x_order = _merged(x_blocks)
     y, y_order = _merged(y_blocks)
-    # hull position -> y-index
-    slots = list(range(len(y)))
-    if y_order is not None:
-        for j, h in enumerate(y_order):
-            slots[h] = j
-    rows = []
-    for xb in x_blocks:
-        rels = []  # per related y block: y A-ranks per x A-part, y segments per x B-part
-        start = 0
-        for yb in y_blocks:
-            n_a = len(yb.parts_a)
-            size = n_a * len(yb.parts_b)
-            if size and xb.w != yb.w:
-                segments = [slots[i:i + n_a] for i in range(start, start + size, n_a)]
-                rel_a = _related(xb.parts_a, yb.parts_a, xb.w < yb.w)
-                rel_b = _related(xb.parts_b, yb.parts_b, xb.w > yb.w)
-                rels.append((rel_a, [[segments[r] for r in ranks] for ranks in rel_b]))
-            start += size
-        # Rows in member order, B-part major; they reuse the slots' int
-        # objects, so edges hold no int of their own.
-        if len(y_blocks) == 1 and rels:
-            (ranks_a, segs_b), = rels
-            rows += [[seg[p] for seg in segs for p in ranks] for segs in segs_b for ranks in ranks_a]
-        else:
-            rows += [
-                sorted([seg[p] for ranks_a, segs_b in rels for seg in segs_b[j] for p in ranks_a[i]])
-                for j in range(len(xb.parts_b)) for i in range(len(xb.parts_a))
-            ]
     return PairGraph(
         config=config,
         label=label,
         x=x,
         y=y,
-        nbrs=rows if x_order is None else [rows[h] for h in x_order],
+        x_order=x_order,
+        y_order=y_order,
+        x_blocks=tuple(
+            (len(xb.parts_a), len(xb.parts_b), tuple(
+                (k, _related(xb.parts_a, yb.parts_a, xb.w < yb.w),
+                 _related(xb.parts_b, yb.parts_b, xb.w > yb.w))
+                for k, yb in enumerate(y_blocks) if yb.members and xb.w != yb.w
+            ))
+            for xb in x_blocks
+        ),
+        y_blocks=tuple((len(yb.parts_a), len(yb.parts_b)) for yb in y_blocks),
     )
 
 
@@ -205,6 +203,36 @@ def _related(parts: Sequence[int], others: Sequence[int], inside: bool) -> list[
     if inside:
         return [[r for r, q in enumerate(others) if not p & ~q] for p in parts]
     return [[r for r, q in enumerate(others) if not q & ~p] for p in parts]
+
+
+def _segments(graph: PairGraph) -> list[list[list[int]]]:
+    """Per y block, per B-part, the y-indices of its members by A-rank.
+    They share their int objects, so rows built from them hold none of
+    their own."""
+    slots = list(range(len(graph.y)))  # y-index of each y hull position
+    if graph.y_order is not None:
+        for j, h in enumerate(graph.y_order):
+            slots[h] = j
+    segments, start = [], 0
+    for n_a, n_b in graph.y_blocks:
+        segments.append([slots[start + r * n_a:start + r * n_a + n_a] for r in range(n_b)])
+        start += n_a * n_b
+    return segments
+
+
+def _rows(graph: PairGraph) -> list[list[int]]:
+    """Adjacency rows in x order.  The row of x member (i, j) holds, per
+    link, the segment of each y B-part in rel_b[j] at each A-rank in
+    rel_a[i].  With one link a row comes out ascending; with several it is
+    sorted."""
+    segments = _segments(graph)
+    rows = []
+    for b, j, lo, hi in _runs(graph):
+        rels = [(rel_a, [segments[k][r] for r in rel_b[j]]) for k, rel_a, rel_b in graph.x_blocks[b][2]]
+        for i in range(lo, hi):
+            row = [seg[p] for rel_a, segs in rels for seg in segs for p in rel_a[i]]
+            rows.append(sorted(row) if len(rels) > 1 else row)
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -259,58 +287,139 @@ def single_layer_weights(config: SystemConfig) -> tuple[int, ...]:
 # maximum matching
 
 def max_matching(graph: PairGraph) -> list[tuple[int, int]]:
-    """Maximum matching via Hopcroft-Karp augmenting phases.
+    """Maximum matching: the greedy start read from the factors, then
+    Hopcroft-Karp augmenting phases over the rows, unless that start already
+    saturates the smaller side (no phase could then find a path, and the
+    rows are never built).
 
     Returns vertex-disjoint pairs ordered A-heavy first, sorted by the heavy
     member; ties in the search are broken by colex vertex order.
     """
-    if not graph.x or not graph.y:
+    x, y = graph.x, graph.y
+    if not x or not y:
         return []
-    match_x, _ = _hopcroft_karp(graph.nbrs, len(graph.y))
-    x, y, mask_a = graph.x, graph.y, graph.config.mask_a
-    pairs = []
-    for s1, yi in zip(x, match_x):
-        if yi >= 0:
-            s2 = y[yi]
-            # the member with more A-side users first
-            heavy_first = (s1 & mask_a).bit_count() >= (s2 & mask_a).bit_count()
-            pairs.append((s1, s2) if heavy_first else (s2, s1))
+    match_x, match_y = _greedy(graph)
+    if len(x) - match_x.count(-1) < min(len(x), len(y)):
+        _hopcroft_karp(graph.nbrs, match_x, match_y)
+    # The heavier member's A-part strictly contains the lighter one's, so
+    # it is the larger int.
+    a = graph.config.mask_a
+    pairs = [(s, t) if s & a > t & a else (t, s) for s, j in zip(x, match_x) if j >= 0 for t in (y[j],)]
     pairs.sort()
     return pairs
 
 
-def _hopcroft_karp(adj: list[list[int]], ny: int) -> tuple[list[int], list[int]]:
-    nx = len(adj)
-    match_x = [-1] * nx
-    match_y = [-1] * ny
-    matched = 0
-    for x in range(nx):
-        for y in adj[x]:
-            if match_y[y] == -1:
-                match_x[x] = y
-                match_y[y] = x
-                matched += 1
-                break
+def _greedy(graph: PairGraph) -> tuple[list[int], list[int]]:
+    """The greedy start: each x, in x order, takes its first free
+    neighbour in y order.
+
+    One int mask of free A-ranks is kept per y segment (a y block's
+    B-part).  Along a run of x that share a B-part, the masks of their
+    related segments sit side by side in one window, the p-th at bit
+    p << s (2**s is at least every y block's A-part count), and an x's
+    want is its A-rank mask repeated at every offset.  The lowest bit of
+    `window & want` is then its first free neighbour, since segments and
+    A-ranks ascend in y order within a y block.  With several y blocks,
+    each block's first hit competes by y-index.
+    """
+    nx, ny = len(graph.x), len(graph.y)
+    match_x, match_y = [-1] * nx, [-1] * ny
+    segments = _segments(graph)
+    s = max(n_a for n_a, _ in graph.y_blocks).bit_length()
+    q, full, bits = (1 << s) - 1, (1 << (1 << s)) - 1, (1).__lshift__
+    free = [[(1 << n_a) - 1] * n_b for n_a, n_b in graph.y_blocks]
+    links = []  # per x block, per link: free masks, wants by A-rank, rel_b, y segments
+    for *_, block_links in graph.x_blocks:
+        links.append([])
+        for k, rel_a, rel_b in block_links:
+            ones = sum(map(bits, range(0, max(map(len, rel_b), default=0) << s, 1 << s)))
+            links[-1].append((free[k], [sum(map(bits, ranks)) * ones for ranks in rel_a], rel_b, segments[k]))
+    i = 0
+    for b, j, lo, hi in _runs(graph):
+        runs = []  # per link: window, wants, related segments
+        for masks, wants, rel_b, segs in links[b]:
+            window = 0
+            for p, r in enumerate(rel_b[j]):
+                window |= masks[r] << (p << s)
+            runs.append([window, wants, [segs[r] for r in rel_b[j]]])
+        if len(runs) == 1:
+            (window, wants, segs), = runs
+            for i, want in zip(range(i, i + hi - lo), wants[lo:hi]):
+                hit = window & want
+                if hit:
+                    bit = hit & -hit
+                    window ^= bit
+                    pos = bit.bit_length() - 1
+                    match_x[i] = yi = segs[pos >> s][pos & q]
+                    match_y[yi] = i
+            runs[0][0] = window
+        else:
+            for i, a in zip(range(i, i + hi - lo), range(lo, hi)):
+                hits = []
+                for run in runs:
+                    hit = run[0] & run[1][a]
+                    if hit:
+                        bit = hit & -hit
+                        pos = bit.bit_length() - 1
+                        hits.append((run[2][pos >> s][pos & q], bit, run))
+                if hits:
+                    yi, bit, run = min(hits)
+                    run[0] ^= bit
+                    match_x[i] = yi
+                    match_y[yi] = i
+        i += 1
+        for (window, *_), (masks, _, rel_b, _) in zip(runs, links[b]):
+            for p, r in enumerate(rel_b[j]):
+                masks[r] = window >> (p << s) & full
+    return match_x, match_y
+
+
+def _runs(graph: PairGraph) -> list[tuple[int, int, int, int]]:
+    """x order as runs (x block, B-rank, first and end A-rank) of
+    consecutive members of one x block's B-part."""
+    heads, start = [], 0  # (hull start, x block, B-rank, A-part count) per B-part
+    for b, (n_a, n_b, _) in enumerate(graph.x_blocks):
+        heads += [(start + j * n_a, b, j, n_a) for j in range(n_b) if n_a]
+        start += n_a * n_b
+    order = graph.x_order
+    if order is None:
+        return [(b, j, 0, n_a) for _, b, j, n_a in heads]
+    runs, k = [], 0
+    while k < start:
+        h = order[k]
+        h0, b, j, n_a = heads[bisect_left(heads, (h + 1,)) - 1]
+        # Members of one block keep their relative order, so the rest of
+        # the B-part is one run exactly when its last member sits n - 1
+        # places on; otherwise a member of another block comes between.
+        n = h0 + n_a - h
+        if order[k + n - 1] != h + n - 1:
+            n = next(m for m in range(1, n) if order[k + m] != h + m)
+        runs.append((b, j, h - h0, h - h0 + n))
+        k += n
+    return runs
+
+
+def _hopcroft_karp(adj: list[list[int]], match_x: list[int], match_y: list[int]) -> tuple[list[int], list[int]]:
+    """Hopcroft-Karp augmenting phases from a given partial matching, which
+    they grow in place to a maximum one."""
+    nx, ny = len(adj), len(match_y)
+    matched = nx - match_x.count(-1)
     infinity = nx + ny + 1
     # Once the smaller side is matched, no phase can find an augmenting path.
     while matched < min(nx, ny):
-        # BFS layers from free x-vertices.
+        # BFS layers from the free x, a layer at a time with set operations:
+        # dist is the shortest-distance labelling whatever the visiting order.
         dist = [-1] * nx
-        queue = [x for x in range(nx) if match_x[x] == -1]
-        for x in queue:
-            dist[x] = 0
+        layer = [x for x in range(nx) if match_x[x] == -1]
         found_free_y = False
-        head = 0
-        while head < len(queue):
-            x = queue[head]
-            head += 1
-            for y in adj[x]:
-                nxt = match_y[y]
-                if nxt == -1:
-                    found_free_y = True
-                elif dist[nxt] == -1:
-                    dist[nxt] = dist[x] + 1
-                    queue.append(nxt)
+        d = 0
+        while layer:
+            for x in layer:
+                dist[x] = d
+            reached = set(map(match_y.__getitem__, set().union(*map(adj.__getitem__, layer))))
+            found_free_y |= -1 in reached
+            layer = [x for x in reached if x != -1 and dist[x] == -1]
+            d += 1
         if not found_free_y:
             break
         # One DFS pass along the layering, iterative with per-vertex arc pointers.
@@ -318,13 +427,13 @@ def _hopcroft_karp(adj: list[list[int]], ny: int) -> tuple[list[int], list[int]]
         for x0 in range(nx):
             if match_x[x0] != -1:
                 continue
-            stack: list[tuple[int, int]] = [(x0, -1)]  # (x, matched edge used to reach it)
+            stack = [(x0, -1)]  # (x, matched edge used to reach it)
             while stack:
-                x, _ = stack[-1]
-                advanced = False
-                while ptr[x] < len(adj[x]):
-                    y = adj[x][ptr[x]]
-                    ptr[x] += 1
+                x = stack[-1][0]
+                row, p, d = adj[x], ptr[x], dist[x] + 1
+                while p < len(row):
+                    y = row[p]
+                    p += 1
                     nxt = match_y[y]
                     if nxt == -1:
                         cur = y
@@ -334,15 +443,14 @@ def _hopcroft_karp(adj: list[list[int]], ny: int) -> tuple[list[int], list[int]]
                             cur = fy
                         matched += 1
                         stack = []
-                        advanced = True
                         break
-                    if dist[nxt] == dist[x] + 1:
+                    if dist[nxt] == d:
                         stack.append((nxt, y))
-                        advanced = True
                         break
-                if not advanced:
+                else:
                     dist[x] = infinity  # dead end for this phase
                     stack.pop()
+                ptr[x] = p
     return match_x, match_y
 
 

@@ -222,6 +222,20 @@ def orientation(graph) -> str:
     return "mixed"
 
 
+def list_scan_greedy(adj: Sequence[Sequence[int]], ny: int) -> tuple[list[int], list[int]]:
+    """Oracle of the block greedy start: each x in order takes the first
+    neighbour in its row that is still free."""
+    match_x = [-1] * len(adj)
+    match_y = [-1] * ny
+    for x, row in enumerate(adj):
+        for y in row:
+            if match_y[y] == -1:
+                match_x[x] = y
+                match_y[y] = x
+                break
+    return match_x, match_y
+
+
 def exhaustive_max_matching_size(graph, *, max_vertices: int = 20, max_edges: int = 60) -> int:
     """Oracle: exact maximum matching size by exhaustive branch-and-bound.
 

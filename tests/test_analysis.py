@@ -1,5 +1,6 @@
 """Closed-form calculators: exact values frozen from the enumeration oracles."""
 
+import sys
 from fractions import Fraction
 from math import comb
 
@@ -350,3 +351,35 @@ def test_binom_far_above_j_sieves_nothing(fresh_sieve):
     assert binom(10**8, 402) == comb(10**8, 402)
     assert binom(10**8, 10**8 - 6000) == comb(10**8, 6000)
     assert len(fresh_sieve._primes) <= 1000
+
+
+@pytest.mark.parametrize(
+    "n", [0, 7, -7, 2**14300, 10**4299, 10**4300 - 1, 10**4300, -10**4300, 10**9000 + 7],
+    ids=["0", "7", "-7", "2^14300", "10^4299", "10^4300-1", "10^4300", "-10^4300", "10^9000+7"],
+)
+def test_reason_numbers_past_the_digit_limit_are_spelled_by_digit_count(n):
+    # below the limit a number prints as itself, so reasons that print today
+    # stay byte-identical; past it, its exact digit count stands in
+    lift = getattr(sys, "set_int_max_str_digits", lambda limit: None)
+    old = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    lift(0)
+    try:
+        text, unlimited = str(n), analysis._spelled(n, 0)
+    finally:
+        lift(old)
+    digits = len(text.lstrip("-"))
+    assert analysis._spelled(n, 4300) == (text if digits <= 4300 else f"{text[:n < 0]}<{digits} digits>")
+    assert unlimited == text
+
+
+def test_not_integral_reason_past_the_digit_limit():
+    # K*lambda = 5 (9e4299 + 1)/2 has 4301 digits in its numerator
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this interpreter has no int-to-text digit limit")
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        _, skipped = ratio_curves([10], [Fraction(9 * 10**4299 + 1, 4)])
+    finally:
+        sys.set_int_max_str_digits(old)
+    assert [s.reason for s in skipped] == ["t = K*lambda = <4301 digits>/2 not integral"]

@@ -9,6 +9,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -264,6 +265,20 @@ def test_curves_skip_points_over_the_digit_limit(tmp_path, capsys, default_int_s
     lines = path.read_text().splitlines()
     assert len(lines) == 2 and lines[1].split(",")[3:5] == ["14", "7"]
     assert "K=16002" in err
+
+
+def test_curves_skip_reason_past_the_digit_limit_prints(capsys, default_int_str_limit):
+    # 1e4299 passes the text check (1 + 4299 = 4300 digits), but t = K*lambda
+    # has 4301, so its skip reason spells t by its digit count
+    start = time.perf_counter()
+    code, out, err = run(["curves", "--K", "10", "--lambdas", "1/2,1e4299"], capsys)
+    assert code == 0 and out.count("\n") == 2
+    (line,) = err.splitlines()
+    assert line == f"skipped lambda=1{'0' * 4299} K=10: t = <4301 digits> outside [1, 9]"
+    code, out, err = run(["curves", "--K", "10", "--lambdas", "1e4299"], capsys)
+    assert (code, out) == (2, "")
+    assert err.splitlines()[1:] == ["no admissible grid points"] and "Traceback" not in err
+    assert time.perf_counter() - start < 1
 
 
 @pytest.mark.parametrize("command", ["curves", "simulate", "verify"])

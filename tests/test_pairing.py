@@ -1,5 +1,6 @@
 """Layers, classes, effective pairs, graphs, and matchings."""
 
+import hashlib
 from fractions import Fraction
 from math import comb
 
@@ -14,6 +15,7 @@ from tricache.analysis import (
     lap_unpaired_count,
     regime_of_lambda,
 )
+from tricache import pairing
 from tricache.pairing import (
     build_pair_graph,
     build_layers,
@@ -25,7 +27,9 @@ from tricache.pairing import (
     layer_weight,
     max_matching,
     middle_pairing,
+    outer_graphs,
     single_layer_weights,
+    _greedy,
     _hopcroft_karp,
 )
 from tricache.system import build_config, subset_masks
@@ -37,7 +41,9 @@ from conftest import (
     exhaustive_max_matching_size,
     four_way_class_size,
     general_class_size,
+    list_scan_greedy,
     mask,
+    orient_pair,
     orientation,
     partition_classes,
     vertex_degree,
@@ -299,8 +305,9 @@ def test_graphs_are_biregular_and_saturate_their_smaller_side_k14():
 @given(st.data())
 def test_pair_graph_on_random_blocks_equals_oracle(data):
     # one or two blocks per side, each from its own layer with random A-parts
-    # and B-parts kept: two y blocks take the position list and sorted rows,
-    # two x blocks the merge into colex order
+    # and B-parts kept, or two from one layer with disjoint A-parts: two y
+    # blocks take the greedy's choice by y-index and sorted rows, two x
+    # blocks the merge into colex order, walked in runs
     K = data.draw(st.sampled_from([6, 8, 10]))
     t = data.draw(st.integers(1, K - 1))
     cfg = build_config(K, t, K)
@@ -316,6 +323,12 @@ def test_pair_graph_on_random_blocks_equals_oracle(data):
     def side():
         weights = data.draw(st.lists(st.integers(0, t + 1), min_size=1, max_size=2, unique=True))
         blocks = [layers[w].restrict(kept(layers[w].parts_a), kept(layers[w].parts_b)) for w in weights]
+        if len(blocks) == 1 and data.draw(st.booleans()):
+            # a second block of the same layer on the A-parts the first one
+            # left out, so members of the two blocks that share a B-part
+            # interleave in colex order
+            layer, taken = layers[weights[0]], set(blocks[0].parts_a)
+            blocks.append(layer.restrict(lambda a: a not in taken, kept(layer.parts_b)))
         for b in blocks:
             assert list(b.members) == sorted(a | bb for a in b.parts_a for bb in b.parts_b)
         return blocks
@@ -325,6 +338,14 @@ def test_pair_graph_on_random_blocks_equals_oracle(data):
     assert sorted(g.x) == sorted(m for b in x_blocks for m in b.members)
     assert sorted(g.y) == sorted(m for b in y_blocks for m in b.members)
     assert_graph_matches_oracle(g)
+    # the block greedy makes the list scan's choices, and the matching is
+    # that scan followed by the phases, oriented and sorted
+    if g.x and g.y:
+        start = list_scan_greedy(g.nbrs, len(g.y))
+        assert _greedy(g) == start
+        match_x, _ = _hopcroft_karp(g.nbrs, *start)
+        expected = sorted(orient_pair(s, g.y[j], cfg) for s, j in zip(g.x, match_x) if j >= 0)
+        assert max_matching(g) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -400,7 +421,7 @@ def test_hopcroft_karp_matches_brute_force(data):
         else []
         for _ in range(nx)
     ]
-    match_x, match_y = _hopcroft_karp(adj, ny)
+    match_x, match_y = _hopcroft_karp(adj, *list_scan_greedy(adj, ny))
     size = sum(1 for y in match_x if y >= 0)
     assert size == brute_matching_size(adj, ny)
     for x, y in enumerate(match_x):
@@ -425,6 +446,55 @@ def test_check_saturation_raises_one_pair_short():
     check_saturation(g, m)
     with pytest.raises(RuntimeError, match="saturate the smaller side"):
         check_saturation(g, m[:-1])
+
+
+# sha256 of every matching at one K, recorded before the greedy start read
+# the product factors: outer graphs, then for odd t the lap middle graph and
+# the class graphs of regimes 1-3, each as "t label pairs"
+MATCHINGS_SHA256 = {
+    2: "5e491871042c2bbc1dbb6ec138c57400229a570e6156257bdc5100117d8ae83a",
+    4: "64723bc8c93ef70ab2f443a9c5f116645fd6dc42e252026f7bfa471a8c671f25",
+    6: "47802e63dcce1aae1d5641bc78b576394b45361342102d50ee973369ceaae379",
+    8: "f5f7ddb099f2e276185341332a720e6b015dd9f3c43fec6058b20d83ef95268f",
+    10: "586b4c792441f17b494ee5594db3882c0a0ffa7c9d53c4053a68e9cd738ca8f6",
+    12: "2d7f5cf5ce3dfac2e894ca56a20f4724093bd88964f4fd31bf93b6a0879f1515",
+    14: "dd7d122a24335896b15b321082d7c73442c3c31cd5d1a6e88db999504f103a79",
+}
+
+
+@pytest.mark.parametrize("K", sorted(MATCHINGS_SHA256))
+def test_matchings_equal_recorded_digest(K):
+    # plan files carry these pairs, so a matcher change must not move them
+    h = hashlib.sha256()
+    for t in range(1, K):
+        cfg = build_config(K, t, K)
+        layers = build_layers(cfg)
+        graphs = list(outer_graphs(cfg, layers))
+        if t % 2:
+            graphs.append(lap_middle_graph(cfg, layers))
+            for regime in (1, 2, 3):
+                graphs += improved_middle_graphs(cfg, layers, regime)
+        for g in graphs:
+            h.update(f"{t} {g.label} {max_matching(g)}\n".encode())
+    assert h.hexdigest() == MATCHINGS_SHA256[K]
+
+
+@pytest.mark.parametrize("t", [7, 9])
+def test_greedy_saturated_graphs_never_build_rows(monkeypatch, t):
+    # at K=16 the greedy start alone saturates the lap middle graph, so no
+    # Hopcroft-Karp phase runs and no adjacency row is built
+    def no_rows(graph):
+        raise AssertionError(f"rows built for {graph.label}")
+
+    monkeypatch.setattr(pairing, "_rows", no_rows)
+    result = count_unpaired(build_config(16, t, 16), SCHEME_LAP)
+    assert result.n == lap_unpaired_count(16, t) == {7: 1372, 9: 784}[t]
+
+
+@pytest.mark.parametrize("t", range(1, 12))
+def test_edge_count_from_factors_equals_rows(t):
+    for g in every_graph(build_config(12, t, 12)):
+        assert g.edge_count() == sum(map(len, g.nbrs)), g.label
 
 
 # ---------------------------------------------------------------------------
