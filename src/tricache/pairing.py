@@ -27,8 +27,10 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
+from itertools import compress, groupby
 from math import comb
+from operator import or_
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .analysis import (
@@ -126,8 +128,10 @@ class PairGraph:
     ascending ranks of the y A-parts that x A-part i relates to, rel_b[j]
     those of the y B-parts for x B-part j.  The member (i, j) is joined to
     every y member (p, r) of the block with p in rel_a[i] and r in rel_b[j].
-    nbrs[i], built on first read, lists the indices into y of x[i]'s
-    neighbours in ascending order.
+    nbrs, built on first read, holds every row: nbrs[i] lists the indices
+    into y of x[i]'s neighbours in ascending order.  It comes from _row,
+    as do the rows the matcher's phases build, one x at a time; the
+    matcher never reads nbrs.
     """
 
     config: SystemConfig
@@ -145,7 +149,7 @@ class PairGraph:
 
     @cached_property
     def nbrs(self) -> list[list[int]]:
-        return _rows(self)
+        return [_row(links, a) for _, lo, hi, links in _runs(self) for a in range(lo, hi)]
 
 
 def build_pair_graph(
@@ -162,7 +166,8 @@ def build_pair_graph(
     ascending ranks of the y A-parts it relates to, and per x B-part those
     of the y B-parts (see PairGraph).  The lists come from scans over a few
     hundred parts per block, not from the edges, and no edge is stored:
-    rows are built from the links only when nbrs is read.
+    rows are built from the links only when nbrs is read, or by the
+    matcher's phases for the x they visit.
 
     The edges equal an all-pairs scan with is_effective_pair.
     """
@@ -205,34 +210,13 @@ def _related(parts: Sequence[int], others: Sequence[int], inside: bool) -> list[
     return [[r for r, q in enumerate(others) if not q & ~p] for p in parts]
 
 
-def _segments(graph: PairGraph) -> list[list[list[int]]]:
-    """Per y block, per B-part, the y-indices of its members by A-rank.
-    They share their int objects, so rows built from them hold none of
-    their own."""
-    slots = list(range(len(graph.y)))  # y-index of each y hull position
-    if graph.y_order is not None:
-        for j, h in enumerate(graph.y_order):
-            slots[h] = j
-    segments, start = [], 0
-    for n_a, n_b in graph.y_blocks:
-        segments.append([slots[start + r * n_a:start + r * n_a + n_a] for r in range(n_b)])
-        start += n_a * n_b
-    return segments
-
-
-def _rows(graph: PairGraph) -> list[list[int]]:
-    """Adjacency rows in x order.  The row of x member (i, j) holds, per
-    link, the segment of each y B-part in rel_b[j] at each A-rank in
-    rel_a[i].  With one link a row comes out ascending; with several it is
+def _row(links: list, a: int) -> list[int]:
+    """The adjacency row of the x at A-rank a of a run with these links
+    (see _runs): per link, each related segment at each A-rank in
+    rel_a[a].  With one link it comes out ascending; with several it is
     sorted."""
-    segments = _segments(graph)
-    rows = []
-    for b, j, lo, hi in _runs(graph):
-        rels = [(rel_a, [segments[k][r] for r in rel_b[j]]) for k, rel_a, rel_b in graph.x_blocks[b][2]]
-        for i in range(lo, hi):
-            row = [seg[p] for rel_a, segs in rels for seg in segs for p in rel_a[i]]
-            rows.append(sorted(row) if len(rels) > 1 else row)
-    return rows
+    row = [seg[p] for _, rel_a, _, segs in links for seg in segs for p in rel_a[a]]
+    return sorted(row) if len(links) > 1 else row
 
 
 # ---------------------------------------------------------------------------
@@ -288,9 +272,10 @@ def single_layer_weights(config: SystemConfig) -> tuple[int, ...]:
 
 def max_matching(graph: PairGraph) -> list[tuple[int, int]]:
     """Maximum matching: the greedy start read from the factors, then
-    Hopcroft-Karp augmenting phases over the rows, unless that start already
-    saturates the smaller side (no phase could then find a path, and the
-    rows are never built).
+    Hopcroft-Karp augmenting phases, unless that start already saturates
+    the smaller side (no phase could then find a path).  The phases' BFS
+    reads the factors too, and their DFS builds the row of an x the first
+    time it visits it, so no row is built for an x it never reaches.
 
     Returns vertex-disjoint pairs ordered A-heavy first, sorted by the heavy
     member; ties in the search are broken by colex vertex order.
@@ -298,9 +283,10 @@ def max_matching(graph: PairGraph) -> list[tuple[int, int]]:
     x, y = graph.x, graph.y
     if not x or not y:
         return []
-    match_x, match_y = _greedy(graph)
+    runs = _runs(graph)
+    match_x, match_y = _greedy(graph, runs)
     if len(x) - match_x.count(-1) < min(len(x), len(y)):
-        _hopcroft_karp(graph.nbrs, match_x, match_y)
+        _phases(graph, runs, match_x, match_y)
     # The heavier member's A-part strictly contains the lighter one's, so
     # it is the larger int.
     a = graph.config.mask_a
@@ -309,9 +295,9 @@ def max_matching(graph: PairGraph) -> list[tuple[int, int]]:
     return pairs
 
 
-def _greedy(graph: PairGraph) -> tuple[list[int], list[int]]:
+def _greedy(graph: PairGraph, runs: list) -> tuple[list[int], list[int]]:
     """The greedy start: each x, in x order, takes its first free
-    neighbour in y order.
+    neighbour in y order.  runs is _runs(graph).
 
     One int mask of free A-ranks is kept per y segment (a y block's
     B-part).  Along a run of x that share a B-part, the masks of their
@@ -324,27 +310,24 @@ def _greedy(graph: PairGraph) -> tuple[list[int], list[int]]:
     """
     nx, ny = len(graph.x), len(graph.y)
     match_x, match_y = [-1] * nx, [-1] * ny
-    segments = _segments(graph)
     s = max(n_a for n_a, _ in graph.y_blocks).bit_length()
     q, full, bits = (1 << s) - 1, (1 << (1 << s)) - 1, (1).__lshift__
     free = [[(1 << n_a) - 1] * n_b for n_a, n_b in graph.y_blocks]
-    links = []  # per x block, per link: free masks, wants by A-rank, rel_b, y segments
-    for *_, block_links in graph.x_blocks:
-        links.append([])
-        for k, rel_a, rel_b in block_links:
-            ones = sum(map(bits, range(0, max(map(len, rel_b), default=0) << s, 1 << s)))
-            links[-1].append((free[k], [sum(map(bits, ranks)) * ones for ranks in rel_a], rel_b, segments[k]))
+    wants = [[[sum(map(bits, ranks)) * ones for ranks in rel_a]  # per x block, per link, by A-rank
+              for _, rel_a, rel_b in links
+              for ones in [sum(map(bits, range(0, max(map(len, rel_b), default=0) << s, 1 << s)))]]
+             for *_, links in graph.x_blocks]
     i = 0
-    for b, j, lo, hi in _runs(graph):
-        runs = []  # per link: window, wants, related segments
-        for masks, wants, rel_b, segs in links[b]:
-            window = 0
-            for p, r in enumerate(rel_b[j]):
+    for b, lo, hi, links in runs:
+        windows = []  # per link: window, wants, related segments
+        for (k, _, qs, segs), link_wants in zip(links, wants[b]):
+            window, masks = 0, free[k]
+            for p, r in enumerate(qs):
                 window |= masks[r] << (p << s)
-            runs.append([window, wants, [segs[r] for r in rel_b[j]]])
-        if len(runs) == 1:
-            (window, wants, segs), = runs
-            for i, want in zip(range(i, i + hi - lo), wants[lo:hi]):
+            windows.append([window, link_wants, segs])
+        if len(windows) == 1:
+            (window, link_wants, segs), = windows
+            for i, want in zip(range(i, i + hi - lo), link_wants[lo:hi]):
                 hit = window & want
                 if hit:
                     bit = hit & -hit
@@ -352,11 +335,11 @@ def _greedy(graph: PairGraph) -> tuple[list[int], list[int]]:
                     pos = bit.bit_length() - 1
                     match_x[i] = yi = segs[pos >> s][pos & q]
                     match_y[yi] = i
-            runs[0][0] = window
+            windows[0][0] = window
         else:
             for i, a in zip(range(i, i + hi - lo), range(lo, hi)):
                 hits = []
-                for run in runs:
+                for run in windows:
                     hit = run[0] & run[1][a]
                     if hit:
                         bit = hit & -hit
@@ -368,57 +351,101 @@ def _greedy(graph: PairGraph) -> tuple[list[int], list[int]]:
                     match_x[i] = yi
                     match_y[yi] = i
         i += 1
-        for (window, *_), (masks, _, rel_b, _) in zip(runs, links[b]):
-            for p, r in enumerate(rel_b[j]):
+        for (window, *_), (k, _, qs, _) in zip(windows, links):
+            masks = free[k]
+            for p, r in enumerate(qs):
                 masks[r] = window >> (p << s) & full
     return match_x, match_y
 
 
-def _runs(graph: PairGraph) -> list[tuple[int, int, int, int]]:
-    """x order as runs (x block, B-rank, first and end A-rank) of
-    consecutive members of one x block's B-part."""
-    heads, start = [], 0  # (hull start, x block, B-rank, A-part count) per B-part
-    for b, (n_a, n_b, _) in enumerate(graph.x_blocks):
-        heads += [(start + j * n_a, b, j, n_a) for j in range(n_b) if n_a]
+def _runs(graph: PairGraph) -> list[tuple]:
+    """x order as runs (x block, first and end A-rank, links) of
+    consecutive members of one x block's B-part.  A B-part j has one link
+    (y block index, rel_a, rel_b[j], segments of the y B-parts in
+    rel_b[j]) per link of its x block (see PairGraph), and its runs share
+    the list.  A segment lists the y-indices of a y block's members with
+    one B-part by A-rank; rows built from segments share their int
+    objects."""
+    order, segments, start = graph.y_order, [], 0
+    # slots[h] is the y-index of y hull position h: the inverse of y_order
+    slots = list(range(len(graph.y))) if order is None else sorted(range(len(order)), key=order.__getitem__)
+    for n_a, n_b in graph.y_blocks:
+        segments.append([slots[start + r * n_a:start + r * n_a + n_a] for r in range(n_b)])
+        start += n_a * n_b
+    heads, start = [], 0  # (hull start, x block, links, A-part count) per B-part
+    for b, (n_a, n_b, links) in enumerate(graph.x_blocks):
+        heads += [(start + j * n_a, b, [(k, rel_a, rel_b[j], list(map(segments[k].__getitem__, rel_b[j])))
+                                        for k, rel_a, rel_b in links], n_a) for j in range(n_b) if n_a]
         start += n_a * n_b
     order = graph.x_order
     if order is None:
-        return [(b, j, 0, n_a) for _, b, j, n_a in heads]
+        return [(b, 0, n_a, links) for _, b, links, n_a in heads]
     runs, k = [], 0
     while k < start:
         h = order[k]
-        h0, b, j, n_a = heads[bisect_left(heads, (h + 1,)) - 1]
+        h0, b, links, n_a = heads[bisect_left(heads, (h + 1,)) - 1]
         # Members of one block keep their relative order, so the rest of
         # the B-part is one run exactly when its last member sits n - 1
         # places on; otherwise a member of another block comes between.
         n = h0 + n_a - h
         if order[k + n - 1] != h + n - 1:
             n = next(m for m in range(1, n) if order[k + m] != h + m)
-        runs.append((b, j, h - h0, h - h0 + n))
+        runs.append((b, h - h0, h - h0 + n, links))
         k += n
     return runs
 
 
-def _hopcroft_karp(adj: list[list[int]], match_x: list[int], match_y: list[int]) -> tuple[list[int], list[int]]:
+def _phases(graph: PairGraph, runs: list, match_x: list[int], match_y: list[int]):
     """Hopcroft-Karp augmenting phases from a given partial matching, which
-    they grow in place to a maximum one."""
-    nx, ny = len(adj), len(match_y)
+    they grow in place to a maximum one; runs is _runs(graph).
+
+    The BFS reads the factors.  It groups a layer's x by run (see _runs);
+    per link of the run's x block, the OR of their A-rank masks meets one
+    int of not yet reached A-ranks per related y segment, and the bits
+    that are new there are the y the layer reaches first.  So every y is
+    taken once per phase and dist is the shortest-distance labelling of
+    the x, as a vertex queue over the rows would give it.  The DFS reads
+    rows; _row builds one the first time the DFS visits its x.
+    """
+    nx, ny = len(match_x), len(match_y)
     matched = nx - match_x.count(-1)
     infinity = nx + ny + 1
+    bits = (1).__lshift__
+    # per x block, per link, by A-rank: the ranks of the related y A-parts as a mask
+    masks = [[[sum(map(bits, ranks)) for ranks in rel_a] for _, rel_a, _ in links] for *_, links in graph.x_blocks]
+    spans = []  # per x, one tuple per run: its x block, its links, its first x minus lo
+    for b, lo, hi, links in runs:
+        spans += [(b, links, len(spans) - lo)] * (hi - lo)
+    adj = [None] * nx
     # Once the smaller side is matched, no phase can find an augmenting path.
     while matched < min(nx, ny):
-        # BFS layers from the free x, a layer at a time with set operations:
-        # dist is the shortest-distance labelling whatever the visiting order.
+        # BFS layers from the free x, a layer at a time.  A y reached for
+        # the first time leads on to its partner, which no earlier layer
+        # can hold: a matched x is reached only through its own y.
         dist = [-1] * nx
+        unseen = [[(1 << n_a) - 1] * n_b for n_a, n_b in graph.y_blocks]
         layer = [x for x in range(nx) if match_x[x] == -1]
         found_free_y = False
         d = 0
         while layer:
             for x in layer:
                 dist[x] = d
-            reached = set(map(match_y.__getitem__, set().union(*map(adj.__getitem__, layer))))
+            layer.sort()  # a run is a range of consecutive x
+            reached = []
+            for (b, links, base), xs in groupby(layer, spans.__getitem__):
+                ranks = list(map(base.__rsub__, xs))  # x - base: A-ranks
+                for (k, _, qs, segs), link_masks in zip(links, masks[b]):
+                    mask = reduce(or_, map(link_masks.__getitem__, ranks))
+                    unseen_k = unseen[k]
+                    for q, seg in zip(qs, segs):
+                        new = mask & unseen_k[q]
+                        if new:
+                            unseen_k[q] ^= new
+                            # a byte per bit of new, lowest first, zero where it is clear
+                            flags = bin(new)[:1:-1].encode().replace(b"0", b"\0")
+                            reached += map(match_y.__getitem__, compress(seg, flags))
             found_free_y |= -1 in reached
-            layer = [x for x in reached if x != -1 and dist[x] == -1]
+            layer = [x for x in reached if x != -1]
             d += 1
         if not found_free_y:
             break
@@ -431,6 +458,9 @@ def _hopcroft_karp(adj: list[list[int]], match_x: list[int], match_y: list[int])
             while stack:
                 x = stack[-1][0]
                 row, p, d = adj[x], ptr[x], dist[x] + 1
+                if row is None:
+                    _, links, base = spans[x]
+                    row = adj[x] = _row(links, x - base)
                 while p < len(row):
                     y = row[p]
                     p += 1
@@ -451,7 +481,6 @@ def _hopcroft_karp(adj: list[list[int]], match_x: list[int], match_y: list[int])
                     dist[x] = infinity  # dead end for this phase
                     stack.pop()
                 ptr[x] = p
-    return match_x, match_y
 
 
 def match_graphs(graphs: Iterable[PairGraph]) -> list[tuple[tuple[int, int], ...]]:

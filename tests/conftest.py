@@ -236,6 +236,62 @@ def list_scan_greedy(adj: Sequence[Sequence[int]], ny: int) -> tuple[list[int], 
     return match_x, match_y
 
 
+def list_hopcroft_karp(adj: Sequence[Sequence[int]], match_x: list[int], match_y: list[int]) -> tuple[list[int], list[int]]:
+    """Oracle of the matcher's phases: Hopcroft-Karp augmenting phases over
+    stored rows from a given partial matching, which they grow in place to
+    a maximum one.  The BFS takes the union of a whole layer's rows at a
+    time, which gives the same shortest-distance labels as a vertex queue;
+    the DFS is the matcher's."""
+    nx, ny = len(adj), len(match_y)
+    matched = nx - match_x.count(-1)
+    infinity = nx + ny + 1
+    # Once the smaller side is matched, no phase can find an augmenting path.
+    while matched < min(nx, ny):
+        dist = [-1] * nx
+        layer = [x for x in range(nx) if match_x[x] == -1]
+        found_free_y = False
+        d = 0
+        while layer:
+            for x in layer:
+                dist[x] = d
+            reached = set(map(match_y.__getitem__, set().union(*map(adj.__getitem__, layer))))
+            found_free_y |= -1 in reached
+            layer = [x for x in reached if x != -1 and dist[x] == -1]
+            d += 1
+        if not found_free_y:
+            break
+        # One DFS pass along the layering, iterative with per-vertex arc pointers.
+        ptr = [0] * nx
+        for x0 in range(nx):
+            if match_x[x0] != -1:
+                continue
+            stack = [(x0, -1)]  # (x, matched edge used to reach it)
+            while stack:
+                x = stack[-1][0]
+                row, p, d = adj[x], ptr[x], dist[x] + 1
+                while p < len(row):
+                    y = row[p]
+                    p += 1
+                    nxt = match_y[y]
+                    if nxt == -1:
+                        cur = y
+                        for fx, fy in reversed(stack):
+                            match_x[fx] = cur
+                            match_y[cur] = fx
+                            cur = fy
+                        matched += 1
+                        stack = []
+                        break
+                    if dist[nxt] == d:
+                        stack.append((nxt, y))
+                        break
+                else:
+                    dist[x] = infinity  # dead end for this phase
+                    stack.pop()
+                ptr[x] = p
+    return match_x, match_y
+
+
 def exhaustive_max_matching_size(graph, *, max_vertices: int = 20, max_edges: int = 60) -> int:
     """Oracle: exact maximum matching size by exhaustive branch-and-bound.
 

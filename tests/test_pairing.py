@@ -12,6 +12,7 @@ from tricache.analysis import (
     SCHEME_IMPROVED,
     SCHEME_LAP,
     auto_scheme,
+    improved_unpaired_count,
     lap_unpaired_count,
     regime_of_lambda,
 )
@@ -30,7 +31,8 @@ from tricache.pairing import (
     outer_graphs,
     single_layer_weights,
     _greedy,
-    _hopcroft_karp,
+    _phases,
+    _runs,
 )
 from tricache.system import build_config, subset_masks
 
@@ -41,6 +43,7 @@ from conftest import (
     exhaustive_max_matching_size,
     four_way_class_size,
     general_class_size,
+    list_hopcroft_karp,
     list_scan_greedy,
     mask,
     orient_pair,
@@ -338,12 +341,14 @@ def test_pair_graph_on_random_blocks_equals_oracle(data):
     assert sorted(g.x) == sorted(m for b in x_blocks for m in b.members)
     assert sorted(g.y) == sorted(m for b in y_blocks for m in b.members)
     assert_graph_matches_oracle(g)
-    # the block greedy makes the list scan's choices, and the matching is
-    # that scan followed by the phases, oriented and sorted
+    # the block greedy makes the list scan's choices, the factor phases
+    # the row phases' augmentations, and the matching is that scan followed
+    # by the phases, oriented and sorted
     if g.x and g.y:
         start = list_scan_greedy(g.nbrs, len(g.y))
-        assert _greedy(g) == start
-        match_x, _ = _hopcroft_karp(g.nbrs, *start)
+        assert _greedy(g, _runs(g)) == start
+        assert_phases_equal_oracle(g)
+        match_x, _ = list_hopcroft_karp(g.nbrs, *start)
         expected = sorted(orient_pair(s, g.y[j], cfg) for s, j in zip(g.x, match_x) if j >= 0)
         assert max_matching(g) == expected
 
@@ -410,6 +415,28 @@ def brute_matching_size(adj, ny):
     return best
 
 
+def assert_phases_equal_oracle(g):
+    """The factor phases, from the block greedy's start, end in the same
+    matching as the row phases of the conftest oracle from the list scan's."""
+    runs = _runs(g)
+    match_x, match_y = _greedy(g, runs)
+    _phases(g, runs, match_x, match_y)
+    assert (match_x, match_y) == list_hopcroft_karp(g.nbrs, *list_scan_greedy(g.nbrs, len(g.y))), g.label
+
+
+@pytest.mark.parametrize("K", [2, 4, 6, 8, 10, 12, 14])
+def test_phases_equal_row_oracle_on_every_graph(K):
+    phased = 0
+    for t in range(1, K):
+        for g in every_graph(build_config(K, t, K)):
+            if g.x and g.y:
+                assert_phases_equal_oracle(g)
+                match_x, _ = _greedy(g, _runs(g))
+                phased += len(match_x) - match_x.count(-1) < min(len(g.x), len(g.y))
+    # graphs the greedy start leaves unsaturated, so that phases run
+    assert phased == {2: 0, 4: 0, 6: 3, 8: 8, 10: 13, 12: 18, 14: 40}[K]
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_hopcroft_karp_matches_brute_force(data):
@@ -421,7 +448,7 @@ def test_hopcroft_karp_matches_brute_force(data):
         else []
         for _ in range(nx)
     ]
-    match_x, match_y = _hopcroft_karp(adj, *list_scan_greedy(adj, ny))
+    match_x, match_y = list_hopcroft_karp(adj, *list_scan_greedy(adj, ny))
     size = sum(1 for y in match_x if y >= 0)
     assert size == brute_matching_size(adj, ny)
     for x, y in enumerate(match_x):
@@ -449,8 +476,9 @@ def test_check_saturation_raises_one_pair_short():
 
 
 # sha256 of every matching at one K, recorded before the greedy start read
-# the product factors: outer graphs, then for odd t the lap middle graph and
-# the class graphs of regimes 1-3, each as "t label pairs"
+# the product factors (K <= 14) and before the phases did (K = 16, 18):
+# outer graphs, then for odd t the lap middle graph and the class graphs of
+# regimes 1-3, each as "t label pairs"
 MATCHINGS_SHA256 = {
     2: "5e491871042c2bbc1dbb6ec138c57400229a570e6156257bdc5100117d8ae83a",
     4: "64723bc8c93ef70ab2f443a9c5f116645fd6dc42e252026f7bfa471a8c671f25",
@@ -459,6 +487,8 @@ MATCHINGS_SHA256 = {
     10: "586b4c792441f17b494ee5594db3882c0a0ffa7c9d53c4053a68e9cd738ca8f6",
     12: "2d7f5cf5ce3dfac2e894ca56a20f4724093bd88964f4fd31bf93b6a0879f1515",
     14: "dd7d122a24335896b15b321082d7c73442c3c31cd5d1a6e88db999504f103a79",
+    16: "7c3bba9434ceb7e13a5d2a4a11ab70d4f2c2dfed606d4633be5495e8c47c180d",
+    18: "0e5cd444f2c00e68f32210f51f537c805b9b95519905e5e280e641ab7c08584d",
 }
 
 
@@ -483,12 +513,38 @@ def test_matchings_equal_recorded_digest(K):
 def test_greedy_saturated_graphs_never_build_rows(monkeypatch, t):
     # at K=16 the greedy start alone saturates the lap middle graph, so no
     # Hopcroft-Karp phase runs and no adjacency row is built
-    def no_rows(graph):
-        raise AssertionError(f"rows built for {graph.label}")
+    def no_row(links, a):
+        raise AssertionError("row built")
 
-    monkeypatch.setattr(pairing, "_rows", no_rows)
+    monkeypatch.setattr(pairing, "_row", no_row)
     result = count_unpaired(build_config(16, t, 16), SCHEME_LAP)
     assert result.n == lap_unpaired_count(16, t) == {7: 1372, 9: 784}[t]
+
+
+def test_phases_build_rows_only_for_the_x_they_visit(monkeypatch):
+    # at K=16, lambda 7/16, BG2-5 and BG2-6 need phases after the greedy
+    # start, and their DFS reaches fewer than half of their x
+    built, sizes = {}, {}
+    row, matcher = pairing._row, pairing.max_matching
+
+    def counted_row(links, a):
+        built[label] += 1
+        return row(links, a)
+
+    def labelled_matcher(g):
+        nonlocal label
+        label = g.label
+        built[label], sizes[label] = 0, len(g.x)
+        return matcher(g)
+
+    label = None
+    monkeypatch.setattr(pairing, "_row", counted_row)
+    monkeypatch.setattr(pairing, "max_matching", labelled_matcher)
+    result = count_unpaired(build_config(16, 7, 16), SCHEME_IMPROVED)
+    assert result.n == improved_unpaired_count(16, 7)[1]
+    assert {g for g, n in built.items() if n} == {"BG2-5", "BG2-6"}
+    for g in ("BG2-5", "BG2-6"):
+        assert 0 < built[g] < sizes[g] / 2, (g, built[g], sizes[g])
 
 
 @pytest.mark.parametrize("t", range(1, 12))
@@ -583,8 +639,6 @@ def test_middle_pairing_t1():
 
 
 def test_unpaired_ratio_monotone_at_half():
-    from tricache.analysis import improved_unpaired_count
-
     ratios = []
     for K in (14, 22, 30):
         t = K // 2
