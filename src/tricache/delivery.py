@@ -252,21 +252,22 @@ def origin_errors(plan: DeliveryPlan) -> list[str]:
     server_bit = 1 << K
     foreign_bits = {ORIGIN_A: server_bit, ORIGIN_B: 0}
     problems = []
-    for bc in plan.broadcasts:
-        origin, terms = bc.origin, bc.payload
-        if origin in foreign_bits:
-            foreign = foreign_bits[origin]
-            bad = [p for p in terms if p & server_bit == foreign]
-        elif origin == ORIGIN_P:
-            bad = [p for p in terms if p ^ server_bit not in terms]
-        else:
-            if origin != ORIGIN_SINGLE:
-                problems.append(f"unknown origin {origin!r}")
-            continue
-        if bad:
-            template = ("parity payload term {} lacks its twin" if origin == ORIGIN_P
-                        else f"origin {origin} payload holds foreign packet {{}}")
-            problems.extend(template.format(q) for q in sorted(packet_id(p, K) for p in bad))
+    for g in plan.groups:
+        for bc in g.broadcasts:
+            origin, terms = bc.origin, bc.payload
+            if origin in foreign_bits:
+                foreign = foreign_bits[origin]
+                bad = [p for p in terms if p & server_bit == foreign]
+            elif origin == ORIGIN_P:
+                bad = [p for p in terms if p ^ server_bit not in terms]
+            else:
+                if origin != ORIGIN_SINGLE:
+                    problems.append(f"unknown origin {origin!r}")
+                continue
+            if bad:
+                template = ("parity payload term {} lacks its twin" if origin == ORIGIN_P
+                            else f"origin {origin} payload holds foreign packet {{}}")
+                problems.extend(template.format(q) for q in sorted(packet_id(p, K) for p in bad))
     return problems
 
 
@@ -305,8 +306,9 @@ def measure_rate(plan: DeliveryPlan) -> RateReport:
     t = config.t
     mn = plan.scheme == SCHEME_MN
     loads = dict.fromkeys((ORIGIN_SINGLE,) if mn else (ORIGIN_A, ORIGIN_B, ORIGIN_P), 0)
-    for bc in plan.broadcasts:
-        loads[bc.origin] += 1
+    for g in plan.groups:
+        for bc in g.broadcasts:
+            loads[bc.origin] += 1
     F = config.packets_per_file
     rate = Fraction(max(loads.values()), F)
     groups = group_counts(plan)

@@ -78,16 +78,16 @@ class Layer:
         )
 
 
-def build_layers(config: SystemConfig) -> list[Layer]:
-    """Layers 0 .. t+1: layer w is every w-subset of the A-side users times
-    every (t+1-w)-subset of the B-side users."""
+def build_layers(config: SystemConfig, weights: Iterable[int] | None = None) -> dict[int, Layer]:
+    """The layers of the given weights (0 .. t+1 when None), keyed by
+    weight: layer w is every w-subset of the A-side users times every
+    (t+1-w)-subset of the B-side users."""
     t = config.t
-    layers = []
-    for w in range(t + 2):
+    layers = {}
+    for w in range(t + 2) if weights is None else weights:
         parts_a = tuple(subset_masks(config.users_a, w))
         parts_b = tuple(subset_masks(config.users_b, t + 1 - w))
-        members = tuple([a | b for b in parts_b for a in parts_a])
-        layers.append(Layer(w=w, parts_a=parts_a, parts_b=parts_b, members=members))
+        layers[w] = Layer(w, parts_a, parts_b, tuple([a | b for b in parts_b for a in parts_a]))
     return layers
 
 
@@ -222,7 +222,7 @@ def _row(links: list, a: int) -> list[int]:
 # ---------------------------------------------------------------------------
 # graph families per scheme
 
-def outer_graphs(config: SystemConfig, layers: Sequence[Layer]) -> Iterator[PairGraph]:
+def outer_graphs(config: SystemConfig, layers: dict) -> Iterator[PairGraph]:
     """Perfectly pairable layer graphs (V_w, V_{t+1-w}) outside the middle
     band, built one at a time as they are drawn."""
     t = config.t
@@ -231,13 +231,13 @@ def outer_graphs(config: SystemConfig, layers: Sequence[Layer]) -> Iterator[Pair
         yield build_pair_graph(config, f"layers-{w}x{t + 1 - w}", [layers[w]], [layers[t + 1 - w]])
 
 
-def lap_middle_graph(config: SystemConfig, layers: Sequence[Layer]) -> PairGraph:
+def lap_middle_graph(config: SystemConfig, layers: dict) -> PairGraph:
     lo, mid, hi = middle_weights(config.t)
     return build_pair_graph(config, "lap-middle", [layers[lo], layers[hi]], [layers[mid]])
 
 
 def improved_middle_graphs(
-    config: SystemConfig, layers: Sequence[Layer], regime: int | None = None
+    config: SystemConfig, layers: dict, regime: int | None = None
 ) -> Iterator[PairGraph]:
     """The regime's class graphs (REGIME_GRAPH_SPECS), built one at a time as
     they are drawn."""
@@ -514,22 +514,31 @@ def check_saturation(graph: PairGraph, matching: Sequence[tuple[int, int]]) -> N
 
 @dataclass(frozen=True)
 class MiddlePairing:
-    """Matchings over the middle band and its leftovers, for one construction (never 'auto')."""
+    """Matchings over the middle band for one construction (never 'auto'),
+    and the band: its three layers.  The leftovers are computed when read."""
 
     scheme: str
     matchings: tuple[tuple[tuple[int, int], ...], ...]
-    unmatched: tuple[int, ...]
+    band: tuple[Layer, ...]
+
+    @cached_property
+    def unmatched(self) -> tuple[int, ...]:
+        """The band's subsets that no pair covers, in colex order."""
+        matched = {s for m in self.matchings for pair in m for s in pair}
+        return tuple(sorted(m for layer in self.band for m in layer.members if m not in matched))
 
 
 def middle_pairing(
-    config: SystemConfig, scheme: str, layers: Sequence[Layer] | None = None
+    config: SystemConfig, scheme: str, layers: dict | None = None
 ) -> MiddlePairing:
-    """Match the middle band for a scheme and collect the unmatched subsets.
-    'auto' matches only the construction analysis.auto_scheme picks."""
+    """Match the middle band for a scheme; given no layers, it builds only
+    the band's three.  'auto' matches only the construction
+    analysis.auto_scheme picks."""
     if config.t % 2 == 0:
         raise ValueError("the middle band exists only for odd t")
+    weights = middle_weights(config.t)
     if layers is None:
-        layers = build_layers(config)
+        layers = build_layers(config, weights)
     if scheme == SCHEME_AUTO:
         scheme = auto_scheme(config.K, config.t)
     if scheme == SCHEME_LAP:
@@ -538,10 +547,7 @@ def middle_pairing(
         matchings = match_graphs(improved_middle_graphs(config, layers))
     else:
         raise ValueError(f"unknown scheme {scheme!r}")
-    matched = {s for m in matchings for pair in m for s in pair}
-    middle = (m for w in middle_weights(config.t) for m in layers[w].members)
-    unmatched = tuple(sorted(m for m in middle if m not in matched))
-    return MiddlePairing(scheme=scheme, matchings=tuple(matchings), unmatched=unmatched)
+    return MiddlePairing(scheme, tuple(matchings), tuple(map(layers.__getitem__, weights)))
 
 
 @dataclass(frozen=True)
@@ -553,11 +559,12 @@ class UnpairedCount:
 
 def count_unpaired(config: SystemConfig, scheme: str) -> UnpairedCount:
     """Number and ratio of middle-band subsets the scheme's matchings leave
-    unpaired.  For 'auto' the one construction auto_scheme picks is matched."""
+    unpaired.  For 'auto' the one construction auto_scheme picks is matched.
+
+    Each pair covers two subsets and none is covered twice: a matching is
+    vertex-disjoint, and so are a regime's graphs, since a class joins at
+    most one of them.  So the count is the band's size less twice the pairs.
+    """
     pairing = middle_pairing(config, scheme)
-    n = len(pairing.unmatched)
-    return UnpairedCount(
-        n=n,
-        delta=Fraction(n, comb(config.K, config.t + 1)),
-        scheme=pairing.scheme,
-    )
+    n = sum(len(layer.members) for layer in pairing.band) - 2 * sum(map(len, pairing.matchings))
+    return UnpairedCount(n, Fraction(n, comb(config.K, config.t + 1)), pairing.scheme)

@@ -20,6 +20,7 @@ user tuples appear only in text: plan files, reports and failure messages.
 from __future__ import annotations
 
 import random
+import sys
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -117,8 +118,9 @@ class SystemConfig:
 def build_config(K: int, M: int | Fraction, N: int) -> SystemConfig:
     """Validate and construct a system configuration.
 
-    Requires K and N even and t = K*M/N an integer in [1, K-1].  Users
-    [0, K/2) request from server A and [K/2, K) from server B.
+    Requires K and N even, t = K*M/N an integer in [1, K-1], and at most
+    sys.maxsize (t+1)-subsets of the K users.  Users [0, K/2) request from
+    server A and [K/2, K) from server B.
     """
     if K <= 0 or K % 2 != 0:
         raise ValueError(f"user count K={K} must be a positive even integer")
@@ -136,6 +138,16 @@ def build_config(K: int, M: int | Fraction, N: int) -> SystemConfig:
         raise ValueError(f"t = {t} must lie in [1, {K - 1}]")
     if N % 2 != 0:
         raise ValueError(f"file count N={N} must be even to split across two servers")
+    # A plan holds one group or more per (t+1)-subset, so C(K, t+1) must fit
+    # in a Python sequence.  Stepping C(K, i) = C(K, i-1) (K-i+1) / i up to
+    # min(t+1, K-t-1) rises all the way, so the first value past the limit
+    # settles it, long before any user tuple is built.
+    sets = 1
+    for i in range(min(t + 1, K - t - 1)):
+        sets = sets * (K - i) // (i + 1)
+        if sets > sys.maxsize:
+            raise ValueError(f"C({K}, {t + 1}) index sets exceed sys.maxsize = {sys.maxsize}; "
+                             f"no plan can hold them")
     return SystemConfig(
         K=K,
         M=M,

@@ -713,6 +713,28 @@ def test_verify_refuses_undersized_plan_before_any_work(tmp_path, capsys, monkey
     assert "plan ok" not in out
 
 
+@pytest.mark.parametrize("command", ["simulate", "verify"])
+def test_sizes_past_sys_maxsize_are_refused_at_once(tmp_path, capsys, command):
+    # C(100000000002, 50000000002) index sets fit no sequence; building the
+    # config alone once ended in a MemoryError on its user tuples
+    K = 100000000002
+    if command == "simulate":
+        argv = ["simulate", "--K", str(K), "--lambda", "1/2", "--scheme", "improved"]
+    else:
+        meta = {"kind": "meta", "K": K, "M": str(K // 2), "N": K, "t": K // 2,
+                "scheme": "improved", "demand": {}}
+        path = tmp_path / "huge.jsonl"
+        path.write_text(json.dumps(meta) + "\n")
+        argv = ["verify", "--plan", str(path)]
+    start = time.perf_counter()
+    code, out, err = run(argv, capsys)
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"C({K}, {K // 2 + 1})" in err and "Traceback" not in err
+    assert out == ""
+
+
 def export_plan(directory, K, lam, scheme) -> list[str]:
     """Export one plan with simulate and return its lines."""
     path = directory / f"K{K}-{scheme}.jsonl"

@@ -14,6 +14,7 @@ from tricache.analysis import (
     auto_scheme,
     improved_unpaired_count,
     lap_unpaired_count,
+    middle_weights,
     regime_of_lambda,
 )
 from tricache import pairing
@@ -112,7 +113,7 @@ def test_layer_cardinalities_k6():
     cfg = build_config(6, 3, 6)
     layers = build_layers(cfg)
     assert len(layers[2].members) == comb(3, 2) ** 2 == 9
-    assert sum(len(l.members) for l in layers) == comb(6, 4) == 15
+    assert sum(len(l.members) for l in layers.values()) == comb(6, 4) == 15
     for w in range(cfg.t + 2):
         assert len(layers[w].members) == len(layers[cfg.t + 1 - w].members)
         assert len(layers[w].members) == comb(3, w) * comb(3, cfg.t + 1 - w)
@@ -611,8 +612,52 @@ def test_auto_picks_improved_first_at_k20():
 
 def test_count_unpaired_requires_odd_t():
     cfg = build_config(8, 4, 8)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^the middle band exists only for odd t$"):
         count_unpaired(cfg, SCHEME_LAP)
+
+
+@pytest.mark.parametrize("K", range(2, 17, 2))
+def test_count_unpaired_equals_the_leftovers(K):
+    # the count is the band less two per pair; the leftovers are enumerated
+    for t in range(1, K, 2):
+        cfg = build_config(K, t, K)
+        for scheme in (SCHEME_LAP, SCHEME_IMPROVED, SCHEME_AUTO):
+            assert count_unpaired(cfg, scheme).n == len(middle_pairing(cfg, scheme).unmatched), (t, scheme)
+
+
+@pytest.mark.parametrize("scheme", [SCHEME_LAP, SCHEME_IMPROVED, SCHEME_AUTO])
+def test_count_unpaired_builds_the_band_and_never_its_leftovers(monkeypatch, scheme):
+    built = []
+
+    def recording_build_layers(config, weights=None):
+        layers = build_layers(config, weights)
+        built.append(sorted(layers))
+        return layers
+
+    def no_leftovers(self):
+        raise AssertionError("count_unpaired enumerated the leftovers")
+
+    monkeypatch.setattr(pairing, "build_layers", recording_build_layers)
+    monkeypatch.setattr(pairing.MiddlePairing, "unmatched", property(no_leftovers))
+    cfg = build_config(16, 7, 16)
+    assert count_unpaired(cfg, scheme).n == (
+        lap_unpaired_count(16, 7) if scheme != SCHEME_IMPROVED else improved_unpaired_count(16, 7)[1])
+    assert built == [list(middle_weights(7))] == [[3, 4, 5]]
+
+
+def test_regime_graphs_are_disjoint_inside_the_band():
+    # count_unpaired subtracts two per pair over all of a regime's graphs,
+    # which holds only when no subset lies in two of them
+    for K in range(2, 15, 2):
+        for t in range(1, K, 2):
+            cfg = build_config(K, t, K)
+            layers = build_layers(cfg)
+            band = {m for w in middle_weights(t) for m in layers[w].members}
+            for regime in (1, 2, 3):
+                sides = [side for g in improved_middle_graphs(cfg, layers, regime) for side in (g.x, g.y)]
+                vertices = [m for side in sides for m in side]
+                assert len(set(vertices)) == len(vertices), (K, t, regime)
+                assert band.issuperset(vertices), (K, t, regime)
 
 
 def test_build_graphs_auto_picks_winner():

@@ -1,5 +1,6 @@
 """Model-level tests: config validation, placement, demands, packet encoding."""
 
+import sys
 from fractions import Fraction
 from itertools import combinations
 from math import comb
@@ -58,6 +59,18 @@ def test_build_config_rejects_odd_n():
 def test_build_config_rejects_out_of_range_t():
     with pytest.raises(ValueError):
         build_config(4, 4, 4)  # t = 4 = K
+
+
+def test_build_config_refuses_more_subsets_than_sys_maxsize():
+    # exact at the edge: C(66, 34) fits, C(68, 35) does not
+    for K in range(2, 71, 2):
+        for t in range(1, K):
+            if comb(K, t + 1) > sys.maxsize:
+                with pytest.raises(ValueError, match=rf"^C\({K}, {t + 1}\) index sets exceed"):
+                    build_config(K, t, K)
+            else:
+                assert build_config(K, t, K).t == t
+    assert comb(66, 34) <= sys.maxsize < comb(68, 35)
 
 
 def test_colex_order():
