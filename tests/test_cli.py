@@ -715,8 +715,8 @@ def test_verify_refuses_undersized_plan_before_any_work(tmp_path, capsys, monkey
 
 @pytest.mark.parametrize("command", ["simulate", "verify"])
 def test_sizes_past_sys_maxsize_are_refused_at_once(tmp_path, capsys, command):
-    # C(100000000002, 50000000002) index sets fit no sequence; building the
-    # config alone once ended in a MemoryError on its user tuples
+    # C(100000000002, 50000000002) index sets fit no sequence, so both
+    # commands refuse the system before building even its user tuples
     K = 100000000002
     if command == "simulate":
         argv = ["simulate", "--K", str(K), "--lambda", "1/2", "--scheme", "improved"]
