@@ -263,9 +263,11 @@ def _plan_lines(plan: delivery.DeliveryPlan) -> Iterator[str]:
     """The plan file line by line, each line as json.dumps(record,
     sort_keys=True) spells it, assembled from text made once per plan.
 
-    The plan must be whole, as `delivery.build_plan` and `load_plan` give
-    it: its terms name t users and its index sets t+1, so the tables of all
-    such subsets are no larger than the plan."""
+    The plan must be whole, as `delivery.build_plan` gives it: its terms
+    name t users and its index sets t+1, so the tables of all such subsets
+    are no larger than the plan, and every term is a copy, on server A or
+    B, of a requested file (`Demand.packet_bases`), so the (server, file)
+    heads come from the demand, not from a scan of the terms."""
     config = plan.config
     meta = {
         "kind": "meta",
@@ -290,7 +292,8 @@ def _plan_lines(plan: delivery.DeliveryPlan) -> Iterator[str]:
     spell = dict(zip(map(sum, combinations(bits, t + 1)),
                      map(str, map(list, combinations(config.users, t + 1)))))
     rank_bits = len(tails).bit_length()
-    files = sorted({p >> K for bc in plan.broadcasts for p in bc.payload},
+    bases = plan.demand.packet_bases
+    files = sorted({b >> K for b in bases[SERVER_A] + bases[SERVER_B]},
                    key=lambda f: (f & 1, f >> 1))  # f = file << 1 | server bit
     code = {f: i << rank_bits for i, f in enumerate(files)}
     heads = [f'["{SERVER_B if f & 1 else SERVER_A}", {f >> 1}, ' for f in files]

@@ -275,7 +275,7 @@ def verify_plan(plan: DeliveryPlan) -> tuple[list[str], RecoveryReport]:
     """The one audit of a plan: coverage and origins, plus the full
     per-user decodability check."""
     problems = coverage_errors(plan) + origin_errors(plan)
-    report = verify_full_recovery(plan.config, plan.demand, plan.broadcasts)
+    report = verify_full_recovery(plan.config, plan.demand, plan.broadcasts, plan.groups)
     return problems, report
 
 

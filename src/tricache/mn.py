@@ -8,12 +8,17 @@ another server's copy or a subset of the members, so `message` builds every
 broadcast of every scheme.  The decoder below does not assume that structure:
 it checks exact GF(2) span membership, because the three-server pairing
 scheme requires combining messages from several servers to extract a segment.
-One bit-sliced peel serves all users at once over the payloads as they are,
-keyed by packet int (a payload with one term a user does not know yields
-that term to the user), and counts the (user, target) slots it fills: a
-well-formed plan in transmission order fills them all in one sweep and is
-certified with no per-user work.  Only a user left with an unknown target
-runs Gaussian elimination, over the packets it does not know after the peel.
+Decoding is bit-sliced over users: a peel serves all users at once (a
+payload with one term a user does not know yields that term to the user) and
+counts the (user, target) slots it fills.  Every member of a transmission
+group recovers its missing segment from that group and its own cache, so a
+plan's groups are first peeled one at a time, each seeded only with cache
+bits; a slot counts only for an index set of the group that fills it, and a
+well-formed plan fills them all with no packet memo larger than a group and
+no per-user work.  A plan that falls short (tampered, with rows moved
+between groups, or given without its groups) is peeled whole, keyed by
+packet int, and only a user left with an unknown target runs Gaussian
+elimination, over the packets it does not know after that peel.
 
 Verification returns structured reports instead of raising; failures are data.
 """
@@ -156,6 +161,101 @@ def _peel(payloads: Sequence[frozenset[int]], known: dict[int, int], everyone: i
     return remaining
 
 
+def _filled(sets: Sequence[int], base_of: dict[int, int], learned: dict[int, int]) -> bool:
+    """Whether each member u of each index set S has learned its target
+    there, u's file indexed by S less u: packet `base_of[u] | S ^ u` (users
+    as bits), whose mask in `learned` must hold u."""
+    for s in sets:
+        members = s
+        while members:
+            low = members & -members
+            members ^= low
+            if not learned.get(base_of[low] | s ^ low, 0) & low:
+                return False
+    return True
+
+
+def _decode_groups(groups: Iterable[Group], everyone: int, base_of: dict[int, int],
+                   t: int) -> int:
+    """Decode group by group: the (user, target) slots the groups fill, or 0
+    as soon as one group cannot fill its own.
+
+    Each group's rows are peeled alone, as `_peel` peels a plan, seeded only
+    with cache bits (a packet's subset bits are the users who cache it).
+    The slots of a group are its (user, index set) pairs: each member u of
+    each index set S must learn its target there, its requested file
+    (`base_of[u]`) indexed by S less u.  Each index set must have t+1 users
+    and come in no other group, so no slot counts twice, and K * C(K-1, t)
+    slots certify every target of every user.  A one-row group (mn, single)
+    takes at most one pass and no dict: a member that misses exactly one
+    term of the row learns it, so its target must be that term.  A longer
+    group keeps the masks its users learn in a dict of its own terms and
+    sweeps until `_filled`, at most once per row.
+    """
+    seen: set[int] = set()
+    count = 0
+    for g in groups:
+        sets = g.index_sets
+        for s in sets:
+            if s.bit_count() != t + 1:
+                return 0
+        seen.update(sets)
+        count += len(sets)
+        bcs = g.broadcasts
+        if len(bcs) == 1:
+            payload = bcs[0].payload
+            # A row of t+1 terms that holds one set's t+1 targets (checked
+            # below) holds nothing else, and each member caches the other
+            # members' targets, so each misses just its own; only another
+            # row needs its unknown terms counted.
+            one = everyone
+            if len(sets) != 1 or len(payload) != t + 1:
+                z1 = z2 = 0
+                for p in payload:
+                    unknown = everyone & ~p
+                    z2 |= z1 & unknown
+                    z1 |= unknown
+                one = z1 & ~z2
+            for s in sets:
+                members = s
+                if one & members != members:
+                    return 0
+                while members:
+                    low = members & -members
+                    members ^= low
+                    if base_of[low] | s ^ low not in payload:
+                        return 0
+        else:
+            learned: dict[int, int] = {}
+            get = learned.get
+            for _ in bcs:
+                for bc in bcs:
+                    payload = bc.payload
+                    z1 = z2 = 0
+                    if learned:
+                        for p in payload:
+                            unknown = everyone & ~get(p, p)
+                            z2 |= z1 & unknown
+                            z1 |= unknown
+                    else:  # nothing learned yet: cache bits only
+                        for p in payload:
+                            unknown = everyone & ~p
+                            z2 |= z1 & unknown
+                            z1 |= unknown
+                    one = z1 & ~z2
+                    if one:
+                        for p in payload:
+                            k = get(p, p) & everyone
+                            new = one & ~k
+                            if new:
+                                learned[p] = k | new
+                if _filled(sets, base_of, learned):
+                    break
+            else:
+                return 0
+    return (t + 1) * count if len(seen) == count else 0
+
+
 def _eliminate(payloads: Sequence[frozenset[int]], known: dict[int, int], user: int,
                targets: Sequence[int]) -> list[bool]:
     """Which target packets the payloads determine for `user`, given the
@@ -204,28 +304,39 @@ def verify_full_recovery(
     config: SystemConfig,
     demand: Demand,
     broadcasts: Sequence[Broadcast],
+    groups: Iterable[Group] | None = None,
 ) -> RecoveryReport:
     """Check that every user can decode every uncached packet of its file.
 
-    Every user hears every broadcast (the index sets of its group are
-    informational).  One peel (`_peel`) serves all users; `known` maps each
-    payload packet to its users, seeded with the cache bits.  `wants` maps
-    each requested file (its packet base >> K) to its requesters, so the
-    peel counts down the K * C(K-1, t) (user, target) slots; at 0 every user
-    decodes.  Otherwise each user's targets are read from `known` in colex
-    order, and a user with one left unknown runs `_eliminate`, so every
-    answer is exact GF(2) span membership.
+    Every user hears every broadcast.  With the plan's `groups`, whose
+    broadcasts are `broadcasts` grouped, the plan is first decoded group by
+    group (`_decode_groups`): filling all K * C(K-1, t) (user, target)
+    slots that way certifies every user, and keeps no packet memo larger
+    than a group, only the index sets seen.  Without groups, or when that
+    count falls short, the whole plan is decoded as one: one peel (`_peel`)
+    serves all users, `known` maps each payload packet to its users, seeded
+    with the cache bits, and `wants` maps each requested file (its packet
+    base >> K) to its requesters, so the peel counts down the same slots;
+    at 0 every user decodes.  Otherwise each user's targets are read from
+    `known` in colex order, and a user with one left unknown runs
+    `_eliminate`, so every answer is exact GF(2) span membership and the
+    report does not depend on whether groups were given.
     """
     K, t = config.K, config.t
     everyone = (1 << K) - 1
-    payloads = [bc.payload for bc in broadcasts]
-    known = {p: p & everyone for payload in payloads for p in payload}
     bases = demand.packet_bases[None]
+    slots = K * comb(K - 1, t)
+    certified = RecoveryReport(tuple(UserRecovery(u, True, None, 0) for u in config.users))
+    base_of = {1 << user: base for user, base in enumerate(bases)}
+    if groups is not None and _decode_groups(groups, everyone, base_of, t) == slots:
+        return certified
     wants: dict[int, int] = {}
     for user, base in enumerate(bases):
         wants[base >> K] = wants.get(base >> K, 0) | 1 << user
-    if not _peel(payloads, known, everyone, wants, t, K * comb(K - 1, t)):
-        return RecoveryReport(tuple(UserRecovery(u, True, None, 0) for u in config.users))
+    payloads = [bc.payload for bc in broadcasts]
+    known = {p: p & everyone for payload in payloads for p in payload}
+    if not _peel(payloads, known, everyone, wants, t, slots):
+        return certified
     tsubs = subset_masks(config.users, t)
     results = []
     for user, base in enumerate(bases):

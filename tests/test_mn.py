@@ -3,6 +3,7 @@ oracle and a full Gaussian-elimination oracle."""
 
 import random
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 from functools import cache
 from math import comb
@@ -11,10 +12,11 @@ from hypothesis import given, settings, strategies as st
 
 from tricache import mn
 from tricache.analysis import mn_rate_formula
-from tricache.delivery import build_plan
+from tricache.delivery import build_plan, verify_plan
 from tricache.gf2 import GF2Basis
 from tricache.mn import (
     KIND_MN,
+    KIND_UNPAIRED,
     ORIGIN_A,
     ORIGIN_B,
     ORIGIN_P,
@@ -41,9 +43,14 @@ from tricache.system import (
 from conftest import mask, pkt, user_can_decode
 
 
+def flat(groups):
+    """The groups' broadcasts in transmission order."""
+    return [bc for g in groups for bc in g.broadcasts]
+
+
 def mn_broadcasts(cfg, demand):
     """The MN broadcasts in transmission order, one per group."""
-    return [bc for g in mn_delivery(cfg, demand) for bc in g.broadcasts]
+    return flat(mn_delivery(cfg, demand))
 
 
 def test_broadcast_count_k4():
@@ -208,16 +215,22 @@ def elimination_oracle(config, demand, broadcasts):
     return RecoveryReport(tuple(users))
 
 
-def oracle_plans():
-    """Small MN, lap and improved plans under worst and random demands."""
+def oracle_group_plans():
+    """Small MN, lap and improved plans under worst and random demands, as groups."""
     rng = random.Random(5)
     for K, t in ((4, 2), (6, 2), (6, 3), (8, 1), (8, 3), (8, 5)):
         cfg = build_config(K, t, K)
         for demand in (worst_demand(cfg), random_demand(cfg, rng)):
-            yield f"mn K={K} t={t}", cfg, demand, mn_broadcasts(cfg, demand)
+            yield f"mn K={K} t={t}", cfg, demand, tuple(mn_delivery(cfg, demand))
             for scheme in ("lap", "improved"):
                 plan = build_plan(cfg, demand, scheme)
-                yield f"{scheme} K={K} t={t}", cfg, demand, list(plan.broadcasts)
+                yield f"{scheme} K={K} t={t}", cfg, demand, plan.groups
+
+
+def oracle_plans():
+    """Small MN, lap and improved plans under worst and random demands."""
+    for name, cfg, demand, groups in oracle_group_plans():
+        yield name, cfg, demand, flat(groups)
 
 
 def tampered(broadcasts, rng):
@@ -505,3 +518,220 @@ def test_message_matches_term_by_term_packets(data):
         for parts in shapes:
             bc = mn.message(origin, demand, parts)
             assert bc == Broadcast(origin, message_oracle(origin, demand, parts, K))
+
+
+# ---------------------------------------------------------------------------
+# decode group by group
+
+def edit_row(groups, at, rows):
+    """The groups with the broadcast at flat position `at` replaced by
+    `rows`, inside its own group; a group left with no broadcast is dropped."""
+    edited, start = [], 0
+    for g in groups:
+        j = at - start
+        start += len(g.broadcasts)
+        if 0 <= j < len(g.broadcasts):
+            g = replace(g, broadcasts=g.broadcasts[:j] + tuple(rows) + g.broadcasts[j + 1:])
+        if g.broadcasts:
+            edited.append(g)
+    return tuple(edited)
+
+
+def tampered_groups(groups, rng):
+    """The edits of `tampered`, each made inside the group of the broadcast it changes."""
+    bcs = flat(groups)
+    drop = rng.randrange(len(bcs))
+    yield "drop", edit_row(groups, drop, ())
+    victim = rng.choice([i for i, bc in enumerate(bcs) if len(bc.payload) > 1])
+    bc = bcs[victim]
+    term = rng.choice(sorted(bc.payload))
+    yield "remove term", edit_row(groups, victim, (Broadcast(bc.origin, bc.payload - {term}),))
+    dup = rng.randrange(len(bcs))
+    yield "duplicate", edit_row(groups, dup, (bcs[dup], bcs[dup]))
+
+
+def test_group_decode_matches_whole_plan_and_oracle():
+    rng = random.Random(29)
+    checked = failing = 0
+    for name, cfg, demand, groups in oracle_group_plans():
+        for how, variant in [("intact", groups), *tampered_groups(groups, rng)]:
+            bcs = flat(variant)
+            report = verify_full_recovery(cfg, demand, bcs, variant)
+            assert report == verify_full_recovery(cfg, demand, bcs), (name, how)
+            assert report == elimination_oracle(cfg, demand, bcs), (name, how)
+            checked += 1
+            failing += not report.all_ok
+    assert failing > 0 and checked == 6 * 2 * 3 * 4
+
+
+def whole_plan_calls(monkeypatch):
+    """Record each call of the whole-plan peel, which only a plan without a
+    group-by-group certificate reaches."""
+    calls = []
+    peel = mn._peel
+
+    def counted(*args):
+        calls.append(args)
+        return peel(*args)
+
+    monkeypatch.setattr(mn, "_peel", counted)
+    return calls
+
+
+def no_whole_plan_decode(monkeypatch):
+    def whole_plan(*args):
+        raise AssertionError("whole-plan decode reached")
+
+    monkeypatch.setattr(mn, "_peel", whole_plan)
+    monkeypatch.setattr(mn, "_eliminate", whole_plan)
+
+
+def test_intact_plans_decode_group_by_group(monkeypatch):
+    # also with each group's rows reversed: a pair's P row then comes first,
+    # and the group's own sweep needs a second pass
+    no_whole_plan_decode(monkeypatch)
+    for name, cfg, demand, groups in oracle_group_plans():
+        reversed_rows = [replace(g, broadcasts=g.broadcasts[::-1]) for g in groups]
+        for variant in (groups, reversed_rows):
+            assert verify_full_recovery(cfg, demand, flat(variant), variant).all_ok, name
+
+
+def test_verify_plan_certifies_k12_group_by_group(monkeypatch):
+    no_whole_plan_decode(monkeypatch)
+    cfg = build_config(12, 5, 12)
+    for scheme in ("lap", "improved", "mn"):
+        problems, report = verify_plan(build_plan(cfg, worst_demand(cfg), scheme))
+        assert not problems and report.all_ok, scheme
+
+
+def same_arity(groups):
+    """The first group after group 0 with as many index sets as it has."""
+    return next(j for j in range(1, len(groups))
+                if len(groups[j].index_sets) == len(groups[0].index_sets))
+
+
+def test_repeated_index_sets_get_no_certificate(monkeypatch):
+    # group j replaced by a copy of group 0: the copy fills as many slots as
+    # group j did, so only the repeated index sets keep the count from
+    # certifying a plan that lost group j's sets
+    calls = whole_plan_calls(monkeypatch)
+    failing = 0
+    for name, cfg, demand, groups in oracle_group_plans():
+        j = same_arity(groups)
+        copied = groups[:j] + groups[:1] + groups[j + 1:]
+        del calls[:]
+        report = verify_full_recovery(cfg, demand, flat(copied), copied)
+        assert calls, name
+        assert report == elimination_oracle(cfg, demand, flat(copied)), name
+        failing += not report.all_ok
+    assert failing == 6 * 2 * 3
+
+
+def test_swapped_index_sets_get_no_certificate(monkeypatch):
+    # the broadcasts stay, so the plan decodes, but no group serves the sets
+    # it names, so the certificate must come from the whole-plan decode
+    calls = whole_plan_calls(monkeypatch)
+    for name, cfg, demand, groups in oracle_group_plans():
+        j = same_arity(groups)
+        first, other = groups[0], groups[j]
+        swapped = (replace(first, index_sets=other.index_sets), *groups[1:j],
+                   replace(other, index_sets=first.index_sets), *groups[j + 1:])
+        del calls[:]
+        report = verify_full_recovery(cfg, demand, flat(swapped), swapped)
+        assert calls, name
+        assert report.all_ok and report == elimination_oracle(cfg, demand, flat(swapped)), name
+
+
+def test_off_size_index_set_gets_no_certificate(monkeypatch):
+    # the MN group of set S replaced by the MN signal of S plus one user,
+    # under that (t+2)-set: each of its t+2 members learns a packet of its
+    # file, more slots than S's t+1, but no packet it learns is a target
+    calls = whole_plan_calls(monkeypatch)
+    cfg = build_config(6, 2, 6)
+    demand = worst_demand(cfg)
+    groups = mn_delivery(cfg, demand)
+    s = groups[0].index_sets[0]
+    wider = s | 1 << max(set(cfg.users) - set(users_of(s)))
+    signal = mn.message(ORIGIN_SINGLE, demand, ((wider, wider),))
+    groups[0] = mn.Group(KIND_MN, (wider,), (signal,))
+    report = verify_full_recovery(cfg, demand, flat(groups), groups)
+    assert calls
+    assert not report.all_ok and report == elimination_oracle(cfg, demand, flat(groups))
+
+
+def test_row_with_an_uncached_term_gets_no_certificate(monkeypatch):
+    # a term that no user caches, added to the first one-row group's row:
+    # each member then misses two terms, though its target is still there
+    calls = whole_plan_calls(monkeypatch)
+    checked = 0
+    for name, cfg, demand, groups in oracle_group_plans():
+        i = next((i for i, g in enumerate(groups) if len(g.broadcasts) == 1), None)
+        if i is None:  # a three-server plan with no single set
+            continue
+        bc = groups[i].broadcasts[0]
+        junk = pkt("A", cfg.N, (), cfg.K)
+        widened = list(groups)
+        widened[i] = replace(groups[i], broadcasts=(Broadcast(bc.origin, bc.payload | {junk}),))
+        del calls[:]
+        report = verify_full_recovery(cfg, demand, flat(widened), widened)
+        assert calls, name
+        assert not report.all_ok and report == elimination_oracle(cfg, demand, flat(widened)), name
+        checked += 1
+    assert checked >= 12  # every MN plan
+
+
+def test_target_learned_by_another_user_fills_no_slot(monkeypatch):
+    # The MN group of S = {0, 1, 2} at K=6, t=2 replaced by two rows: user
+    # 0's target with a packet that users 3 and 4 cache, and the other two
+    # members' terms.  Users 3 and 4 learn user 0's target; user 0 does not.
+    calls = whole_plan_calls(monkeypatch)
+    cfg = build_config(6, 2, 6)
+    demand = worst_demand(cfg)
+    groups = mn_delivery(cfg, demand)
+    s = mask(0, 1, 2)
+    assert groups[0].index_sets == (s,)
+    bases = demand.packet_bases[None]
+    targets = [bases[u] | s & ~(1 << u) for u in range(3)]
+    decoy = bases[5] | mask(3, 4)
+    rows = (Broadcast(ORIGIN_SINGLE, frozenset({targets[0], decoy})),
+            Broadcast(ORIGIN_SINGLE, frozenset(targets[1:])))
+    groups[0] = mn.Group(KIND_UNPAIRED, (s,), rows)
+    report = verify_full_recovery(cfg, demand, flat(groups), groups)
+    assert calls
+    assert [u.user for u in report.failures()] == [0]
+    assert report == elimination_oracle(cfg, demand, flat(groups))
+
+
+@cache
+def small_group_plans():
+    return [(cfg, demand, groups) for _, cfg, demand, groups in oracle_group_plans()]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_edited_groups_match_whole_plan_and_oracle(data):
+    # The edits of test_tampered_recovery_matches_elimination_oracle, each
+    # inside one group (a combined row may take another group's row), and
+    # a group's rows reversed.
+    cfg, demand, groups = data.draw(st.sampled_from(small_group_plans()))
+    groups = list(groups)
+    for _ in range(data.draw(st.integers(1, 6))):
+        i = data.draw(st.integers(0, len(groups) - 1))
+        rows = list(groups[i].broadcasts)
+        r = data.draw(st.integers(0, len(rows) - 1))
+        bc = rows[r]
+        edit = data.draw(st.sampled_from(("remove", "duplicate", "combine", "reverse")))
+        if edit == "remove" and bc.payload:
+            term = data.draw(st.sampled_from(sorted(bc.payload)))
+            rows[r] = Broadcast(bc.origin, bc.payload - {term})
+        elif edit == "combine":
+            other = data.draw(st.sampled_from(flat(groups)))
+            rows[r] = Broadcast(bc.origin, bc.payload ^ other.payload)
+        elif edit == "reverse":
+            rows.reverse()
+        else:
+            rows.insert(data.draw(st.integers(0, len(rows))), bc)
+        groups[i] = replace(groups[i], broadcasts=tuple(rows))
+    bcs = flat(groups)
+    report = verify_full_recovery(cfg, demand, bcs, groups)
+    assert report == verify_full_recovery(cfg, demand, bcs) == elimination_oracle(cfg, demand, bcs)
