@@ -11,13 +11,14 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
+from math import comb
 from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import tricache
-from tricache import cli, delivery
+from tricache import cli, delivery, planfile
 from tricache.cli import load_plan, main
 from tricache.system import build_config, mask_of, packet, random_demand, worst_demand
 
@@ -354,19 +355,31 @@ def test_verify_survives_foreign_user_ids_in_payload(tmp_path, capsys, bad_subse
     assert "plan ok" not in out
 
 
-@pytest.mark.parametrize("term", [
-    ["A", 1, [1, 0, 2]],
-    ["A", 1, [0, 0, 1]],
-    ["A", 1, [0, 1]],
-    ["C", 1, [0, 1, 2]],
-    ["A", 0, [0, 1, 2]],
-    ["A", 4, [0, 1, 2]],
-    ["A", 1, [[0], 1, 2]],
-    ["A", 1, [0, 1, 6]],
-    ["A", 1, [-1, 0, 1]],
-    ["A", 1, [0, 1, 4000000000]],
-], ids=["unsorted", "repeated", "wrong-size", "server-C", "file-0", "file-past-half",
-        "nested-user", "user-K", "negative", "huge"])
+# K=6, t=3, N=6: payload terms that name no packet, index sets that name no subset
+BAD_TERMS = {
+    "unsorted": ["A", 1, [1, 0, 2]],
+    "repeated": ["A", 1, [0, 0, 1]],
+    "wrong-size": ["A", 1, [0, 1]],
+    "server-C": ["C", 1, [0, 1, 2]],
+    "file-0": ["A", 0, [0, 1, 2]],
+    "file-past-half": ["A", 4, [0, 1, 2]],
+    "nested-user": ["A", 1, [[0], 1, 2]],
+    "user-K": ["A", 1, [0, 1, 6]],
+    "negative": ["A", 1, [-1, 0, 1]],
+    "huge": ["A", 1, [0, 1, 4000000000]],
+}
+BAD_INDEX_SETS = {
+    "unsorted": [2, 1, 0, 3],
+    "repeated": [0, 0, 1, 2],
+    "short": [0, 1, 2],
+    "user-K": [0, 1, 2, 6],
+    "negative": [-1, 0, 1, 2],
+    "huge": [0, 1, 2, 4000000000],
+    "nested-user": [[0], 1, 2, 3],
+}
+
+
+@pytest.mark.parametrize("term", list(BAD_TERMS.values()), ids=list(BAD_TERMS))
 def test_verify_rejects_payload_terms_naming_no_packet(tmp_path, capsys, term):
     # K=6, t=3, N=6: a term needs server A or B, a file in 1..3 and three
     # strictly increasing users; anything else would alias a real packet
@@ -388,15 +401,7 @@ def test_verify_rejects_payload_terms_naming_no_packet(tmp_path, capsys, term):
     assert "plan ok" not in out
 
 
-@pytest.mark.parametrize("index_set", [
-    [2, 1, 0, 3],
-    [0, 0, 1, 2],
-    [0, 1, 2],
-    [0, 1, 2, 6],
-    [-1, 0, 1, 2],
-    [0, 1, 2, 4000000000],
-    [[0], 1, 2, 3],
-], ids=["unsorted", "repeated", "short", "user-K", "negative", "huge", "nested-user"])
+@pytest.mark.parametrize("index_set", list(BAD_INDEX_SETS.values()), ids=list(BAD_INDEX_SETS))
 def test_verify_rejects_index_sets_naming_no_subset(tmp_path, capsys, index_set):
     # K=6, t=3: an index set needs four strictly increasing users in 0..5;
     # anything else names no subset, so it is invalid input, not an audit failure
@@ -431,17 +436,28 @@ def _k6_records(tmp_path):
     return [json.loads(l) for l in export_plan(tmp_path, "6", "1/2", "improved")]
 
 
+def _number_in(records, where, occurrence):
+    """The (container, field) of the first or last occurrence of user 0 in
+    the commonest payload user list ("user"), of file 1 in a payload term
+    ("file"), or of user 0 in a pair's s1 ("set-user")."""
+    if where == "user":
+        lists = [p[2] for r in records[1:] for p in r["payload"] if p[2][0] == 0]
+        common = max(lists, key=lists.count)
+        assert lists.count(common) > 1
+        return [users for users in lists if users == common][occurrence], 0
+    if where == "file":
+        return [p for r in records[1:] for p in r["payload"] if p[1] == 1][occurrence], 1
+    return [r["s1"] for r in records[1:] if r["kind"] == "pair" and r["s1"][0] == 0][occurrence], 0
+
+
 @pytest.mark.parametrize("value", [0.0, False], ids=["float", "bool"])
 @pytest.mark.parametrize("occurrence", [0, -1], ids=["first", "last"])
 def test_verify_rejects_non_int_payload_users(tmp_path, capsys, value, occurrence):
     # 0.0 and False equal the user 0, so a memo of checked user lists would
     # take them for (0, ...) once that list had been seen, and not before
     records = _k6_records(tmp_path)
-    lists = [p[2] for r in records[1:] for p in r["payload"] if p[2][0] == 0]
-    common = max(lists, key=lists.count)
-    assert lists.count(common) > 1
-    same = [users for users in lists if users == common]
-    code, out, err = _verify_with(tmp_path, capsys, records, same[occurrence], 0, value)
+    code, out, err = _verify_with(tmp_path, capsys, records,
+                                  *_number_in(records, "user", occurrence), value)
     assert code == 2
     assert "payload term" in err and "names no packet" in err
     assert "Traceback" not in err and "plan ok" not in out
@@ -451,8 +467,8 @@ def test_verify_rejects_non_int_payload_users(tmp_path, capsys, value, occurrenc
 @pytest.mark.parametrize("occurrence", [0, -1], ids=["first", "last"])
 def test_verify_rejects_non_int_file_index(tmp_path, capsys, value, occurrence):
     records = _k6_records(tmp_path)
-    terms = [p for r in records[1:] for p in r["payload"] if p[1] == 1]
-    code, out, err = _verify_with(tmp_path, capsys, records, terms[occurrence], 1, value)
+    code, out, err = _verify_with(tmp_path, capsys, records,
+                                  *_number_in(records, "file", occurrence), value)
     assert code == 2
     assert "payload term" in err and "names no packet" in err
     assert "Traceback" not in err and "plan ok" not in out
@@ -462,11 +478,48 @@ def test_verify_rejects_non_int_file_index(tmp_path, capsys, value, occurrence):
 @pytest.mark.parametrize("occurrence", [0, -1], ids=["first", "last"])
 def test_verify_rejects_non_int_index_set_users(tmp_path, capsys, value, occurrence):
     records = _k6_records(tmp_path)
-    sets = [r["s1"] for r in records[1:] if r["kind"] == "pair" and r["s1"][0] == 0]
-    code, out, err = _verify_with(tmp_path, capsys, records, sets[occurrence], 0, value)
+    code, out, err = _verify_with(tmp_path, capsys, records,
+                                  *_number_in(records, "set-user", occurrence), value)
     assert code == 2
     assert "index set" in err and "names no subset" in err
     assert "Traceback" not in err and "plan ok" not in out
+
+
+SEEDING_CASES = (
+    [pytest.param("term", 0, term, id=f"term-{name}") for name, term in BAD_TERMS.items()]
+    + [pytest.param("index set", 0, s, id=f"set-{name}") for name, s in BAD_INDEX_SETS.items()]
+    + [pytest.param(where, occurrence, value, id=f"{where}-{label}-{type(value).__name__}")
+       for where, values in (("user", (0.0, False)), ("file", (1.0, True)), ("set-user", (0.0, False)))
+       for label, occurrence in (("first", 0), ("last", -1))
+       for value in values]
+)
+
+
+@pytest.mark.parametrize("where, occurrence, value", SEEDING_CASES)
+def test_loader_refusals_read_the_same_with_memos_unseeded(tmp_path, capsys, monkeypatch,
+                                                           where, occurrence, value):
+    # every bad key misses the seeded memos and is refused by its check, so
+    # the file is refused in the same words whether the memos start seeded
+    # or, with the bytes-per-entry rule raised past the file, empty
+    records = _k6_records(tmp_path)
+    pair = next(r for r in records if r["kind"] == "pair")
+    if where == "term":
+        pair["payload"][0] = value
+    elif where == "index set":
+        pair["s1"] = value
+    else:
+        container, field = _number_in(records, where, occurrence)
+        container[field] = value
+    path = tmp_path / "tampered.jsonl"
+    path.write_text("".join(json.dumps(r) + "\n" for r in records))
+    size = path.stat().st_size
+    assert planfile._SEED_BYTES_PER_ENTRY * (comb(6, 3) + comb(6, 4)) <= size
+    seeded = run(["verify", "--plan", str(path)], capsys)
+    monkeypatch.setattr(planfile, "_SEED_BYTES_PER_ENTRY", size + 1)
+    assert run(["verify", "--plan", str(path)], capsys) == seeded
+    code, out, err = seeded
+    assert code == 2 and err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err and out == ""
 
 
 @pytest.mark.parametrize("change, message", [
@@ -707,7 +760,10 @@ def test_verify_refuses_undersized_plan_before_any_work(tmp_path, capsys, monkey
     single = {"kind": "single", "origin": "A", "s": list(range(31)), "payload": []}
     path = tmp_path / "tiny.jsonl"
     path.write_text(json.dumps(meta) + "\n" + json.dumps(single) + "\n")
+    start = time.perf_counter()
     code, out, err = run(["verify", "--plan", str(path)], capsys)
+    # memos seeded by the claimed system, not by the file, would take ages here
+    assert time.perf_counter() - start < 1
     assert code == 2
     assert "broadcast lines" in err
     assert "plan ok" not in out
