@@ -8,17 +8,16 @@ another server's copy or a subset of the members, so `message` builds every
 broadcast of every scheme.  The decoder below does not assume that structure:
 it checks exact GF(2) span membership, because the three-server pairing
 scheme requires combining messages from several servers to extract a segment.
-Decoding is bit-sliced over users: a peel serves all users at once (a
-payload with one term a user does not know yields that term to the user) and
-counts the (user, target) slots it fills.  Every member of a transmission
-group recovers its missing segment from that group and its own cache, so a
-plan's groups are first peeled one at a time, each seeded only with cache
-bits; a slot counts only for an index set of the group that fills it, and a
-well-formed plan fills them all with no packet memo larger than a group and
-no per-user work.  A plan that falls short (tampered, with rows moved
-between groups, or given without its groups) is peeled whole, keyed by
-packet int, and only a user left with an unknown target runs Gaussian
-elimination, over the packets it does not know after that peel.
+Decoding is bit-sliced over users: one sweep (`_sweep`) peels for all users
+at once, a payload with one term a user does not know yielding that term to
+the user.  Every member of a transmission group recovers its missing segment
+from that group and its own cache, so a plan's groups are first swept one at
+a time, each over a map that holds only what its users learn; a well-formed
+plan is certified that way with no packet memo larger than a group and no
+per-user work.  A plan that falls short (tampered, with rows moved between
+groups, or given without its groups) is swept whole, and only a user left
+with an unknown target runs Gaussian elimination, over the packets it does
+not know after those sweeps.
 
 Verification returns structured reports instead of raising; failures are data.
 """
@@ -119,46 +118,35 @@ def mn_delivery(config: SystemConfig, demand: Demand) -> list[Group]:
     ]
 
 
-def _peel(payloads: Sequence[frozenset[int]], known: dict[int, int], everyone: int,
-          wants: dict[int, int], t: int, remaining: int) -> int:
-    """Peel for all users at once: known[p], the mask of the users (bits of
-    `everyone`, K of them) who know packet p, gains every packet peeling
-    yields them.  Returns `remaining` less the (user, target) slots filled.
-
-    A user knows what its caller seeds and any term of a payload whose other
-    terms it knows.  Each sweep keeps two bit-sliced counters over a
-    payload's terms: z1 holds the users with at least one unknown term and
-    z2 those with at least two, so each user in z1 & ~z2 learns its one
-    unknown term.  Each user in `new`, those p gains, fills a slot when it
-    requests p's file (`wants[p >> K]`) and p's subset has t users; `new`
-    has only bits not set before, so no slot counts twice.  Sweeps stop when
-    one changes nothing or ends with no slot left, or after one per user.
-    Peeling has one closure, so at convergence each user knows exactly what
-    its own peel would give it; before it, a subset of that.
+def _sweep(rows: Sequence[Broadcast], everyone: int, known: dict[int, int]) -> bool:
+    """One peel pass over the payloads of `rows` for all users at once;
+    whether any user learned anything.  `known.get(p, p) & everyone` is the
+    mask of the users who know packet p, so a map that holds only what was
+    learned falls back to p's cache bits (its subset bits).  Two bit-sliced
+    counters run over a payload's terms: z1 holds the users with at least
+    one unknown term and z2 those with at least two, so each user in
+    z1 & ~z2 learns its one unknown term.  Peeling has one closure, so
+    sweeps until one reports no change leave each user knowing exactly what
+    its own peel would give it; fewer sweeps, a subset of that.
     """
-    K = everyone.bit_length()
-    for _ in range(K):
-        changed = False
-        for payload in payloads:
-            z1 = z2 = 0
+    get = known.get
+    changed = False
+    for bc in rows:
+        payload = bc.payload
+        z1 = z2 = 0
+        for p in payload:
+            unknown = everyone & ~get(p, p)
+            z2 |= z1 & unknown
+            z1 |= unknown
+        one = z1 & ~z2
+        if one:
             for p in payload:
-                unknown = everyone ^ known[p]
-                z2 |= z1 & unknown
-                z1 |= unknown
-            one = z1 & ~z2
-            if one:
-                for p in payload:
-                    k = known[p]
-                    new = one & ~k
-                    if new:
-                        known[p] = k | new
-                        changed = True
-                        slots = new & wants.get(p >> K, 0)
-                        if slots and (p & everyone).bit_count() == t:
-                            remaining -= slots.bit_count()
-        if not changed or not remaining:
-            break
-    return remaining
+                k = get(p, p) & everyone
+                new = one & ~k
+                if new:
+                    known[p] = k | new
+                    changed = True
+    return changed
 
 
 def _filled(sets: Sequence[int], base_of: dict[int, int], learned: dict[int, int]) -> bool:
@@ -175,91 +163,56 @@ def _filled(sets: Sequence[int], base_of: dict[int, int], learned: dict[int, int
     return True
 
 
-def _decode_groups(groups: Iterable[Group], everyone: int, base_of: dict[int, int],
-                   t: int) -> int:
-    """Decode group by group: the (user, target) slots the groups fill, or 0
-    as soon as one group cannot fill its own.
+def _decode_groups(groups: Iterable[Group], bases: Sequence[int], t: int) -> bool:
+    """Whether the groups, each decoded alone, fill every (user, target)
+    slot; False as soon as one group cannot fill its own.
 
-    Each group's rows are peeled alone, as `_peel` peels a plan, seeded only
-    with cache bits (a packet's subset bits are the users who cache it).
     The slots of a group are its (user, index set) pairs: each member u of
-    each index set S must learn its target there, its requested file
-    (`base_of[u]`) indexed by S less u.  Each index set must have t+1 users
-    and come in no other group, so no slot counts twice, and K * C(K-1, t)
-    slots certify every target of every user.  A one-row group (mn, single)
-    takes at most one pass and no dict: a member that misses exactly one
-    term of the row learns it, so its target must be that term.  A longer
-    group keeps the masks its users learn in a dict of its own terms and
-    sweeps until `_filled`, at most once per row.
+    each index set S must learn its target there, its requested file (its
+    packet base `bases[u]`) indexed by S less u.  Each index set must have
+    t+1 users, all of them among the K users, and come in no other group, so
+    no slot counts twice, and C(K, t+1) index sets certify every target of
+    every user.  A group's rows are swept (`_sweep`) with a map of their own
+    that holds only what the group's users learn, at most once per row,
+    until `_filled` holds.
     """
+    everyone = (1 << len(bases)) - 1
+    base_of = {1 << user: base for user, base in enumerate(bases)}
     seen: set[int] = set()
     count = 0
     for g in groups:
         sets = g.index_sets
         for s in sets:
-            if s.bit_count() != t + 1:
-                return 0
+            if s.bit_count() != t + 1 or s & ~everyone:
+                return False
         seen.update(sets)
         count += len(sets)
         bcs = g.broadcasts
-        if len(bcs) == 1:
+        if len(bcs) == 1 and len(sets) == 1 and len(bcs[0].payload) == t + 1:
+            # A row of t+1 terms that holds one set's t+1 targets holds
+            # nothing else, and each member caches the other members'
+            # targets, so each misses just its own and learns it: no sweep.
             payload = bcs[0].payload
-            # A row of t+1 terms that holds one set's t+1 targets (checked
-            # below) holds nothing else, and each member caches the other
-            # members' targets, so each misses just its own; only another
-            # row needs its unknown terms counted.
-            one = everyone
-            if len(sets) != 1 or len(payload) != t + 1:
-                z1 = z2 = 0
-                for p in payload:
-                    unknown = everyone & ~p
-                    z2 |= z1 & unknown
-                    z1 |= unknown
-                one = z1 & ~z2
-            for s in sets:
-                members = s
-                if one & members != members:
-                    return 0
-                while members:
-                    low = members & -members
-                    members ^= low
-                    if base_of[low] | s ^ low not in payload:
-                        return 0
+            members = s = sets[0]
+            while members:
+                low = members & -members
+                members ^= low
+                if base_of[low] | s ^ low not in payload:
+                    return False
         else:
             learned: dict[int, int] = {}
-            get = learned.get
             for _ in bcs:
-                for bc in bcs:
-                    payload = bc.payload
-                    z1 = z2 = 0
-                    if learned:
-                        for p in payload:
-                            unknown = everyone & ~get(p, p)
-                            z2 |= z1 & unknown
-                            z1 |= unknown
-                    else:  # nothing learned yet: cache bits only
-                        for p in payload:
-                            unknown = everyone & ~p
-                            z2 |= z1 & unknown
-                            z1 |= unknown
-                    one = z1 & ~z2
-                    if one:
-                        for p in payload:
-                            k = get(p, p) & everyone
-                            new = one & ~k
-                            if new:
-                                learned[p] = k | new
-                if _filled(sets, base_of, learned):
+                if _sweep(bcs, everyone, learned) and _filled(sets, base_of, learned):
                     break
             else:
-                return 0
-    return (t + 1) * count if len(seen) == count else 0
+                return False
+    return len(seen) == count == comb(len(bases), t + 1)
 
 
-def _eliminate(payloads: Sequence[frozenset[int]], known: dict[int, int], user: int,
+def _eliminate(rows: Sequence[Broadcast], known: dict[int, int], user: int,
                targets: Sequence[int]) -> list[bool]:
-    """Which target packets the payloads determine for `user`, given the
-    packets whose known mask holds its bit.
+    """Which target packets the payloads of `rows` determine for `user`,
+    given the packets whose known mask holds its bit.
 
     Exact elimination over the payloads with the known packets removed (they
     are in the span, so the answer is exact GF(2) span membership).  Columns
@@ -269,9 +222,9 @@ def _eliminate(payloads: Sequence[frozenset[int]], known: dict[int, int], user: 
     bit = 1 << user
     col: dict[int, int] = {}
     basis = GF2Basis()
-    for payload in payloads:
+    for bc in rows:
         vec = 0
-        for p in payload:
+        for p in bc.payload:
             if not known[p] & bit:
                 vec |= 1 << col.setdefault(p, len(col))
         if vec:
@@ -300,6 +253,51 @@ class RecoveryReport:
         return [u for u in self.users if not u.ok]
 
 
+def _decode_whole(config: SystemConfig, bases: Sequence[int],
+                  broadcasts: Sequence[Broadcast]) -> RecoveryReport:
+    """Decode the plan as one: at most K sweeps (`_sweep`) shared by all
+    users, then exact elimination for each user still missing a target.
+
+    `known` maps each payload packet to its users, seeded with the cache
+    bits.  A (user, target) slot is filled when a user learns a packet of
+    the file it requests (`wants` maps each file, its packet base >> K, to
+    its requesters) whose subset has t users and misses it.  The slots are
+    counted from `known` after each sweep; once all K * C(K-1, t) are
+    filled, sweeps stop and every user is certified without reading a
+    target.  Otherwise sweeps stop when one changes nothing, each user's
+    targets are read from `known` in colex order, and a user with one
+    unknown that some payload holds runs `_eliminate`.
+    """
+    K, t = config.K, config.t
+    everyone = (1 << K) - 1
+    known = {p: p & everyone for bc in broadcasts for p in bc.payload}
+    wants: dict[int, int] = {}
+    for user, base in enumerate(bases):
+        wants[base >> K] = wants.get(base >> K, 0) | 1 << user
+    slots = K * comb(K - 1, t)
+    filled = 0  # cache bits fill no slot
+    for _ in range(K):
+        if filled == slots or not _sweep(broadcasts, everyone, known):
+            break
+        filled = sum((k & ~p & wants.get(p >> K, 0)).bit_count()
+                     for p, k in known.items() if (p & everyone).bit_count() == t)
+    # With every slot filled no target is read, and every user decodes.
+    tsubs = () if filled == slots else subset_masks(config.users, t)
+    results = []
+    for user, base in enumerate(bases):
+        bit = 1 << user
+        # The user's targets (its file's packets whose subset misses the
+        # user) that the sweeps left unknown to it, in colex order.
+        failed = [base | m for m in tsubs
+                  if not m & bit and not known.get(base | m, 0) & bit]
+        if any(p in known for p in failed):
+            decoded = _eliminate(broadcasts, known, user, failed)
+            failed = [p for p, ok in zip(failed, decoded) if not ok]
+        first_failed = packet_id(failed[0], K) if failed else None
+        results.append(UserRecovery(user, not failed, first_failed, len(failed)))
+    return RecoveryReport(tuple(results))
+
+
 def verify_full_recovery(
     config: SystemConfig,
     demand: Demand,
@@ -310,44 +308,14 @@ def verify_full_recovery(
 
     Every user hears every broadcast.  With the plan's `groups`, whose
     broadcasts are `broadcasts` grouped, the plan is first decoded group by
-    group (`_decode_groups`): filling all K * C(K-1, t) (user, target)
-    slots that way certifies every user, and keeps no packet memo larger
-    than a group, only the index sets seen.  Without groups, or when that
-    count falls short, the whole plan is decoded as one: one peel (`_peel`)
-    serves all users, `known` maps each payload packet to its users, seeded
-    with the cache bits, and `wants` maps each requested file (its packet
-    base >> K) to its requesters, so the peel counts down the same slots;
-    at 0 every user decodes.  Otherwise each user's targets are read from
-    `known` in colex order, and a user with one left unknown runs
-    `_eliminate`, so every answer is exact GF(2) span membership and the
-    report does not depend on whether groups were given.
+    group (`_decode_groups`), which keeps no packet memo larger than a
+    group, only the index sets seen; a certificate there means every user
+    decodes.  Without groups, or without that certificate, the whole plan
+    is decoded as one (`_decode_whole`).  Both run the same sweep, and
+    every answer of the whole-plan decode is exact GF(2) span membership,
+    so the report does not depend on whether groups were given.
     """
-    K, t = config.K, config.t
-    everyone = (1 << K) - 1
     bases = demand.packet_bases[None]
-    slots = K * comb(K - 1, t)
-    certified = RecoveryReport(tuple(UserRecovery(u, True, None, 0) for u in config.users))
-    base_of = {1 << user: base for user, base in enumerate(bases)}
-    if groups is not None and _decode_groups(groups, everyone, base_of, t) == slots:
-        return certified
-    wants: dict[int, int] = {}
-    for user, base in enumerate(bases):
-        wants[base >> K] = wants.get(base >> K, 0) | 1 << user
-    payloads = [bc.payload for bc in broadcasts]
-    known = {p: p & everyone for payload in payloads for p in payload}
-    if not _peel(payloads, known, everyone, wants, t, slots):
-        return certified
-    tsubs = subset_masks(config.users, t)
-    results = []
-    for user, base in enumerate(bases):
-        bit = 1 << user
-        # The user's targets (its file's packets whose subset misses the
-        # user) that the shared peel left unknown to it, in colex order.
-        failed = [base | m for m in tsubs
-                  if not m & bit and not known.get(base | m, 0) & bit]
-        if any(p in known for p in failed):
-            decoded = _eliminate(payloads, known, user, failed)
-            failed = [p for p, ok in zip(failed, decoded) if not ok]
-        first_failed = packet_id(failed[0], K) if failed else None
-        results.append(UserRecovery(user, not failed, first_failed, len(failed)))
-    return RecoveryReport(tuple(results))
+    if groups is not None and _decode_groups(groups, bases, config.t):
+        return RecoveryReport(tuple(UserRecovery(u, True, None, 0) for u in config.users))
+    return _decode_whole(config, bases, broadcasts)

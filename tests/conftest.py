@@ -53,14 +53,15 @@ def orient_pair(s1: int, s2: int, config: SystemConfig) -> tuple[int, int]:
 def user_can_decode(cache: Collection[int], broadcasts: Iterable[mn.Broadcast], target: int) -> bool:
     """Exact decodability for one cache: is the target's unit vector in the
     GF(2) span of the cached unit vectors plus the received payload vectors?
-    It runs the decoder's packet-keyed peel and elimination with one user,
-    bit 0 of `known`, and an empty `wants`, so the peel counts no slot."""
+    It runs the decoder's sweep, with one user, bit 0 of `known`, until it
+    reports no change, then the decoder's elimination."""
     if target in cache:
         return True
-    payloads = [bc.payload for bc in broadcasts]
-    known = {p: int(p in cache) for payload in payloads for p in payload}
-    mn._peel(payloads, known, 1, {}, 0, 1)
-    return mn._eliminate(payloads, known, 0, [target])[0]
+    rows = list(broadcasts)
+    known = {p: int(p in cache) for bc in rows for p in bc.payload}
+    while mn._sweep(rows, 1, known):
+        pass
+    return mn._eliminate(rows, known, 0, [target])[0]
 
 
 def reference_plan_lines(plan) -> list[str]:

@@ -8,6 +8,7 @@ from fractions import Fraction
 from functools import cache
 from math import comb
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from tricache import mn
@@ -16,6 +17,7 @@ from tricache.delivery import build_plan, verify_plan
 from tricache.gf2 import GF2Basis
 from tricache.mn import (
     KIND_MN,
+    KIND_PAIR,
     KIND_UNPAIRED,
     ORIGIN_A,
     ORIGIN_B,
@@ -565,16 +567,16 @@ def test_group_decode_matches_whole_plan_and_oracle():
 
 
 def whole_plan_calls(monkeypatch):
-    """Record each call of the whole-plan peel, which only a plan without a
+    """Record each call of the whole-plan decode, which only a plan without a
     group-by-group certificate reaches."""
     calls = []
-    peel = mn._peel
+    decode = mn._decode_whole
 
     def counted(*args):
         calls.append(args)
-        return peel(*args)
+        return decode(*args)
 
-    monkeypatch.setattr(mn, "_peel", counted)
+    monkeypatch.setattr(mn, "_decode_whole", counted)
     return calls
 
 
@@ -582,7 +584,7 @@ def no_whole_plan_decode(monkeypatch):
     def whole_plan(*args):
         raise AssertionError("whole-plan decode reached")
 
-    monkeypatch.setattr(mn, "_peel", whole_plan)
+    monkeypatch.setattr(mn, "_decode_whole", whole_plan)
     monkeypatch.setattr(mn, "_eliminate", whole_plan)
 
 
@@ -702,6 +704,23 @@ def test_target_learned_by_another_user_fills_no_slot(monkeypatch):
     assert report == elimination_oracle(cfg, demand, flat(groups))
 
 
+@pytest.mark.parametrize("wild", [mask(6, 7, 8), -7], ids=["users past K", "negative"])
+def test_index_set_outside_the_users_gets_no_certificate(wild):
+    # An API-built lap plan at K=6, t=2 whose first pair group names a set of
+    # t+1 bits that are not all users: the audit reports it, and the
+    # whole-plan decode answers, since the group has no members to look up.
+    cfg = build_config(6, 2, 6)
+    demand = worst_demand(cfg)
+    plan = build_plan(cfg, demand, "lap")
+    i = next(i for i, g in enumerate(plan.groups) if g.kind == KIND_PAIR)
+    g = plan.groups[i]
+    bad = replace(g, index_sets=(wild,) + g.index_sets[1:])
+    plan = replace(plan, groups=plan.groups[:i] + (bad,) + plan.groups[i + 1:])
+    problems, report = verify_plan(plan)
+    assert f"subset {wild if wild < 0 else users_of(wild)} is not a valid index set" in problems
+    assert report.all_ok and report == elimination_oracle(cfg, demand, flat(plan.groups))
+
+
 @cache
 def small_group_plans():
     return [(cfg, demand, groups) for _, cfg, demand, groups in oracle_group_plans()]
@@ -735,3 +754,28 @@ def test_edited_groups_match_whole_plan_and_oracle(data):
     bcs = flat(groups)
     report = verify_full_recovery(cfg, demand, bcs, groups)
     assert report == verify_full_recovery(cfg, demand, bcs) == elimination_oracle(cfg, demand, bcs)
+
+
+def chained(groups):
+    """The groups with each broadcast XORed with the next one and the last
+    kept, each row in its own group's place: the span, and so every
+    verdict, stays, but no group decodes alone."""
+    bcs = flat(groups)
+    rows = iter([Broadcast(bc.origin, bc.payload ^ nxt.payload) for bc, nxt in zip(bcs, bcs[1:])]
+                + bcs[-1:])
+    return tuple(replace(g, broadcasts=tuple(next(rows) for _ in g.broadcasts)) for g in groups)
+
+
+def test_chained_plans_match_elimination_oracle():
+    # with and without its groups, a chained plan is certified by the
+    # whole-plan decode, whose elimination rescues what peeling cannot
+    checked = 0
+    for name, cfg, demand, groups in oracle_group_plans():
+        links = chained(groups)
+        bcs = flat(links)
+        oracle = elimination_oracle(cfg, demand, bcs)
+        for report in (verify_full_recovery(cfg, demand, bcs, links),
+                       verify_full_recovery(cfg, demand, bcs)):
+            assert report.all_ok and report == oracle, name
+        checked += 1
+    assert checked == 6 * 2 * 3
