@@ -259,7 +259,8 @@ def origin_errors(plan: DeliveryPlan) -> list[str]:
                 foreign = foreign_bits[origin]
                 bad = [p for p in terms if p & server_bit == foreign]
             elif origin == ORIGIN_P:
-                bad = [p for p in terms if p ^ server_bit not in terms]
+                twins = set(terms)
+                bad = [p for p in terms if p ^ server_bit not in twins]
             else:
                 if origin != ORIGIN_SINGLE:
                     problems.append(f"unknown origin {origin!r}")

@@ -63,13 +63,15 @@ def packet_id(p: int, K: int) -> PacketId:
     return PacketId(SERVER_B if p >> K & 1 else SERVER_A, p >> (K + 1), users_of(p & ((1 << K) - 1)))
 
 
-def xor_sum(terms: Sequence[int]) -> frozenset[int]:
-    """A payload from a term list: a packet that appears an even number of
-    times cancels, as it does in the GF(2) sum the payload stands for."""
-    payload = frozenset(terms)
-    if len(payload) == len(terms):
-        return payload
-    return frozenset(p for p, n in Counter(terms).items() if n % 2)
+def xor_sum(terms: Sequence[int]) -> tuple[int, ...]:
+    """A payload from a term list: the packets that appear an odd number of
+    times, as a strictly increasing tuple.  A packet that appears an even
+    number of times cancels, as it does in the GF(2) sum the payload stands
+    for.  A tuple of ints takes a fraction of a frozenset's memory, and
+    nothing that reads a payload hashes it."""
+    if len(set(terms)) == len(terms):
+        return tuple(sorted(terms))
+    return tuple(sorted([p for p, n in Counter(terms).items() if n % 2]))
 
 
 @dataclass(frozen=True)

@@ -93,7 +93,7 @@ def test_unpaired_ab_split_partitions_mn_signal():
     group = synthesize_unpaired(s, ("A", "B"), demand, cfg)
     assert (group.kind, group.index_sets) == ("unpaired", (s,))
     first, second = group.broadcasts
-    assert first.payload ^ second.payload == mn_signal(cfg, demand, s)
+    assert xor_sum(first.payload + second.payload) == mn_signal(cfg, demand, s)
     assert not set(first.payload) & set(second.payload)
 
 
@@ -103,7 +103,7 @@ def test_unpaired_parity_split_xors_to_mn_signal(pair):
     demand = worst_demand(cfg)
     s = mask(0, 1, 3, 4)
     first, second = synthesize_unpaired(s, pair, demand, cfg).broadcasts
-    assert first.payload ^ second.payload == mn_signal(cfg, demand, s)
+    assert xor_sum(first.payload + second.payload) == mn_signal(cfg, demand, s)
 
 
 def test_unpaired_users_decode():
@@ -255,7 +255,7 @@ def test_tampered_plan_detected():
     # break the twin structure of a parity message
     m_a, m_b, m_p = first.broadcasts
     assert m_p.origin == ORIGIN_P
-    bad_payload = frozenset(list(m_p.payload)[:-1])
+    bad_payload = xor_sum(m_p.payload[:-1])
     thinned = replace(first, broadcasts=(m_a, m_b, replace(m_p, payload=bad_payload)))
     broken2 = replace(plan, groups=(thinned,) + plan.groups[1:])
     assert any("twin" in p for p in origin_errors(broken2))

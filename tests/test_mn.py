@@ -40,6 +40,7 @@ from tricache.system import (
     subset_masks,
     users_of,
     worst_demand,
+    xor_sum,
 )
 
 from conftest import mask, pkt, user_can_decode
@@ -75,13 +76,13 @@ def test_payload_instantiation():
     demand = worst_demand(cfg)
     bcs = {users_of(g.index_sets[0]): g.broadcasts[0] for g in mn_delivery(cfg, demand)}
     payload = bcs[(0, 1, 2)].payload
-    assert payload == frozenset(
+    assert payload == tuple(sorted(
         {
             pkt("A", 1, (1, 2), 4),
             pkt("A", 2, (0, 2), 4),
             pkt("B", 1, (0, 1), 4),
         }
-    )
+    ))
 
 
 def test_decoder_trivial_cases():
@@ -243,7 +244,7 @@ def tampered(broadcasts, rng):
     victim = rng.choice([i for i, bc in enumerate(broadcasts) if len(bc.payload) > 1])
     bc = broadcasts[victim]
     term = rng.choice(sorted(bc.payload))
-    thinned = Broadcast(bc.origin, bc.payload - {term})
+    thinned = Broadcast(bc.origin, xor_sum(bc.payload + (term,)))
     yield "remove term", broadcasts[:victim] + [thinned] + broadcasts[victim + 1:]
     dup = rng.randrange(n)
     yield "duplicate", broadcasts[:dup + 1] + broadcasts[dup:]
@@ -312,10 +313,10 @@ def off_size_decoys(t_offsets):
     bcs = mn_broadcasts(cfg, demand)
     base = demand.packet_bases[None][0]
     target = base | mask(1, 2)
-    bcs = [Broadcast(bc.origin, bc.payload - {target}) for bc in bcs]
+    bcs = [Broadcast(bc.origin, xor_sum([p for p in bc.payload if p != target])) for bc in bcs]
     for offset in t_offsets:
         decoy = base | mask(*range(1, cfg.t + offset + 1))
-        bcs.append(Broadcast(ORIGIN_SINGLE, frozenset({decoy})))
+        bcs.append(Broadcast(ORIGIN_SINGLE, xor_sum([decoy])))
     return cfg, demand, bcs, target
 
 
@@ -364,7 +365,7 @@ def chain_rows(links, reverse):
     """Rows {x_j, x_{j+1}} along a chain of packets; in reverse order the
     shared peel learns one link forward per sweep."""
     rows = [
-        Broadcast(ORIGIN_SINGLE, frozenset(pair)) for pair in zip(links, links[1:])
+        Broadcast(ORIGIN_SINGLE, xor_sum(pair)) for pair in zip(links, links[1:])
     ]
     return rows[::-1] if reverse else rows
 
@@ -414,7 +415,7 @@ def test_sweep_cap_then_stopping_set(monkeypatch):
     d = targets[0]
     a, b, c = (pkt("B", 20 + j, (), cfg.K) for j in range(3))
     stopping = [
-        Broadcast(ORIGIN_SINGLE, frozenset(terms))
+        Broadcast(ORIGIN_SINGLE, xor_sum(terms))
         for terms in ((links[-1], a, b), (a, c), (b, c, d))
     ]
     rows = stopping + chain_rows(links, reverse=True)
@@ -446,10 +447,10 @@ def test_tampered_recovery_matches_elimination_oracle(data):
         edit = data.draw(st.sampled_from(("remove", "duplicate", "combine")))
         if edit == "remove" and bc.payload:
             term = data.draw(st.sampled_from(sorted(bc.payload)))
-            bcs[r] = Broadcast(bc.origin, bc.payload - {term})
+            bcs[r] = Broadcast(bc.origin, xor_sum(bc.payload + (term,)))
         elif edit == "combine":
             other = bcs[data.draw(st.integers(0, len(bcs) - 1))]
-            bcs[r] = Broadcast(bc.origin, bc.payload ^ other.payload)
+            bcs[r] = Broadcast(bc.origin, xor_sum(bc.payload + other.payload))
         else:
             bcs.insert(data.draw(st.integers(0, len(bcs))), bc)
     assert verify_full_recovery(cfg, demand, bcs) == elimination_oracle(cfg, demand, bcs)
@@ -459,7 +460,7 @@ def test_stopping_set_needs_elimination():
     # every row holds two unknowns, so peeling stalls, yet the rows sum to d
     a, b, c, d = (pkt("A", 1, (u,), 4) for u in range(4))
     rows = [
-        Broadcast(ORIGIN_SINGLE, frozenset(terms))
+        Broadcast(ORIGIN_SINGLE, xor_sum(terms))
         for terms in ((a, b), (a, c), (b, c, d))
     ]
     assert not peel_oracle(set(), rows, d)
@@ -476,7 +477,7 @@ def test_user_can_decode_is_span_membership(data):
     cached = data.draw(st.integers(0, 255))
     target = data.draw(st.integers(0, 7))
     rows = [
-        Broadcast(ORIGIN_SINGLE, frozenset(p for j, p in enumerate(packets) if m >> j & 1))
+        Broadcast(ORIGIN_SINGLE, xor_sum([p for j, p in enumerate(packets) if m >> j & 1]))
         for m in masks
     ]
     cache = {p for j, p in enumerate(packets) if cached >> j & 1}
@@ -496,7 +497,7 @@ def message_oracle(origin, demand, parts, K):
             server, idx = demand.of(k)
             for s in {ORIGIN_SINGLE: [server], ORIGIN_P: ["A", "B"]}.get(origin, [origin]):
                 terms[packet(s, idx, subset & ~(1 << k), K)] += 1
-    return frozenset(p for p, n in terms.items() if n % 2)
+    return tuple(sorted(p for p, n in terms.items() if n % 2))
 
 
 @settings(max_examples=150, deadline=None)
@@ -520,6 +521,9 @@ def test_message_matches_term_by_term_packets(data):
         for parts in shapes:
             bc = mn.message(origin, demand, parts)
             assert bc == Broadcast(origin, message_oracle(origin, demand, parts, K))
+            # the decoder reads a payload as distinct terms: strictly increasing
+            assert type(bc.payload) is tuple
+            assert all(a < b for a, b in zip(bc.payload, bc.payload[1:])), (origin, parts)
 
 
 # ---------------------------------------------------------------------------
@@ -547,7 +551,7 @@ def tampered_groups(groups, rng):
     victim = rng.choice([i for i, bc in enumerate(bcs) if len(bc.payload) > 1])
     bc = bcs[victim]
     term = rng.choice(sorted(bc.payload))
-    yield "remove term", edit_row(groups, victim, (Broadcast(bc.origin, bc.payload - {term}),))
+    yield "remove term", edit_row(groups, victim, (Broadcast(bc.origin, xor_sum(bc.payload + (term,))),))
     dup = rng.randrange(len(bcs))
     yield "duplicate", edit_row(groups, dup, (bcs[dup], bcs[dup]))
 
@@ -673,13 +677,29 @@ def test_row_with_an_uncached_term_gets_no_certificate(monkeypatch):
         bc = groups[i].broadcasts[0]
         junk = pkt("A", cfg.N, (), cfg.K)
         widened = list(groups)
-        widened[i] = replace(groups[i], broadcasts=(Broadcast(bc.origin, bc.payload | {junk}),))
+        widened[i] = replace(groups[i], broadcasts=(Broadcast(bc.origin, xor_sum(bc.payload + (junk,))),))
         del calls[:]
         report = verify_full_recovery(cfg, demand, flat(widened), widened)
         assert calls, name
         assert not report.all_ok and report == elimination_oracle(cfg, demand, flat(widened)), name
         checked += 1
     assert checked >= 12  # every MN plan
+
+
+def test_one_row_with_a_repeated_term_gets_no_certificate():
+    # Only xor_sum builds payloads, and it never repeats a term, but the
+    # one-row check must not rest on that: a row of t+1 terms that names
+    # one member's target twice misses another member's target.
+    cfg = build_config(6, 2, 6)
+    demand = worst_demand(cfg)
+    groups = mn_delivery(cfg, demand)
+    s = groups[0].index_sets[0]
+    bases = demand.packet_bases[None]
+    targets = [bases[u] | s & ~(1 << u) for u in users_of(s)]
+    groups[0] = mn.Group(KIND_MN, (s,), (Broadcast(ORIGIN_SINGLE, (targets[0], *targets[:-1])),))
+    assert mn._decode_groups(groups, bases, cfg.t) is False
+    groups[0] = mn.Group(KIND_MN, (s,), (Broadcast(ORIGIN_SINGLE, tuple(targets)),))
+    assert mn._decode_groups(groups, bases, cfg.t) is True
 
 
 def test_target_learned_by_another_user_fills_no_slot(monkeypatch):
@@ -695,8 +715,8 @@ def test_target_learned_by_another_user_fills_no_slot(monkeypatch):
     bases = demand.packet_bases[None]
     targets = [bases[u] | s & ~(1 << u) for u in range(3)]
     decoy = bases[5] | mask(3, 4)
-    rows = (Broadcast(ORIGIN_SINGLE, frozenset({targets[0], decoy})),
-            Broadcast(ORIGIN_SINGLE, frozenset(targets[1:])))
+    rows = (Broadcast(ORIGIN_SINGLE, xor_sum([targets[0], decoy])),
+            Broadcast(ORIGIN_SINGLE, xor_sum(targets[1:])))
     groups[0] = mn.Group(KIND_UNPAIRED, (s,), rows)
     report = verify_full_recovery(cfg, demand, flat(groups), groups)
     assert calls
@@ -742,10 +762,10 @@ def test_edited_groups_match_whole_plan_and_oracle(data):
         edit = data.draw(st.sampled_from(("remove", "duplicate", "combine", "reverse")))
         if edit == "remove" and bc.payload:
             term = data.draw(st.sampled_from(sorted(bc.payload)))
-            rows[r] = Broadcast(bc.origin, bc.payload - {term})
+            rows[r] = Broadcast(bc.origin, xor_sum(bc.payload + (term,)))
         elif edit == "combine":
             other = data.draw(st.sampled_from(flat(groups)))
-            rows[r] = Broadcast(bc.origin, bc.payload ^ other.payload)
+            rows[r] = Broadcast(bc.origin, xor_sum(bc.payload + other.payload))
         elif edit == "reverse":
             rows.reverse()
         else:
@@ -761,7 +781,7 @@ def chained(groups):
     kept, each row in its own group's place: the span, and so every
     verdict, stays, but no group decodes alone."""
     bcs = flat(groups)
-    rows = iter([Broadcast(bc.origin, bc.payload ^ nxt.payload) for bc, nxt in zip(bcs, bcs[1:])]
+    rows = iter([Broadcast(bc.origin, xor_sum(bc.payload + nxt.payload)) for bc, nxt in zip(bcs, bcs[1:])]
                 + bcs[-1:])
     return tuple(replace(g, broadcasts=tuple(next(rows) for _ in g.broadcasts)) for g in groups)
 

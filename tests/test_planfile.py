@@ -1,15 +1,18 @@
-"""Plan-file memos: seeded tables against their checks, and the names the tracer wraps."""
+"""Plan-file memos: seeded tables against their checks, written plans read
+back as built, and the names the tracer wraps."""
 
+import random
 import sys
 from math import comb
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import tricache.cli
 import tricache.planfile
-from tricache import planfile
+from tricache import delivery, planfile
 from tricache.cli import main
-from tricache.system import build_config
+from tricache.system import build_config, random_demand, worst_demand
 
 
 def admitted(K, size):
@@ -67,6 +70,26 @@ def test_benchmark_plans_run_no_subset_check(tmp_path, capsys, monkeypatch, sche
     assert main(["verify", "--plan", str(plan)]) == 0
     assert capsys.readouterr().out.startswith("plan ok: ")
     assert calls == []
+
+
+@settings(max_examples=60, deadline=None)
+@given(K=st.sampled_from([2, 4, 6, 8, 10]), data=st.data(),
+       scheme=st.sampled_from(["lap", "improved", "mn"]), demand=st.sampled_from(["worst", "random"]))
+def test_written_plan_loads_as_the_built_plan(tmp_path_factory, K, data, scheme, demand):
+    # A random demand repeats files across users, so a message's terms are
+    # not met in increasing order; the loaded payloads must still equal the
+    # built ones, tuple for tuple, group for group in plan order.
+    t = data.draw(st.integers(1, K - 1), label="t")
+    assume((K, t, scheme) != (4, 1, "improved"))  # one-sided leftover, refused with exit 2
+    config = build_config(K, t, K)
+    if demand == "worst":
+        chosen = worst_demand(config)
+    else:
+        chosen = random_demand(config, random.Random(data.draw(st.integers(0, 99), label="seed")))
+    plan = delivery.build_plan(config, chosen, scheme)
+    path = tmp_path_factory.mktemp("plan") / "plan.jsonl"
+    path.write_text("".join(planfile._plan_lines(plan)))
+    assert planfile.load_plan(path) == plan
 
 
 def test_cli_load_plan_is_the_planfile_loader():

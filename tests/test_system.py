@@ -1,6 +1,7 @@
 """Model-level tests: config validation, placement, demands, packet encoding."""
 
 import sys
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 from math import comb
@@ -151,7 +152,7 @@ def test_gf2_combination_from_terms_cancels_duplicates():
     K = 4
     p = packet("A", 1, mask_of((0, 1)), K)
     q = packet("B", 1, mask_of((0, 1)), K)
-    assert xor_sum([p, q, p]) == frozenset({q})
+    assert xor_sum([p, q, p]) == (q,)
 
 
 @given(st.data())
@@ -170,7 +171,16 @@ def test_packet_encoding(data):
     assert [p >> u & 1 for u in range(K)] == [u in text.subset for u in range(K)]
     # a term repeated an even number of times cancels from a payload
     terms = [pkt(*t, K) for t in data.draw(st.lists(triples, max_size=6))]
-    odd = {q for q in terms if terms.count(q) % 2}
+    odd = tuple(sorted({q for q in terms if terms.count(q) % 2}))
     assert xor_sum(terms) == odd
     assert xor_sum(terms + [p, p]) == odd
     assert xor_sum([p] + terms + [p]) == odd
+
+
+@given(st.lists(st.integers(0, 40), max_size=24))
+def test_xor_sum_is_the_sorted_terms_of_odd_multiplicity(terms):
+    # a narrow range makes repeats common; a Counter is the oracle
+    payload = xor_sum(terms)
+    assert type(payload) is tuple
+    assert all(a < b for a, b in zip(payload, payload[1:]))
+    assert payload == tuple(sorted(p for p, n in Counter(terms).items() if n % 2))
