@@ -100,17 +100,15 @@ def _demand_from_args(args: argparse.Namespace, config: SystemConfig) -> Demand:
         if args.seed is None:
             raise SpecError("--seed is required for --demand random")
         return random_demand(config, random.Random(args.seed))
-    if args.demand == "file":
-        if args.demand_file is None:
-            raise SpecError("--demand-file is required for --demand file")
-        try:
-            raw = json.loads(Path(args.demand_file).read_text())
-        except OSError as exc:
-            raise SpecError(f"cannot read --demand-file: {exc}") from None
-        except ValueError as exc:
-            raise SpecError(f"--demand-file is not JSON: {exc}") from None
-        return _demand_from_json(config, raw)
-    raise SpecError(f"unknown demand source {args.demand!r}")
+    if args.demand_file is None:
+        raise SpecError("--demand-file is required for --demand file")
+    try:
+        raw = json.loads(Path(args.demand_file).read_text())
+    except OSError as exc:
+        raise SpecError(f"cannot read --demand-file: {exc}") from None
+    except ValueError as exc:
+        raise SpecError(f"--demand-file is not JSON: {exc}") from None
+    return _demand_from_json(config, raw)
 
 
 def _rational_fields(value: Fraction | None) -> dict | None:

@@ -71,9 +71,7 @@ class Broadcast:
     parities; `delivery.origin_errors` audits that rule.
     The payload is the strictly increasing tuple of packet ints
     (`system.packet`) whose XOR is sent.  Only `system.xor_sum` builds one,
-    cancelling a packet named an even number of times, and the decoder
-    relies on that: its elimination ORs a payload's columns, which sums them
-    only while no term repeats.
+    cancelling a packet named an even number of times.
     """
 
     origin: str
@@ -238,7 +236,7 @@ def _eliminate(rows: Sequence[Broadcast], known: dict[int, int], user: int,
         vec = 0
         for p in bc.payload:
             if not known[p] & bit:
-                vec |= 1 << col.setdefault(p, len(col))
+                vec ^= 1 << col.setdefault(p, len(col))
         if vec:
             basis.add(vec)
     return [p in known and (known[p] & bit != 0 or basis.contains(1 << col[p]))

@@ -48,7 +48,11 @@ def parse_fraction(text: str) -> Fraction:
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     mantissa, _, exponent = text.lower().partition("e")
     try:
-        if limit and len(mantissa) + abs(int(exponent or 0)) > limit:
+        digits = len(mantissa) + abs(int(exponent or 0))
+    except ValueError:  # no int after the e: Fraction says what is wrong
+        digits = 0
+    try:
+        if limit and digits > limit:
             raise SpecError(f"fraction {text[:40]!r}{'...' if len(text) > 40 else ''} could spell "
                             f"a number of more than {limit} digits, the interpreter's int-to-text limit")
         return Fraction(text)
@@ -233,6 +237,8 @@ def load_plan(path: Path) -> delivery.DeliveryPlan:
             raise SpecError(f"unknown plan scheme {scheme!r}")
         config = build_config(int(meta["K"]), parse_fraction(str(meta["M"])), int(meta["N"]))
         demand = _demand_from_json(config, meta["demand"])
+        if type(meta["t"]) is not int or meta["t"] != config.t:
+            raise SpecError(f"meta line has t = {meta['t']!r}, but K*M/N = {config.t}")
         grouped: dict[tuple[str, tuple[int, ...]], dict[str, mn.Broadcast]] = {}
         kept, unkept = _plan_memos(config, path.stat().st_size)
         for line in lines:

@@ -76,19 +76,32 @@ def xor_sum(terms: Sequence[int]) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class SystemConfig:
-    """A validated (K, M, N) system with its A-side and B-side users.
-
-    t = K*M/N is the replication parameter: the number of users caching each
-    packet.  lam = M/N is the cache fraction.
+    """A (K, M, N) system; `build_config` validates one.  Everything else
+    is derived from those three, so it cannot disagree with them: t = K*M/N
+    is the replication parameter, the number of users caching each packet,
+    lam = M/N is the cache fraction, and users [0, K/2) are on the A side
+    (`users_a`, `mask_a`), [K/2, K) on the B side.
     """
 
     K: int
     M: Fraction
     N: int
-    t: int
-    lam: Fraction
-    users_a: tuple[int, ...]
-    users_b: tuple[int, ...]
+
+    @cached_property
+    def lam(self) -> Fraction:
+        return Fraction(self.M, self.N)
+
+    @cached_property
+    def t(self) -> int:
+        return int(self.K * self.lam)
+
+    @cached_property
+    def users_a(self) -> tuple[int, ...]:
+        return tuple(range(self.K // 2))
+
+    @cached_property
+    def users_b(self) -> tuple[int, ...]:
+        return tuple(range(self.K // 2, self.K))
 
     @property
     def users(self) -> range:
@@ -150,15 +163,7 @@ def build_config(K: int, M: int | Fraction, N: int) -> SystemConfig:
         if sets > sys.maxsize:
             raise ValueError(f"C({K}, {t + 1}) index sets exceed sys.maxsize = {sys.maxsize}; "
                              f"no plan can hold them")
-    return SystemConfig(
-        K=K,
-        M=M,
-        N=N,
-        t=t,
-        lam=M / N,
-        users_a=tuple(range(K // 2)),
-        users_b=tuple(range(K // 2, K)),
-    )
+    return SystemConfig(K, M, N)
 
 
 # ---------------------------------------------------------------------------

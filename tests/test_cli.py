@@ -539,6 +539,22 @@ def test_verify_rejects_bad_meta_demand(tmp_path, capsys, change, message):
     assert "Traceback" not in err and "plan ok" not in out
 
 
+@pytest.mark.parametrize("t, message", [
+    (5, "meta line has t = 5, but K*M/N = 3"),
+    (3.0, "meta line has t = '3.0', but K*M/N = 3"),
+    (None, "malformed plan file: 't'"),
+], ids=["other", "float", "missing"])
+def test_verify_checks_the_meta_t(tmp_path, capsys, t, message):
+    records = _k6_records(tmp_path)
+    if t is None:
+        del records[0]["t"]
+    else:
+        records[0]["t"] = t
+    tampered = tmp_path / "tampered.jsonl"
+    tampered.write_text("".join(json.dumps(r) + "\n" for r in records))
+    assert run(["verify", "--plan", str(tampered)], capsys) == (2, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("origin", [True, 5, None], ids=["bool", "int", "null"])
 def test_verify_rejects_non_string_origin(tmp_path, capsys, origin):
     # the audits sort origins, and nothing but a string sorts with the tags
@@ -747,6 +763,41 @@ def test_unwritable_output_path_is_invalid_input(tmp_path, capsys, argv):
     assert code == 2
     assert "cannot write" in err
     assert "Traceback" not in err
+
+
+K4_META = json.dumps({"kind": "meta", "K": 4, "M": "2", "N": 4, "t": 2, "scheme": "lap",
+                      "demand": {"0": ["A", 1], "1": ["A", 2], "2": ["B", 1], "3": ["B", 2]}})
+
+
+@pytest.mark.parametrize("argv, files, message", [
+    (["simulate", "--K", "6", "--lambda", "1/2", "--M", "3"], {},
+     "give either --lambda or --M/--N, not both"),
+    (["simulate", "--K", "6"], {}, "give --lambda, or both --M and --N"),
+    (["simulate", "--K", "6", "--M", "3", "--N", "0"], {}, "file count N=0 must be positive"),
+    (["simulate", "--K", "6", "--M", "1", "--N", "2"], {},
+     "worst demand needs N >= K, got N=2, K=6"),
+    (["simulate", "--K", "6", "--lambda", "1/2", "--demand", "file"], {},
+     "--demand-file is required for --demand file"),
+    (["simulate", "--K", "6", "--lambda", "1/2", "--demand", "file", "--demand-file", "{dir}/d.json"],
+     {"d.json": '{"0": ["A", 1]}'}, "demand must map every user exactly once"),
+    (["simulate", "--K", "6", "--lambda", "one half"], {},
+     "expected an exact fraction like 1/2, got 'one half': Invalid literal for Fraction: 'one half'"),
+    (["verify", "--plan", "{dir}/absent.jsonl"], {}, "plan file {dir}/absent.jsonl does not exist"),
+    (["verify", "--plan", "{dir}/p.jsonl"], {"p.jsonl": '{"kind": "pair"}\n'},
+     "plan file must start with a meta line"),
+    (["verify", "--plan", "{dir}/p.jsonl"], {"p.jsonl": K4_META + '\n{"kind": "bogus"}\n'},
+     "unknown plan line kind 'bogus'"),
+    (["curves", "--K", "4,x", "--lambdas", "1/2"], {},
+     "bad --K list: invalid literal for int() with base 10: 'x'"),
+    (["curves", "--K", ",", "--lambdas", "1/2"], {}, "curves need at least one K and one lambda"),
+], ids=["lambda-and-M", "no-size", "N-zero", "worst-N-below-K", "no-demand-file",
+        "demand-file-missing-users", "lambda-in-words", "verify-missing-file", "verify-no-meta",
+        "verify-unknown-kind", "curves-K-not-int", "curves-no-K"])
+def test_invalid_use_exits_2_with_one_error_line(tmp_path, capsys, argv, files, message):
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    code, out, err = run([a.format(dir=tmp_path) for a in argv], capsys)
+    assert (code, out, err) == (2, "", f"error: {message.format(dir=tmp_path)}\n")
 
 
 def test_verify_refuses_undersized_plan_before_any_work(tmp_path, capsys, monkeypatch):

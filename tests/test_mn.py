@@ -702,6 +702,21 @@ def test_one_row_with_a_repeated_term_gets_no_certificate():
     assert mn._decode_groups(groups, bases, cfg.t) is True
 
 
+def test_repeated_term_cancels_in_elimination():
+    # The K=6 t=2 MN plan with user 0's target x dropped from row 0, then a
+    # row (x, x), which is zero over GF(2): it must add nothing to any span,
+    # so user 0 still fails, exactly as without it.
+    cfg = build_config(6, 2, 6)
+    demand = worst_demand(cfg)
+    rows = mn_broadcasts(cfg, demand)
+    x = demand.packet_bases[None][0] | mask(1, 2)
+    assert x in rows[0].payload
+    rows[0] = Broadcast(ORIGIN_SINGLE, tuple(p for p in rows[0].payload if p != x))
+    report = verify_full_recovery(cfg, demand, rows + [Broadcast(ORIGIN_SINGLE, (x, x))])
+    assert [u.user for u in report.failures()] == [0]
+    assert report == verify_full_recovery(cfg, demand, rows) == elimination_oracle(cfg, demand, rows)
+
+
 def test_target_learned_by_another_user_fills_no_slot(monkeypatch):
     # The MN group of S = {0, 1, 2} at K=6, t=2 replaced by two rows: user
     # 0's target with a packet that users 3 and 4 cache, and the other two

@@ -1,5 +1,6 @@
 """Model-level tests: config validation, placement, demands, packet encoding."""
 
+import dataclasses
 import sys
 from collections import Counter
 from fractions import Fraction
@@ -11,6 +12,7 @@ from hypothesis import given, strategies as st
 
 from tricache.system import (
     PacketId,
+    SystemConfig,
     build_config,
     mask_of,
     packet,
@@ -40,6 +42,18 @@ def test_build_config_k8():
     cfg = build_config(8, 4, 8)
     assert cfg.t == 4
     assert cfg.lam == Fraction(1, 2)
+
+
+def test_config_stores_only_k_m_n():
+    # t, lambda and the A/B split follow from (K, M, N), so a config with
+    # another K has the t and the sides of that K
+    assert [f.name for f in dataclasses.fields(SystemConfig)] == ["K", "M", "N"]
+    cfg = dataclasses.replace(build_config(6, 3, 6), K=8)
+    assert (cfg.t, cfg.lam) == (4, Fraction(1, 2))
+    assert cfg.users_a == (0, 1, 2, 3)
+    assert cfg.users_b == (4, 5, 6, 7)
+    assert (cfg.mask_a, cfg.mask_b) == (0b00001111, 0b11110000)
+    assert cfg == build_config(8, 3, 6)
 
 
 def test_build_config_rejects_non_integral_t():
