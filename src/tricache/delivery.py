@@ -181,7 +181,7 @@ def build_plan(config: SystemConfig, demand: Demand, scheme: str) -> DeliveryPla
     matchings = match_graphs(outer_graphs(config, layers))
     unmatched: tuple[int, ...] = ()
     if config.t % 2 == 1:
-        middle = middle_pairing(config, scheme, layers)
+        middle = middle_pairing(config, scheme)
         scheme = middle.scheme
         matchings += middle.matchings
         unmatched = middle.unmatched

@@ -53,42 +53,32 @@ from .system import SystemConfig, subset_masks
 @dataclass(frozen=True)
 class Layer:
     """A block of (t+1)-subsets with w users on the A side: every a | b for a
-    in parts_a and b in parts_b, both lists in colex order.  A-side users
-    hold the low bits, so members, the block in colex order, is B-part
-    major: members[j * len(parts_a) + i] == parts_a[i] | parts_b[j].
+    in parts_a and b in parts_b, both lists in colex order.  The block holds
+    only its parts; members, built on first read, lists it in colex order,
+    which is B-part major since A-side users hold the low bits:
+    members[j * len(parts_a) + i] == parts_a[i] | parts_b[j].
     build_layers gives whole layers; restrict gives sub-blocks of them.
     """
 
     w: int
     parts_a: tuple[int, ...]
     parts_b: tuple[int, ...]
-    members: tuple[int, ...]
+
+    @cached_property
+    def members(self) -> tuple[int, ...]:
+        return tuple([a | b for b in self.parts_b for a in self.parts_a])
 
     def restrict(self, keep_a: Callable[[int], bool], keep_b: Callable[[int], bool]) -> Layer:
-        """The sub-block of the kept A-parts times the kept B-parts.  Its
-        members are this block's int objects, not copies."""
-        ranks_a = [i for i, a in enumerate(self.parts_a) if keep_a(a)]
-        ranks_b = [j for j, b in enumerate(self.parts_b) if keep_b(b)]
-        n, members = len(self.parts_a), self.members
-        return Layer(
-            w=self.w,
-            parts_a=tuple(self.parts_a[i] for i in ranks_a),
-            parts_b=tuple(self.parts_b[j] for j in ranks_b),
-            members=tuple([members[base + i] for base in [j * n for j in ranks_b] for i in ranks_a]),
-        )
+        """The sub-block of the kept A-parts times the kept B-parts."""
+        return Layer(self.w, tuple(filter(keep_a, self.parts_a)), tuple(filter(keep_b, self.parts_b)))
 
 
-def build_layers(config: SystemConfig, weights: Iterable[int] | None = None) -> dict[int, Layer]:
-    """The layers of the given weights (0 .. t+1 when None), keyed by
-    weight: layer w is every w-subset of the A-side users times every
-    (t+1-w)-subset of the B-side users."""
+def build_layers(config: SystemConfig) -> dict[int, Layer]:
+    """The layers 0 .. t+1, keyed by weight: layer w is every w-subset of
+    the A-side users times every (t+1-w)-subset of the B-side users."""
     t = config.t
-    layers = {}
-    for w in range(t + 2) if weights is None else weights:
-        parts_a = tuple(subset_masks(config.users_a, w))
-        parts_b = tuple(subset_masks(config.users_b, t + 1 - w))
-        layers[w] = Layer(w, parts_a, parts_b, tuple([a | b for b in parts_b for a in parts_a]))
-    return layers
+    a, b = config.users_a, config.users_b
+    return {w: Layer(w, tuple(subset_masks(a, w)), tuple(subset_masks(b, t + 1 - w))) for w in range(t + 2)}
 
 
 def layer_weight(mask: int, config: SystemConfig) -> int:
@@ -128,10 +118,6 @@ class PairGraph:
     ascending ranks of the y A-parts that x A-part i relates to, rel_b[j]
     those of the y B-parts for x B-part j.  The member (i, j) is joined to
     every y member (p, r) of the block with p in rel_a[i] and r in rel_b[j].
-    nbrs, built on first read, holds every row: nbrs[i] lists the indices
-    into y of x[i]'s neighbours in ascending order.  It comes from _row,
-    as do the rows the matcher's phases build, one x at a time; the
-    matcher never reads nbrs.
     """
 
     config: SystemConfig
@@ -146,10 +132,6 @@ class PairGraph:
     def edge_count(self) -> int:
         return sum(sum(map(len, rel_a)) * sum(map(len, rel_b))
                    for *_, links in self.x_blocks for _, rel_a, rel_b in links)
-
-    @cached_property
-    def nbrs(self) -> list[list[int]]:
-        return [_row(links, a) for _, lo, hi, links in _runs(self) for a in range(lo, hi)]
 
 
 def build_pair_graph(
@@ -166,8 +148,8 @@ def build_pair_graph(
     ascending ranks of the y A-parts it relates to, and per x B-part those
     of the y B-parts (see PairGraph).  The lists come from scans over a few
     hundred parts per block, not from the edges, and no edge is stored:
-    rows are built from the links only when nbrs is read, or by the
-    matcher's phases for the x they visit.
+    rows are built from the links only by the matcher's phases, for the x
+    they visit.
 
     The edges equal an all-pairs scan with is_effective_pair.
     """
@@ -259,12 +241,9 @@ def improved_middle_graphs(
 
 
 def single_layer_weights(config: SystemConfig) -> tuple[int, ...]:
-    """Layers served by one data server alone: 0 and t+1 when not in the middle band."""
-    t = config.t
-    extremes = (0, t + 1)
-    if t % 2 == 0:
-        return extremes
-    return tuple(w for w in extremes if w not in middle_weights(t))
+    """Layers served by one data server alone: 0 and t+1, which join the
+    middle band only at t = 1."""
+    return () if config.t == 1 else (0, config.t + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -515,7 +494,8 @@ def check_saturation(graph: PairGraph, matching: Sequence[tuple[int, int]]) -> N
 @dataclass(frozen=True)
 class MiddlePairing:
     """Matchings over the middle band for one construction (never 'auto'),
-    and the band: its three layers.  The leftovers are computed when read."""
+    and the band: its three layers.  The leftovers are computed when read,
+    from the band's parts, so no band layer caches its members for them."""
 
     scheme: str
     matchings: tuple[tuple[tuple[int, int], ...], ...]
@@ -525,20 +505,16 @@ class MiddlePairing:
     def unmatched(self) -> tuple[int, ...]:
         """The band's subsets that no pair covers, in colex order."""
         matched = {s for m in self.matchings for pair in m for s in pair}
-        return tuple(sorted(m for layer in self.band for m in layer.members if m not in matched))
+        return tuple(sorted(m for layer in self.band for b in layer.parts_b
+                            for m in map(b.__or__, layer.parts_a) if m not in matched))
 
 
-def middle_pairing(
-    config: SystemConfig, scheme: str, layers: dict | None = None
-) -> MiddlePairing:
-    """Match the middle band for a scheme; given no layers, it builds only
-    the band's three.  'auto' matches only the construction
-    analysis.auto_scheme picks."""
+def middle_pairing(config: SystemConfig, scheme: str) -> MiddlePairing:
+    """Match the middle band for a scheme.  'auto' matches only the
+    construction analysis.auto_scheme picks."""
     if config.t % 2 == 0:
         raise ValueError("the middle band exists only for odd t")
-    weights = middle_weights(config.t)
-    if layers is None:
-        layers = build_layers(config, weights)
+    layers = build_layers(config)
     if scheme == SCHEME_AUTO:
         scheme = auto_scheme(config.K, config.t)
     if scheme == SCHEME_LAP:
@@ -547,7 +523,7 @@ def middle_pairing(
         matchings = match_graphs(improved_middle_graphs(config, layers))
     else:
         raise ValueError(f"unknown scheme {scheme!r}")
-    return MiddlePairing(scheme, tuple(matchings), tuple(map(layers.__getitem__, weights)))
+    return MiddlePairing(scheme, tuple(matchings), tuple(map(layers.__getitem__, middle_weights(config.t))))
 
 
 @dataclass(frozen=True)
@@ -566,5 +542,6 @@ def count_unpaired(config: SystemConfig, scheme: str) -> UnpairedCount:
     most one of them.  So the count is the band's size less twice the pairs.
     """
     pairing = middle_pairing(config, scheme)
-    n = sum(len(layer.members) for layer in pairing.band) - 2 * sum(map(len, pairing.matchings))
+    band = sum(len(layer.parts_a) * len(layer.parts_b) for layer in pairing.band)
+    n = band - 2 * sum(map(len, pairing.matchings))
     return UnpairedCount(n, Fraction(n, comb(config.K, config.t + 1)), pairing.scheme)

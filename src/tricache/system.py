@@ -76,16 +76,47 @@ def xor_sum(terms: Sequence[int]) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class SystemConfig:
-    """A (K, M, N) system; `build_config` validates one.  Everything else
-    is derived from those three, so it cannot disagree with them: t = K*M/N
-    is the replication parameter, the number of users caching each packet,
-    lam = M/N is the cache fraction, and users [0, K/2) are on the A side
-    (`users_a`, `mask_a`), [K/2, K) on the B side.
+    """A (K, M, N) system.  Everything else is derived from those three, so
+    it cannot disagree with them: t = K*M/N is the replication parameter,
+    the number of users caching each packet, lam = M/N is the cache
+    fraction, and users [0, K/2) are on the A side (`users_a`, `mask_a`),
+    [K/2, K) on the B side.
+
+    Requires K and N even, t an integer in [1, K-1], and at most
+    sys.maxsize (t+1)-subsets of the K users.
     """
 
     K: int
     M: Fraction
     N: int
+
+    def __post_init__(self) -> None:
+        K, M, N = self.K, self.M, self.N
+        if K <= 0 or K % 2 != 0:
+            raise ValueError(f"user count K={K} must be a positive even integer")
+        if N <= 0:
+            raise ValueError(f"file count N={N} must be positive")
+        t_frac = Fraction(K) * M / N
+        if t_frac.denominator != 1:
+            raise ValueError(
+                f"t = K*M/N = {t_frac} is not an integer; choose K, M, N so the "
+                f"replication parameter is integral"
+            )
+        t = int(t_frac)
+        if not 1 <= t <= K - 1:
+            raise ValueError(f"t = {t} must lie in [1, {K - 1}]")
+        if N % 2 != 0:
+            raise ValueError(f"file count N={N} must be even to split across two servers")
+        # A plan holds one group or more per (t+1)-subset, so C(K, t+1) must fit
+        # in a Python sequence.  Stepping C(K, i) = C(K, i-1) (K-i+1) / i up to
+        # min(t+1, K-t-1) rises all the way, so the first value past the limit
+        # settles it, long before any user tuple is built.
+        sets = 1
+        for i in range(min(t + 1, K - t - 1)):
+            sets = sets * (K - i) // (i + 1)
+            if sets > sys.maxsize:
+                raise ValueError(f"C({K}, {t + 1}) index sets exceed sys.maxsize = {sys.maxsize}; "
+                                 f"no plan can hold them")
 
     @cached_property
     def lam(self) -> Fraction:
@@ -131,39 +162,8 @@ class SystemConfig:
 
 
 def build_config(K: int, M: int | Fraction, N: int) -> SystemConfig:
-    """Validate and construct a system configuration.
-
-    Requires K and N even, t = K*M/N an integer in [1, K-1], and at most
-    sys.maxsize (t+1)-subsets of the K users.  Users [0, K/2) request from
-    server A and [K/2, K) from server B.
-    """
-    if K <= 0 or K % 2 != 0:
-        raise ValueError(f"user count K={K} must be a positive even integer")
-    if N <= 0:
-        raise ValueError(f"file count N={N} must be positive")
-    M = Fraction(M)
-    t_frac = Fraction(K) * M / N
-    if t_frac.denominator != 1:
-        raise ValueError(
-            f"t = K*M/N = {t_frac} is not an integer; choose K, M, N so the "
-            f"replication parameter is integral"
-        )
-    t = int(t_frac)
-    if not 1 <= t <= K - 1:
-        raise ValueError(f"t = {t} must lie in [1, {K - 1}]")
-    if N % 2 != 0:
-        raise ValueError(f"file count N={N} must be even to split across two servers")
-    # A plan holds one group or more per (t+1)-subset, so C(K, t+1) must fit
-    # in a Python sequence.  Stepping C(K, i) = C(K, i-1) (K-i+1) / i up to
-    # min(t+1, K-t-1) rises all the way, so the first value past the limit
-    # settles it, long before any user tuple is built.
-    sets = 1
-    for i in range(min(t + 1, K - t - 1)):
-        sets = sets * (K - i) // (i + 1)
-        if sets > sys.maxsize:
-            raise ValueError(f"C({K}, {t + 1}) index sets exceed sys.maxsize = {sys.maxsize}; "
-                             f"no plan can hold them")
-    return SystemConfig(K, M, N)
+    """A system configuration, validated by `SystemConfig`."""
+    return SystemConfig(K, Fraction(M), N)
 
 
 # ---------------------------------------------------------------------------
@@ -245,23 +245,14 @@ def worst_demand(config: SystemConfig) -> Demand:
     """All users request distinct files; needs N >= K."""
     if config.N < config.K:
         raise ValueError(f"worst demand needs N >= K, got N={config.N}, K={config.K}")
-    requests: list[tuple[str, int]] = [("", 0)] * config.K
-    for i, u in enumerate(config.users_a, 1):
-        requests[u] = (SERVER_A, i)
-    for i, u in enumerate(config.users_b, 1):
-        requests[u] = (SERVER_B, i)
-    return Demand(tuple(requests))
+    files = range(1, config.K // 2 + 1)
+    return Demand(tuple([(SERVER_A, i) for i in files] + [(SERVER_B, i) for i in files]))
 
 
 def random_demand(config: SystemConfig, rng: random.Random) -> Demand:
     """Uniform demand over each user's own data server."""
-    half = config.N // 2
-    requests: list[tuple[str, int]] = [("", 0)] * config.K
-    for u in config.users_a:
-        requests[u] = (SERVER_A, rng.randint(1, half))
-    for u in config.users_b:
-        requests[u] = (SERVER_B, rng.randint(1, half))
-    return Demand(tuple(requests))
+    n_a, half = config.K // 2, config.N // 2
+    return Demand(tuple([(SERVER_A if u < n_a else SERVER_B, rng.randint(1, half)) for u in config.users]))
 
 
 def demand_from_mapping(config: SystemConfig, mapping: dict[int, tuple[str, int]]) -> Demand:

@@ -5,7 +5,7 @@ from typing import Collection, Iterable, NamedTuple, Sequence
 
 import pytest
 
-from tricache import analysis, delivery, mn
+from tricache import analysis, delivery, mn, pairing
 from tricache.analysis import SCHEME_AUTO, SCHEME_LAP, auto_scheme
 from tricache.pairing import (
     PairGraph,
@@ -41,6 +41,13 @@ def build_graphs(config: SystemConfig, scheme: str) -> list[PairGraph]:
         else:
             graphs += improved_middle_graphs(config, layers)
     return graphs
+
+
+def rows(graph: PairGraph) -> list[list[int]]:
+    """Every adjacency row of a graph, each built as the matcher's phases
+    build one: rows(graph)[i] lists the indices into y of x[i]'s
+    neighbours in ascending order."""
+    return [pairing._row(links, a) for _, lo, hi, links in pairing._runs(graph) for a in range(lo, hi)]
 
 
 def orient_pair(s1: int, s2: int, config: SystemConfig) -> tuple[int, int]:
@@ -305,7 +312,7 @@ def exhaustive_max_matching_size(graph, *, max_vertices: int = 20, max_edges: in
             f"exhaustive oracle capped at {max_vertices} vertices / {max_edges} edges, "
             f"got {n_vertices} / {n_edges}"
         )
-    adj = graph.nbrs
+    adj = rows(graph)
 
     def best(i: int, used: int) -> int:
         if i == len(adj):

@@ -50,6 +50,7 @@ from conftest import (
     orient_pair,
     orientation,
     partition_classes,
+    rows,
     vertex_degree,
 )
 
@@ -234,7 +235,7 @@ def test_single_layers_absent_inside_middle_band():
 def test_graph_edges_are_effective_pairs():
     cfg = build_config(6, 3, 6)
     for g in build_graphs(cfg, SCHEME_LAP) + build_graphs(cfg, SCHEME_IMPROVED):
-        for x, row in zip(g.x, g.nbrs):
+        for x, row in zip(g.x, rows(g)):
             for j in row:
                 y = g.y[j]
                 hi, lo = (x, y) if layer_weight(x, cfg) > layer_weight(y, cfg) else (y, x)
@@ -249,7 +250,7 @@ def assert_graph_matches_oracle(g):
         [y for y in g.y if is_effective_pair(x, y, cfg) or is_effective_pair(y, x, cfg)]
         for x in g.x
     ]
-    assert [[g.y[j] for j in row] for row in g.nbrs] == brute, g.label
+    assert [[g.y[j] for j in row] for row in rows(g)] == brute, g.label
     assert g.edge_count() == sum(map(len, brute))
 
 
@@ -291,16 +292,16 @@ def test_product_graphs_equal_all_pairs_oracle_k12(t):
 
 def test_graphs_are_biregular_and_saturate_their_smaller_side_k14():
     # check_saturation and the closed forms rest on this: every graph is
-    # biregular (degrees recounted from nbrs) and its maximum matching
+    # biregular (degrees recounted from its rows) and its maximum matching
     # covers the smaller side
     graphs = every_graph(build_config(14, 7, 14))
     assert len(graphs) == 27
     for g in graphs:
         y_counts = [0] * len(g.y)
-        for row in g.nbrs:
+        for row in rows(g):
             for j in row:
                 y_counts[j] += 1
-        assert len({len(row) for row in g.nbrs}) <= 1, g.label
+        assert len({len(row) for row in rows(g)}) <= 1, g.label
         assert len(set(y_counts)) <= 1, g.label
         assert len(max_matching(g)) == min(len(g.x), len(g.y)), g.label
 
@@ -346,10 +347,10 @@ def test_pair_graph_on_random_blocks_equals_oracle(data):
     # the row phases' augmentations, and the matching is that scan followed
     # by the phases, oriented and sorted
     if g.x and g.y:
-        start = list_scan_greedy(g.nbrs, len(g.y))
+        start = list_scan_greedy(rows(g), len(g.y))
         assert _greedy(g, _runs(g)) == start
         assert_phases_equal_oracle(g)
-        match_x, _ = list_hopcroft_karp(g.nbrs, *start)
+        match_x, _ = list_hopcroft_karp(rows(g), *start)
         expected = sorted(orient_pair(s, g.y[j], cfg) for s, j in zip(g.x, match_x) if j >= 0)
         assert max_matching(g) == expected
 
@@ -422,7 +423,7 @@ def assert_phases_equal_oracle(g):
     runs = _runs(g)
     match_x, match_y = _greedy(g, runs)
     _phases(g, runs, match_x, match_y)
-    assert (match_x, match_y) == list_hopcroft_karp(g.nbrs, *list_scan_greedy(g.nbrs, len(g.y))), g.label
+    assert (match_x, match_y) == list_hopcroft_karp(rows(g), *list_scan_greedy(rows(g), len(g.y))), g.label
 
 
 @pytest.mark.parametrize("K", [2, 4, 6, 8, 10, 12, 14])
@@ -551,7 +552,7 @@ def test_phases_build_rows_only_for_the_x_they_visit(monkeypatch):
 @pytest.mark.parametrize("t", range(1, 12))
 def test_edge_count_from_factors_equals_rows(t):
     for g in every_graph(build_config(12, t, 12)):
-        assert g.edge_count() == sum(map(len, g.nbrs)), g.label
+        assert g.edge_count() == sum(map(len, rows(g))), g.label
 
 
 # ---------------------------------------------------------------------------
@@ -627,22 +628,41 @@ def test_count_unpaired_equals_the_leftovers(K):
 
 @pytest.mark.parametrize("scheme", [SCHEME_LAP, SCHEME_IMPROVED, SCHEME_AUTO])
 def test_count_unpaired_builds_the_band_and_never_its_leftovers(monkeypatch, scheme):
-    built = []
+    # members are built only for the blocks a graph is built on: under
+    # improved those are the class blocks, never the band's layers, and
+    # listing the leftovers reads the band's parts, not its members
+    built, blocks = [], []
 
-    def recording_build_layers(config, weights=None):
-        layers = build_layers(config, weights)
-        built.append(sorted(layers))
-        return layers
+    def recording_build_layers(config):
+        built.append(build_layers(config))
+        return built[-1]
+
+    def recording_build_pair_graph(config, label, x_blocks, y_blocks):
+        blocks.extend([*x_blocks, *y_blocks])
+        return build_pair_graph(config, label, x_blocks, y_blocks)
 
     def no_leftovers(self):
         raise AssertionError("count_unpaired enumerated the leftovers")
 
+    def cached(layers):
+        return ["members" in vars(layer) for layer in layers]
+
     monkeypatch.setattr(pairing, "build_layers", recording_build_layers)
-    monkeypatch.setattr(pairing.MiddlePairing, "unmatched", property(no_leftovers))
-    cfg = build_config(16, 7, 16)
-    assert count_unpaired(cfg, scheme).n == (
-        lap_unpaired_count(16, 7) if scheme != SCHEME_IMPROVED else improved_unpaired_count(16, 7)[1])
-    assert built == [list(middle_weights(7))] == [[3, 4, 5]]
+    monkeypatch.setattr(pairing, "build_pair_graph", recording_build_pair_graph)
+    with monkeypatch.context() as m:
+        m.setattr(pairing.MiddlePairing, "unmatched", property(no_leftovers))
+        cfg = build_config(16, 7, 16)
+        assert count_unpaired(cfg, scheme).n == (
+            lap_unpaired_count(16, 7) if scheme != SCHEME_IMPROVED else improved_unpaired_count(16, 7)[1])
+    (layers,) = built
+    assert sorted(layers) == list(range(9))
+    assert all(cached(blocks))
+    assert cached(layers.values()) == [any(layer is b for b in blocks) for layer in layers.values()]
+    if scheme == SCHEME_IMPROVED:
+        assert cached(layers[w] for w in middle_weights(7)) == [False] * 3
+        middle = middle_pairing(cfg, scheme)
+        assert len(middle.unmatched) == improved_unpaired_count(16, 7)[1]
+        assert cached(middle.band) == [False] * 3
 
 
 def test_regime_graphs_are_disjoint_inside_the_band():

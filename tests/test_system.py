@@ -56,6 +56,19 @@ def test_config_stores_only_k_m_n():
     assert cfg == build_config(8, 3, 6)
 
 
+@pytest.mark.parametrize("make, reason", [
+    (lambda: dataclasses.replace(build_config(6, 3, 6), K=7), "user count K=7 must be a positive even integer"),
+    (lambda: SystemConfig(4, 6, 4), "t = 6 must lie in [1, 3]"),
+    (lambda: SystemConfig(6, 3, 5),
+     "t = K*M/N = 18/5 is not an integer; choose K, M, N so the replication parameter is integral"),
+], ids=["replace-odd-k", "t-past-k", "t-not-integral"])
+def test_config_refuses_an_invalid_system(make, reason):
+    # a config made without build_config is checked as build_config checks one
+    with pytest.raises(ValueError) as refused:
+        make()
+    assert str(refused.value) == reason
+
+
 def test_build_config_rejects_non_integral_t():
     with pytest.raises(ValueError, match="not an integer"):
         build_config(6, 2, 5)
