@@ -13,6 +13,7 @@ import sys
 from fractions import Fraction
 from itertools import combinations
 from math import comb
+from operator import or_
 from pathlib import Path
 from typing import Callable, Iterator, Sequence
 
@@ -24,9 +25,10 @@ from .system import (SERVER_A, SERVER_B, Demand, SystemConfig, build_config, dem
 # The schemes simulate builds and a plan file may name.
 SCHEMES = (delivery.SCHEME_MN, SCHEME_LAP, SCHEME_IMPROVED, SCHEME_AUTO)
 
-# Bytes of file per t- and (t+1)-subset from which the loader seeds its memos.
-# Written plans carry 70-400 and an entry costs 150-200, so the tables never
-# outweigh about 3x the file, whatever system a short file's meta line claims.
+# Bytes of file per t- and (t+1)-subset from which the loader builds its
+# subset text tables.  Written plans carry 70-400 and an entry costs 130-160,
+# so the tables never outweigh about 2.5x the file, whatever system a short
+# file's meta line claims.
 _SEED_BYTES_PER_ENTRY = 64
 
 
@@ -79,6 +81,23 @@ def _demand_from_json(config: SystemConfig, raw) -> Demand:
         raise SpecError(str(exc)) from None
 
 
+def _subset_texts(K: int, size: int) -> tuple[Iterator[int], Iterator[str]]:
+    """Every size-subset of the users 0..K-1 as its mask and as its users
+    joined by ', ', both in the order of `combinations`: the lexicographic
+    order of user lists, so a subset's place in it is its rank."""
+    return (map(sum, combinations([1 << u for u in range(K)], size)),
+            map(", ".join, combinations(list(map(str, range(K))), size)))
+
+
+def _file_heads(demand: Demand, K: int) -> dict[int, str]:
+    """The requested files' copies on servers A and B (`Demand.packet_bases`),
+    each as a packet base and as a term spells its (server, file): '"A", 3'.
+    Sorted as PacketIds sort, server-major and files in numeric order."""
+    bases = demand.packet_bases
+    return {b: f'"{SERVER_B if b >> K & 1 else SERVER_A}", {b >> K + 1}'
+            for b in sorted(set(bases[SERVER_A] + bases[SERVER_B]), key=lambda b: (b >> K & 1, b))}
+
+
 def _plan_lines(plan: delivery.DeliveryPlan) -> Iterator[str]:
     """The plan file line by line, each line as json.dumps(record,
     sort_keys=True) spells it, assembled from text made once per plan.
@@ -86,9 +105,8 @@ def _plan_lines(plan: delivery.DeliveryPlan) -> Iterator[str]:
     The plan must be whole, as `delivery.build_plan` gives it: its terms
     name t users and its index sets t+1, so the tables of all such subsets
     are no larger than the plan, and every term is a copy, on server A or
-    B, of a requested file (`Demand.packet_bases`), so the (server, file)
-    heads come from the demand, not from a scan of the terms.  The subset
-    tables are `combinations` of the users' bits and names, summed and joined at C level."""
+    B, of a requested file, so the (server, file) heads come from the
+    demand (`_file_heads`), not from a scan of the terms."""
     config = plan.config
     meta = {
         "kind": "meta",
@@ -103,25 +121,21 @@ def _plan_lines(plan: delivery.DeliveryPlan) -> Iterator[str]:
     K, t, low = config.K, config.t, (1 << config.K) - 1
     # Text made once per plan: a spelling per t-subset (a term's users) and
     # (t+1)-subset (an index set's), and a '["A", 3, ' head per (server,
-    # file).  `combinations` yields subsets in the lexicographic order of
-    # their user lists, so a t-subset's place in it is its rank.  A term sorts
-    # by one int key, (server, file, rank of its users) as PacketIds sort,
-    # whose high bits index its head and whose low bits its users.
-    bits, names = [1 << u for u in config.users], list(map(str, config.users))
-    tails = list(map("[{}]]".format, map(", ".join, combinations(names, t))))
-    rank = dict(zip(map(sum, combinations(bits, t)), range(len(tails))))
-    spell = dict(zip(map(sum, combinations(bits, t + 1)),
-                     map("[{}]".format, map(", ".join, combinations(names, t + 1)))))
+    # file).  A term sorts by one int key, (server, file, rank of its users)
+    # as PacketIds sort, whose high bits index its head and whose low bits
+    # its users.
+    masks, texts = _subset_texts(K, t)
+    tails = list(map("[{}]]".format, texts))
+    rank = dict(zip(masks, range(len(tails))))
+    spell = dict(zip(*_subset_texts(K, t + 1)))
     rank_bits = len(tails).bit_length()
-    bases = plan.demand.packet_bases
-    files = sorted({b >> K for b in bases[SERVER_A] + bases[SERVER_B]},
-                   key=lambda f: (f & 1, f >> 1))  # f = file << 1 | server bit
-    code = {f: i << rank_bits for i, f in enumerate(files)}
-    heads = [f'["{SERVER_B if f & 1 else SERVER_A}", {f >> 1}, ' for f in files]
+    files = _file_heads(plan.demand, K)
+    code = {b >> K: i << rank_bits for i, b in enumerate(files)}
+    heads = [f"[{head}, " for head in files.values()]
     low_bits = (1 << rank_bits) - 1
     for g in plan.groups:
         # a line ends in its group's index sets, spelt once per group
-        end = ", ".join([f'"{f}": {spell[m]}'
+        end = ", ".join([f'"{f}": [{spell[m]}]'
                          for f, m in zip(delivery.GROUPS[g.kind][0], g.index_sets)]) + "}\n"
         for bc in g.broadcasts:
             keys = sorted([code[p >> K] | rank[p & low] for p in bc.payload])
@@ -179,20 +193,70 @@ class _Unkept(_Checked):
         return self.check(key)
 
 
-def _plan_memos(config: SystemConfig, file_bytes: int) -> tuple[list[dict], list[dict]]:
-    """The loader's memos over `_plan_checks`: (bases, terms, sets) that keep
-    what they check, and the same three that keep nothing.  For a file of at
-    least `_SEED_BYTES_PER_ENTRY` bytes per t- and (t+1)-subset, the kept
-    term and index-set memos start with every such subset's users and mask,
-    built by `combinations`: exactly the keys their checks admit."""
+def _plan_memos(config: SystemConfig) -> tuple[list[dict], list[dict]]:
+    """The JSON path's memos over `_plan_checks`: (bases, terms, sets) that
+    keep what they check, and the same three that keep nothing."""
     checks = _plan_checks(config)
-    kept, unkept = [_Checked(c) for c in checks], [_Unkept(c) for c in checks]
+    return [_Checked(c) for c in checks], [_Unkept(c) for c in checks]
+
+
+def _text_tables(config: SystemConfig, demand: Demand, file_bytes: int) -> tuple[dict, dict, dict]:
+    """The writer's own spellings, each with the value the JSON path's check
+    gives it: (heads, tails, sets).  A head '"A", 3' per requested file
+    (`_file_heads`) gives its packet base.  For a file of at least
+    `_SEED_BYTES_PER_ENTRY` bytes per t- and (t+1)-subset, a tail '0, 1]]'
+    per t-subset and a set's text '0, 1, 2' per (t+1)-subset give its mask;
+    for a shorter file those two tables are empty."""
     K, t = config.K, config.t
+    tails, sets = {}, {}
     if _SEED_BYTES_PER_ENTRY * (comb(K, t) + comb(K, t + 1)) <= file_bytes:
-        bits = [1 << u for u in range(K)]
-        for memo, size in zip(kept[1:], (t, t + 1)):
-            memo.update(zip(combinations(range(K), size), map(sum, combinations(bits, size))))
-    return kept, unkept
+        masks, texts = _subset_texts(K, t)
+        tails = dict(zip(map("{}]]".format, texts), masks))
+        masks, texts = _subset_texts(K, t + 1)
+        sets = dict(zip(texts, masks))
+    return {text: base for base, text in _file_heads(demand, K).items()}, tails, sets
+
+
+def _canonical_reader(config: SystemConfig, demand: Demand, file_bytes: int) -> Callable[[str], tuple | None]:
+    """A reader of the lines spelled exactly as `_plan_lines` spells them,
+    through a '{"kind": "pair", "origin": "A"' prefix per kind and origin, a
+    frame per kind for its index-set end, and the `_text_tables`.
+
+    It gives a line's (kind, index sets, broadcast), or None for any other
+    line.  The tables hold only valid spellings, none of them holding the
+    ', [' that splits a payload into alternating heads and tails, so a line
+    it reads gives exactly what the JSON path gives.  An index-set end is
+    read once for the lines that repeat it."""
+    prefixes = {f'{{"kind": "{kind}", "origin": "{origin}"': (kind, origin) for kind in delivery.GROUPS
+                for origin in (mn.ORIGIN_A, mn.ORIGIN_B, mn.ORIGIN_P, mn.ORIGIN_SINGLE)}
+    frames = {kind: ", ".join([f'"{f}": [{{}}]' for f in fields]) + "}}\n"
+              for kind, (fields, _) in delivery.GROUPS.items()}
+    heads, tails, sets = _text_tables(config, demand, file_bytes)
+    head, tail = heads.__getitem__, tails.__getitem__
+    last_kind = last_end = last_sets = None
+
+    def read(line: str) -> tuple | None:
+        nonlocal last_kind, last_end, last_sets
+        prefix, _, rest = line.partition(', "payload": [[')
+        payload, _, end = rest.partition("]]], ")
+        try:
+            kind, origin = prefixes[prefix]
+            if end != last_end or kind != last_kind:  # kinds differ in their set fields
+                texts = [piece.partition("[")[2] for piece in end.split("]")[:-1]]
+                index_sets = tuple([sets[text] for text in texts])
+                # respelled from the kind's frame: too few sets raise IndexError
+                if frames[kind].format(*texts) != end:
+                    return None
+                last_kind, last_end, last_sets = kind, end, index_sets
+            pieces = (payload + "]]").split(", [")
+            terms = list(map(or_, map(head, pieces[::2]), map(tail, pieces[1::2])))
+        except LookupError:
+            return None
+        if 2 * len(terms) != len(pieces):
+            return None
+        return kind, last_sets, mn.Broadcast(origin, xor_sum(terms))
+
+    return read
 
 
 def _broadcast(record: dict, kind: str, bases: dict, terms: dict, sets: dict) -> tuple:
@@ -214,12 +278,14 @@ def load_plan(path: Path) -> delivery.DeliveryPlan:
     of a kind and index sets form a group, in the order of its first line,
     and a second line from one origin in a group is refused.
 
-    Every line is read by `_broadcast` through the memos of `_plan_memos`.
-    JSON true and false equal 1 and 0 and would hit a kept int, so a line
-    holding either is read with memos that keep nothing; so is a line with a
-    key that cannot be hashed (a list among users), for the check to name it.
-    A valid plan in a file large enough to seed the memos runs no subset
-    check; any other key misses them and is refused by its check.
+    A line spelled as the writer spells it is read by `_canonical_reader`,
+    with no JSON decode.  Any other line is decoded and read by `_broadcast`
+    through the memos of `_plan_memos`.  JSON true and false equal 1 and 0
+    and would hit a kept int, so a line holding either is read with memos
+    that keep nothing; so is a line with a key that cannot be hashed (a list
+    among users), for the check to name it.  A valid plan in a file large
+    enough for the subset text tables runs no subset check; any other key
+    misses them and is refused by its check.
 
     Every set takes at least one broadcast line: a pair's three lines serve
     two sets, an unpaired set takes two and a single or MN set one.  So a
@@ -240,19 +306,24 @@ def load_plan(path: Path) -> delivery.DeliveryPlan:
         if type(meta["t"]) is not int or meta["t"] != config.t:
             raise SpecError(f"meta line has t = {meta['t']!r}, but K*M/N = {config.t}")
         grouped: dict[tuple[str, tuple[int, ...]], dict[str, mn.Broadcast]] = {}
-        kept, unkept = _plan_memos(config, path.stat().st_size)
+        read = _canonical_reader(config, demand, path.stat().st_size)
+        kept, unkept = _plan_memos(config)
         for line in lines:
-            record = _PLAN_DECODER.decode(line)
-            kind = record.get("kind")
-            if kind not in delivery.GROUPS:
-                raise SpecError(f"unknown plan line kind {kind!r}")
-            memos = unkept if "true" in line or "false" in line else kept
-            try:
-                index_sets, bc = _broadcast(record, kind, *memos)
-            except TypeError:  # a key that cannot be hashed
-                index_sets, bc = _broadcast(record, kind, *unkept)
-            if type(bc.origin) is not str:
-                raise SpecError(f"{kind} line has origin {bc.origin!r}, which is not a string")
+            parsed = read(line)
+            if parsed:
+                kind, index_sets, bc = parsed
+            else:
+                record = _PLAN_DECODER.decode(line)
+                kind = record.get("kind")
+                if kind not in delivery.GROUPS:
+                    raise SpecError(f"unknown plan line kind {kind!r}")
+                memos = unkept if "true" in line or "false" in line else kept
+                try:
+                    index_sets, bc = _broadcast(record, kind, *memos)
+                except TypeError:  # a key that cannot be hashed
+                    index_sets, bc = _broadcast(record, kind, *unkept)
+                if type(bc.origin) is not str:
+                    raise SpecError(f"{kind} line has origin {bc.origin!r}, which is not a string")
             if grouped.setdefault((kind, index_sets), {}).setdefault(bc.origin, bc) is not bc:
                 raise SpecError(
                     f"duplicate {kind} line from {bc.origin} for {delivery.user_lists(index_sets)}"

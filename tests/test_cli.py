@@ -499,9 +499,9 @@ SEEDING_CASES = (
 @pytest.mark.parametrize("where, occurrence, value", SEEDING_CASES)
 def test_loader_refusals_read_the_same_with_memos_unseeded(tmp_path, capsys, monkeypatch,
                                                            where, occurrence, value):
-    # every bad key misses the seeded memos and is refused by its check, so
-    # the file is refused in the same words whether the memos start seeded
-    # or, with the bytes-per-entry rule raised past the file, empty
+    # every bad key misses the subset text tables, so its line takes the JSON
+    # path and is refused by its check, in the same words whether the tables
+    # are built or, with the bytes-per-entry rule raised past the file, empty
     records = _k6_records(tmp_path)
     pair = next(r for r in records if r["kind"] == "pair")
     if where == "term":
@@ -816,7 +816,7 @@ def test_verify_refuses_undersized_plan_before_any_work(tmp_path, capsys, monkey
     path.write_text(json.dumps(meta) + "\n" + json.dumps(single) + "\n")
     start = time.perf_counter()
     code, out, err = run(["verify", "--plan", str(path)], capsys)
-    # memos seeded by the claimed system, not by the file, would take ages here
+    # subset tables built for the claimed system, not for the file, would take ages here
     assert time.perf_counter() - start < 1
     assert code == 2
     assert "broadcast lines" in err
