@@ -6,7 +6,6 @@ from .system import (
     PacketId,
     SystemConfig,
     build_config,
-    place_caches,
     random_demand,
     worst_demand,
 )
@@ -51,7 +50,6 @@ __all__ = [
     "max_matching",
     "measure_rate",
     "mn_delivery",
-    "place_caches",
     "random_demand",
     "verify_full_recovery",
     "verify_plan",

@@ -2,8 +2,8 @@
 
 Everything here is exact big-integer or rational arithmetic; floats appear
 only when callers render output.  The improved-scheme unpaired counts are
-computed from the per-class cardinalities (products of binomials), with the
-published single-fraction simplifications recomputed as a redundant check.
+computed from the per-class cardinalities (products of binomials); the
+tests check them against the published single-fraction simplifications.
 
 The schemes' class layout (REGIME_GRAPH_SPECS) and the regime rule live
 here, and pairing builds its graphs from them.  The closed forms also make
@@ -296,39 +296,6 @@ def improved_unpaired_count(K: int, t: int, regime: int | None = None) -> tuple[
     return regime, _improved_count(_binomial_window(K, t), t, regime)
 
 
-def improved_count_simplified(K: int, t: int, regime: int | None = None) -> int:
-    """The published single-fraction forms of the unpaired counts, used as a
-    redundant cross-check of the class-cardinality sums.
-
-    The regime-3 form is evaluated with t+1 (not K) in its middle term; the
-    class sums and the step-by-step expansion both fix that coefficient.
-    """
-    if regime is None:
-        regime = regime_of_lambda(Fraction(t, K))
-    base = comb(K // 2 - 1, (t + 1) // 2) ** 2
-    if regime == 1:
-        coeff = Fraction(abs(K - 3 * t - 3), K - t - 1) + Fraction(
-            (t + 1) ** 2 * (K - t + 1) * (t + 3) + 8 * K * (t + 1) * (K - t - 1),
-            (K - t - 1) ** 2 * (t + 3) * (K - t + 1),
-        )
-    elif regime == 2:
-        coeff = Fraction(K * abs(2 * t + 2 - K), (K - t - 1) ** 2) + Fraction(
-            8 * K * (t + 1), (K - t - 1) * (t + 3) * (K - t + 1)
-        )
-    elif regime == 3:
-        coeff = (
-            1
-            + Fraction((t + 1) * abs(3 * t + 3 - 2 * K), (K - t - 1) ** 2)
-            + Fraction(8 * K * (t + 1), (K - t - 1) * (t + 3) * (K - t + 1))
-        )
-    else:
-        raise ValueError(f"unknown regime {regime}")
-    value = coeff * base
-    if value.denominator != 1:
-        raise ArithmeticError(f"simplified count is not integral: {value}")
-    return int(value)
-
-
 # ---------------------------------------------------------------------------
 # asymptotes (large-K limits at a fixed cache fraction)
 
@@ -340,14 +307,10 @@ _RATIO_BRANCHES = {
 
 
 def ratio_asymptote(lam: Fraction) -> Fraction:
-    """Limit of n_i / n: the improved-over-baseline unpaired ratio."""
+    """Limit of n_i / n: the improved-over-baseline unpaired ratio.  A third
+    of it is the limit of the improved unpaired fraction delta' itself."""
     lam = Fraction(lam)
     return _RATIO_BRANCHES[regime_of_lambda(lam)](lam)
-
-
-def delta_prime_asymptote(lam: Fraction) -> Fraction:
-    """Limit of the improved unpaired fraction itself (one third of the ratio)."""
-    return ratio_asymptote(lam) / 3
 
 
 # ---------------------------------------------------------------------------
@@ -382,58 +345,6 @@ def scheme_delta(K: int, t: int, scheme: str) -> Fraction:
 def rate_theorem(K: int, t: int, scheme: str = SCHEME_IMPROVED) -> Fraction:
     """Peak per-server rate of the three-server system under a scheme, exact."""
     return three_server_rate(K, t, scheme_delta(K, t, scheme))
-
-
-@dataclass(frozen=True)
-class AsymmetricRate:
-    value: Fraction
-    terms_used: int
-    terms_skipped: int
-
-
-def asymmetric_rate(K_A: int, K_B: int, t: int, scheme: str = SCHEME_IMPROVED) -> AsymmetricRate:
-    """Peak rate for unequal request counts, evaluated as the printed sum
-
-        sum_{l=0}^{t+1} C(K_A - K_B, l) * R_T(2 K_B, t - l).
-
-    Terms whose inner parameters fall outside the model (t - l not in
-    [1, 2 K_B - 1]) are skipped and counted; zero binomials simply vanish.
-    """
-    if K_A <= K_B:
-        raise ValueError("asymmetric rate needs K_A > K_B; use the symmetric path otherwise")
-    if K_B < 1:
-        raise ValueError("K_B must be at least 1")
-    total = Fraction(0)
-    used = skipped = 0
-    for l in range(t + 2):
-        weight = comb(K_A - K_B, l)
-        if weight == 0:
-            continue
-        inner_t = t - l
-        if not 1 <= inner_t <= 2 * K_B - 1:
-            skipped += 1
-            continue
-        total += weight * rate_theorem(2 * K_B, inner_t, scheme)
-        used += 1
-    return AsymmetricRate(value=total, terms_used=used, terms_skipped=skipped)
-
-
-def multi_server_rate(L: int, K: int, t: int, with_two_parities: bool = False) -> Fraction:
-    """Normalized peak rate with L data servers and one parity, or two parities
-    over a higher-order field when with_two_parities is set."""
-    if L < 2:
-        raise ValueError("need at least two data servers")
-    if not with_two_parities:
-        return Fraction((L - 1) * (K - t), L * (1 + t))
-    delta_prime = scheme_delta(K, t, SCHEME_IMPROVED)
-    return (Fraction(1, 2) + Fraction(L - 2, 2 * L + 4) * delta_prime) * mn_rate_formula(K, t)
-
-
-def server_load_for_requests(K: int, t: int, m: int) -> Fraction:
-    """Messages a data server transmits when m users request its files, per file."""
-    if not 0 <= m <= K:
-        raise ValueError("m must lie in [0, K]")
-    return Fraction(comb(K, t + 1) - comb(K - m, t + 1), comb(K, t))
 
 
 # ---------------------------------------------------------------------------

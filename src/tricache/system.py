@@ -154,12 +154,6 @@ class SystemConfig:
         """Whether (server, idx) names a file: server A or B, an int (not bool) index in 1..N/2."""
         return server in (SERVER_A, SERVER_B) and type(idx) is int and 1 <= idx <= self.N // 2
 
-    def files(self) -> list[tuple[str, int]]:
-        half = self.N // 2
-        return [(SERVER_A, i) for i in range(1, half + 1)] + [
-            (SERVER_B, i) for i in range(1, half + 1)
-        ]
-
 
 def build_config(K: int, M: int | Fraction, N: int) -> SystemConfig:
     """A system configuration, validated by `SystemConfig`."""
@@ -193,25 +187,6 @@ def subset_masks(universe: Iterable[int], size: int) -> list[int]:
     masks is numeric order."""
     bits = [1 << u for u in universe]
     return sorted(sum(c) for c in combinations(bits, size))
-
-
-# ---------------------------------------------------------------------------
-# placement
-
-def place_caches(config: SystemConfig) -> dict[int, frozenset[int]]:
-    """Cache contents per user: every packet of every file whose subset contains the user.
-
-    Placement is demand independent.  Each cache holds N * C(K-1, t-1)
-    packets, i.e. the fraction t/K = M/N of every file.
-    """
-    tsubs = subset_masks(config.users, config.t)
-    files = config.files()
-    return {
-        k: frozenset(
-            packet(server, idx, m, config.K) for m in tsubs if m >> k & 1 for server, idx in files
-        )
-        for k in config.users
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +233,9 @@ def random_demand(config: SystemConfig, rng: random.Random) -> Demand:
 def demand_from_mapping(config: SystemConfig, mapping: dict[int, tuple[str, int]]) -> Demand:
     """A demand from user -> (server tag, file index), each naming a file
     (`SystemConfig.names_file`)."""
-    if sorted(mapping) != list(config.users):
+    # the length test comes first, so a demand far smaller than a huge K is
+    # refused before any K-sized list is built
+    if len(mapping) != config.K or sorted(mapping) != list(config.users):
         raise ValueError("demand must map every user exactly once")
     requests = []
     for u in config.users:

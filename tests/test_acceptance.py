@@ -17,7 +17,6 @@ from tricache.analysis import (
     MID,
     REGIME_GRAPH_SPECS,
     ratio_curves,
-    improved_count_simplified,
     improved_unpaired_count,
     lap_unpaired_count,
     middle_weights,
@@ -49,6 +48,7 @@ from conftest import (
     partition_classes,
     vertex_degree,
 )
+from paper_formulas import improved_count_simplified
 
 
 def _report(number: int, detail: str) -> None:

@@ -17,25 +17,26 @@ from tricache.analysis import (
     SCHEME_AUTO,
     SCHEME_IMPROVED,
     SCHEME_LAP,
-    AsymmetricRate,
-    asymmetric_rate,
     binom,
     ratio_curves,
-    delta_prime_asymptote,
-    improved_count_simplified,
     improved_unpaired_count,
     lap_unpaired_count,
     middle_weights,
     mn_rate_formula,
-    multi_server_rate,
     ratio_asymptote,
     rate_theorem,
     regime_of_lambda,
     scheme_delta,
-    server_load_for_requests,
 )
 
 from conftest import four_way_class_size
+from paper_formulas import (
+    AsymmetricRate,
+    asymmetric_rate,
+    improved_count_simplified,
+    multi_server_rate,
+    server_load_for_requests,
+)
 
 
 def test_delta_lap_small():
@@ -112,14 +113,14 @@ def test_asymptotes():
     assert ratio_asymptote(Fraction(1, 2)) == 0
     assert ratio_asymptote(Fraction(1, 3)) == Fraction(1, 9)
     assert ratio_asymptote(Fraction(2, 3)) == Fraction(1, 9)
-    assert delta_prime_asymptote(Fraction(1, 3)) == Fraction(1, 27)
-    assert delta_prime_asymptote(Fraction(2, 3)) == Fraction(1, 27)
-    assert delta_prime_asymptote(Fraction(11, 20)) == Fraction(1, 30)  # regime 2
+    assert ratio_asymptote(Fraction(1, 3)) / 3 == Fraction(1, 27)
+    assert ratio_asymptote(Fraction(2, 3)) / 3 == Fraction(1, 27)
+    assert ratio_asymptote(Fraction(11, 20)) / 3 == Fraction(1, 30)  # regime 2
 
 
 def test_rate_coefficient_near_one_third():
     # 1/2 + (1/27)/6 equals 41/81 exactly
-    assert Fraction(1, 2) + delta_prime_asymptote(Fraction(1, 3)) / 6 == Fraction(41, 81)
+    assert Fraction(1, 2) + ratio_asymptote(Fraction(1, 3)) / 3 / 6 == Fraction(41, 81)
 
 
 def test_rate_theorem_even_t():

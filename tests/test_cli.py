@@ -10,6 +10,7 @@ import random
 import subprocess
 import sys
 import time
+import tracemalloc
 from fractions import Fraction
 from math import comb
 from operator import attrgetter
@@ -845,6 +846,24 @@ def test_sizes_past_sys_maxsize_are_refused_at_once(tmp_path, capsys, command):
     assert out == ""
 
 
+def test_demand_far_smaller_than_k_is_refused_in_constant_memory(tmp_path, capsys):
+    # the meta line claims 2^22 users and maps two of them; the demand's size
+    # is compared with K before any list of the K users is built
+    K = 1 << 22
+    meta = {"kind": "meta", "K": K, "M": "1", "N": K, "t": 1, "scheme": "lap",
+            "demand": {"0": ["A", 1], "1": ["B", 1]}}
+    path = tmp_path / "short-demand.jsonl"
+    path.write_text(json.dumps(meta) + "\n")
+    tracemalloc.start()
+    try:
+        code, out, err = run(["verify", "--plan", str(path)], capsys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out, err) == (2, "", "error: demand must map every user exactly once\n")
+    assert peak < 1 << 20, peak
+
+
 def export_plan(directory, K, lam, scheme) -> list[str]:
     """Export one plan with simulate and return its lines."""
     path = directory / f"K{K}-{scheme}.jsonl"
@@ -895,28 +914,47 @@ def exported_plans(tmp_path_factory):
 def test_plan_line_mutations_fail_verify(exported_plans, data):
     """Dropping a line is an audit failure and duplicating one is invalid
     input; removing one payload term fails verify unless the plan still
-    decodes under full elimination."""
+    decodes under full elimination.  Deleting, inserting or flipping one
+    byte of a line may give any outcome but a traceback, and a plan that
+    loads must decode exactly as full elimination says."""
     path, plans = exported_plans
     lines = plans[data.draw(st.sampled_from(sorted(plans)))]
     n = data.draw(st.integers(1, len(lines) - 1), label="line")
-    mutation = data.draw(st.sampled_from(["drop", "duplicate", "term"]))
+    mutation = data.draw(st.sampled_from(["drop", "duplicate", "term", "byte"]))
     if mutation == "drop":
         mutated, want = lines[:n] + lines[n + 1:], {1}
     elif mutation == "duplicate":
         mutated, want = lines[:n + 1] + lines[n:], {2}
-    else:
+    elif mutation == "term":
         record = json.loads(lines[n])
         assume(record["payload"])
         del record["payload"][data.draw(st.integers(0, len(record["payload"]) - 1))]
         mutated = lines[:n] + [json.dumps(record, sort_keys=True) + "\n"] + lines[n + 1:]
         want = {0, 1}
-    path.write_text("".join(mutated))
-    with contextlib.redirect_stdout(io.StringIO()):
+    else:
+        line = bytearray(lines[n].encode())
+        i = data.draw(st.integers(0, len(line) - 1), label="byte")
+        edit = data.draw(st.sampled_from(["delete", "insert", "flip"]), label="edit")
+        if edit == "delete":
+            del line[i]
+        elif edit == "insert":
+            line.insert(i, data.draw(st.integers(0, 255), label="inserted"))
+        else:
+            line[i] ^= data.draw(st.integers(1, 255), label="mask")
+        # surrogateescape carries a byte that is not UTF-8 through to the file
+        mutated = lines[:n] + [line.decode(errors="surrogateescape")] + lines[n + 1:]
+        want = {0, 1, 2}
+    path.write_bytes("".join(mutated).encode(errors="surrogateescape"))
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         code = main(["verify", "--plan", str(path)])
     assert code in want
     if mutation == "term" and code == 0:
         plan = load_plan(path)
         assert elimination_oracle(plan.config, plan.demand, plan.broadcasts).all_ok
+    if mutation == "byte" and code != 2:
+        plan = load_plan(path)
+        report = delivery.verify_plan(plan)[1]
+        assert report == elimination_oracle(plan.config, plan.demand, plan.broadcasts)
 
 
 # (K, M, N): odd and even t, N = 4K so that file indices reach two digits,

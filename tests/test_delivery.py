@@ -24,7 +24,6 @@ from tricache.pairing import SCHEME_IMPROVED, SCHEME_LAP
 from tricache.system import (
     build_config,
     packet_id,
-    place_caches,
     random_demand,
     users_of,
     worst_demand,
@@ -32,6 +31,7 @@ from tricache.system import (
 )
 
 from conftest import mask, pkt, user_can_decode
+from paper_formulas import place_caches
 
 
 def mn_signal(config, demand, subset_mask):

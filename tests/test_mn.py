@@ -35,7 +35,6 @@ from tricache.system import (
     demand_from_mapping,
     packet,
     packet_id,
-    place_caches,
     random_demand,
     subset_masks,
     users_of,
@@ -44,6 +43,7 @@ from tricache.system import (
 )
 
 from conftest import mask, pkt, user_can_decode
+from paper_formulas import place_caches
 
 
 def flat(groups):

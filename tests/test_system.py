@@ -17,7 +17,6 @@ from tricache.system import (
     mask_of,
     packet,
     packet_id,
-    place_caches,
     random_demand,
     subset_masks,
     users_of,
@@ -26,6 +25,7 @@ from tricache.system import (
 )
 
 from conftest import pkt
+from paper_formulas import files, place_caches
 
 import random
 
@@ -131,7 +131,7 @@ def test_placement_sizes_and_fraction():
     for k in cfg.users:
         assert len(caches[k]) == cfg.N * per_file
         # cached fraction of each file is exactly t/K = M/N
-        for server, idx in cfg.files():
+        for server, idx in files(cfg):
             cached = sum(
                 1 for p in caches[k] if packet_id(p, cfg.K)[:2] == (server, idx)
             )
@@ -143,7 +143,7 @@ def test_placement_demand_independent_and_universe():
     assert place_caches(cfg) == place_caches(cfg)
     universe = {
         pkt(server, idx, sub, cfg.K)
-        for server, idx in cfg.files()
+        for server, idx in files(cfg)
         for sub in combinations(range(cfg.K), cfg.t)
     }
     assert len(universe) == cfg.N * comb(cfg.K, cfg.t)
