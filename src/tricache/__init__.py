@@ -23,7 +23,6 @@ from .delivery import (
     RateReport,
     assemble_plan,
     build_plan,
-    measure_rate,
     verify_plan,
 )
 from . import analysis
@@ -48,7 +47,6 @@ __all__ = [
     "count_unpaired",
     "is_effective_pair",
     "max_matching",
-    "measure_rate",
     "mn_delivery",
     "random_demand",
     "verify_full_recovery",

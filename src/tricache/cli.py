@@ -131,8 +131,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         plan = delivery.build_plan(config, demand, scheme)
     except delivery.CoverageError as exc:
         raise SpecError(f"scheme {scheme} cannot serve K={config.K}, t={config.t}: {exc}") from None
-    problems, recovery = delivery.verify_plan(plan)
-    rr = delivery.measure_rate(plan)
+    problems, recovery, rr = delivery.verify_plan(plan)
     report = {
         "K": config.K,
         "N": config.N,
@@ -147,9 +146,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         "delta_measured": _rational_fields(rr.delta_measured),
         "delta_formula": _rational_fields(rr.delta_formula),
         "verified": recovery.all_ok and not problems,
-        "unpaired": rr.unpaired,
-        "pairs": rr.pairs,
-        "singles": rr.singles,
+        "unpaired": rr.groups[KIND_UNPAIRED],
+        "pairs": rr.groups[KIND_PAIR],
+        "singles": rr.groups[KIND_SINGLE],
     }
     if plan.scheme != delivery.SCHEME_MN:
         report["scheme_used"] = plan.scheme  # what auto chose; mn chooses nothing
@@ -206,7 +205,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         raise
     except Exception as exc:
         raise SpecError(f"malformed plan file: {exc}") from None
-    problems, recovery = delivery.verify_plan(plan)
+    problems, recovery, rate = delivery.verify_plan(plan)
     for p in problems:
         print(f"audit failure: {p}")
     for u in recovery.failures():
@@ -214,12 +213,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
               f"first {u.first_failed}")
     if problems or not recovery.all_ok:
         return EXIT_VERIFICATION
-    groups = delivery.group_counts(plan)
     if plan.scheme == delivery.SCHEME_MN:
-        print(f"plan ok: {groups[KIND_MN]} mn sets, all users decode")
+        print(f"plan ok: {rate.groups[KIND_MN]} mn sets, all users decode")
     else:
-        print(f"plan ok: {groups[KIND_PAIR]} pairs, {groups[KIND_UNPAIRED]} unpaired, "
-              f"{groups[KIND_SINGLE]} singles, all users decode")
+        print(f"plan ok: {rate.groups[KIND_PAIR]} pairs, {rate.groups[KIND_UNPAIRED]} unpaired, "
+              f"{rate.groups[KIND_SINGLE]} singles, all users decode")
     return EXIT_OK
 
 

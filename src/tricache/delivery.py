@@ -73,7 +73,7 @@ GROUPS: dict[str, tuple[tuple[str, ...], tuple[tuple[str, ...], ...]]] = {
 
 
 class CoverageError(RuntimeError):
-    """A delivery plan failed to serve every (t+1)-subset exactly once."""
+    """A one-sided set no two-server split serves: `assemble_plan` raises it, the audit never does."""
 
 
 @dataclass(frozen=True)
@@ -190,7 +190,7 @@ def build_plan(config: SystemConfig, demand: Demand, scheme: str) -> DeliveryPla
 
 
 # ---------------------------------------------------------------------------
-# audits and measurement
+# the audit and measurement
 
 def user_lists(index_sets: Iterable[int]) -> list[list[int] | int]:
     """Index-set masks as the user lists that plan lines and messages spell;
@@ -198,33 +198,56 @@ def user_lists(index_sets: Iterable[int]) -> list[list[int] | int]:
     return [list(users_of(m)) if m >= 0 else m for m in index_sets]
 
 
-def group_counts(plan: DeliveryPlan) -> Counter:
-    """Number of groups of each kind: pairs, unpaired sets, singles, MN sets."""
-    return Counter(g.kind for g in plan.groups)
+def verify_plan(plan: DeliveryPlan) -> tuple[list[str], RecoveryReport, RateReport]:
+    """The one audit of a plan: the per-user decode, then one walk over its
+    groups that also tallies the rate.  Decoding first holds none of the
+    walk's lists at the decode's peak.
 
-
-def coverage_errors(plan: DeliveryPlan) -> list[str]:
-    """Check, walking the plan's groups in order, that every group is
-    complete and of a kind the plan's scheme sends (mn groups in an mn plan
-    only), and that every (t+1)-subset of users is served by exactly one
-    group.  The index sets of all groups are counted in one `Counter`; the
-    C(K, t+1) sets are enumerated only to name the ones no group serves."""
-    config = plan.config
-    mn = plan.scheme == SCHEME_MN
-    problems = []
+    The walk checks that each group is complete and of a kind the scheme
+    sends (mn groups in mn plans only), and each broadcast's origin rule: A
+    sends only server-A packets, B only server-B packets, P only twin pairs
+    (distinct terms, as in every `mn.Broadcast`, are all twins iff setting
+    the server bit halves them), SINGLE anything.  Problems come in order:
+    group shapes in plan order; index sets served more than once or invalid
+    (negative masks first, then by user tuple); the (t+1)-subsets no group
+    serves, the only reason to enumerate all C(K, t+1); origin violations in
+    plan order, each broadcast's in PacketId order, as plan files spell terms.
+    """
+    config, K, mn = plan.config, plan.config.K, plan.scheme == SCHEME_MN
+    recovery = verify_full_recovery(config, plan.demand, plan.broadcasts, plan.groups)
+    server_bit = 1 << K
+    foreign_bits = {ORIGIN_A: server_bit, ORIGIN_B: 0}
+    problems, origin_problems, kinds, index_sets, all_origins = [], [], [], [], []
     for g in plan.groups:
-        fields, complete = GROUPS.get(g.kind, ((), ()))
-        origins = sorted([bc.origin for bc in g.broadcasts])
-        if len(g.index_sets) != len(fields) or tuple(origins) not in complete:
-            problems.append(
-                f"{g.kind} group {user_lists(g.index_sets)} has broadcasts from {origins}"
-            )
-        if (g.kind == KIND_MN) != mn:
-            problems.append(
-                f"{g.kind} group {user_lists(g.index_sets)} is not sent by scheme {plan.scheme}"
-            )
-    seen = Counter([m for g in plan.groups for m in g.index_sets])
-    size, everyone = config.t + 1, (1 << config.K) - 1
+        kind, sets, broadcasts = g.kind, g.index_sets, g.broadcasts
+        kinds.append(kind)
+        index_sets += sets
+        origins = sorted([bc.origin for bc in broadcasts])
+        all_origins += origins
+        fields, complete = GROUPS.get(kind, ((), ()))
+        if len(sets) != len(fields) or tuple(origins) not in complete:
+            problems.append(f"{kind} group {user_lists(sets)} has broadcasts from {origins}")
+        if (kind == KIND_MN) != mn:
+            problems.append(f"{kind} group {user_lists(sets)} is not sent by scheme {plan.scheme}")
+        for bc in broadcasts:
+            origin, terms = bc.origin, bc.payload
+            if (foreign := foreign_bits.get(origin)) is not None:
+                bad = [p for p in terms if p & server_bit == foreign]
+            elif origin == ORIGIN_P:
+                if 2 * len({p | server_bit for p in terms}) == len(terms):
+                    continue
+                twins = set(terms)
+                bad = [p for p in terms if p ^ server_bit not in twins]
+            else:
+                if origin != ORIGIN_SINGLE:
+                    origin_problems.append(f"unknown origin {origin!r}")
+                continue
+            if bad:
+                template = ("parity payload term {} lacks its twin" if origin == ORIGIN_P
+                            else f"origin {origin} payload holds foreign packet {{}}")
+                origin_problems.extend(template.format(q) for q in sorted(packet_id(p, K) for p in bad))
+    seen = Counter(index_sets)
+    size, everyone = config.t + 1, (1 << K) - 1
     invalid = {m for m in seen if not (0 <= m <= everyone and m.bit_count() == size)}
     flagged = invalid.union(m for m, n in seen.items() if n > 1)
     negative = sorted(m for m in flagged if m < 0)
@@ -236,48 +259,10 @@ def coverage_errors(plan: DeliveryPlan) -> list[str]:
             problems.append(f"subset {sub} served {seen[m]} times")
         if m in invalid:
             problems.append(f"subset {sub} is not a valid index set")
-    if len(seen) - len(invalid) < comb(config.K, size):
+    if len(seen) - len(invalid) < comb(K, size):
         missing = [users_of(m) for m in subset_masks(config.users, size) if m not in seen]
         problems.extend(f"subset {sub} is not served by any broadcast" for sub in sorted(missing))
-    return problems
-
-
-def origin_errors(plan: DeliveryPlan) -> list[str]:
-    """The origin rule of every broadcast, audited in one pass: origin A
-    sends only server-A packets, B only server-B packets, P only twin pairs
-    and SINGLE anything.  Violations come in plan order, group by group,
-    and within a broadcast in the order of their PacketIds, as plan files
-    spell terms."""
-    K = plan.config.K
-    server_bit = 1 << K
-    foreign_bits = {ORIGIN_A: server_bit, ORIGIN_B: 0}
-    problems = []
-    for g in plan.groups:
-        for bc in g.broadcasts:
-            origin, terms = bc.origin, bc.payload
-            if origin in foreign_bits:
-                foreign = foreign_bits[origin]
-                bad = [p for p in terms if p & server_bit == foreign]
-            elif origin == ORIGIN_P:
-                twins = set(terms)
-                bad = [p for p in terms if p ^ server_bit not in twins]
-            else:
-                if origin != ORIGIN_SINGLE:
-                    problems.append(f"unknown origin {origin!r}")
-                continue
-            if bad:
-                template = ("parity payload term {} lacks its twin" if origin == ORIGIN_P
-                            else f"origin {origin} payload holds foreign packet {{}}")
-                problems.extend(template.format(q) for q in sorted(packet_id(p, K) for p in bad))
-    return problems
-
-
-def verify_plan(plan: DeliveryPlan) -> tuple[list[str], RecoveryReport]:
-    """The one audit of a plan: coverage and origins, plus the full
-    per-user decodability check."""
-    problems = coverage_errors(plan) + origin_errors(plan)
-    report = verify_full_recovery(plan.config, plan.demand, plan.broadcasts, plan.groups)
-    return problems, report
+    return problems + origin_problems, recovery, measure_rate(plan, Counter(kinds), Counter(all_origins))
 
 
 @dataclass(frozen=True)
@@ -288,46 +273,25 @@ class RateReport:
     delta_measured: Fraction | None
     delta_formula: Fraction | None
     rate_formula: Fraction
-    slack: Fraction
-    pairs: int
-    unpaired: int
-    singles: int
+    groups: Counter
 
 
-def measure_rate(plan: DeliveryPlan) -> RateReport:
-    """Count per-server broadcasts and compare against the rate formula.
+def measure_rate(plan: DeliveryPlan, kinds: Counter, loads: dict[str, int]) -> RateReport:
+    """Compare the loads of the scheme's servers against the rate formula,
+    from `verify_plan`'s tallies: groups by kind and broadcasts by origin.
 
-    For the three-server schemes the formula value uses the plan's own
-    measured unpaired fraction: half the single-server rate for even t, plus
-    delta/6 for odd t.  Slack is the leftover from integer load rounding and
-    one-sided singles.  The MN plan has no unpaired fraction and is compared
-    against the single-server rate.
+    For the three-server schemes the formula uses the plan's own measured
+    unpaired fraction: half the single-server rate, plus delta/6 for odd t;
+    integer load rounding and one-sided singles leave the measured rate off
+    it.  The MN plan is compared against the single-server rate.
     """
-    config = plan.config
-    t = config.t
+    K, t, F = plan.config.K, plan.config.t, plan.config.packets_per_file
     mn = plan.scheme == SCHEME_MN
-    loads = dict.fromkeys((ORIGIN_SINGLE,) if mn else (ORIGIN_A, ORIGIN_B, ORIGIN_P), 0)
-    for g in plan.groups:
-        for bc in g.broadcasts:
-            loads[bc.origin] += 1
-    F = config.packets_per_file
-    rate = Fraction(max(loads.values()), F)
-    groups = group_counts(plan)
+    loads = {o: loads.get(o, 0) for o in ((ORIGIN_SINGLE,) if mn else (ORIGIN_A, ORIGIN_B, ORIGIN_P))}
     delta = delta_formula = None
-    formula = mn_rate_formula(config.K, t)
+    formula = mn_rate_formula(K, t)
     if not mn:
-        delta = Fraction(groups[KIND_UNPAIRED], comb(config.K, t + 1))
-        delta_formula = scheme_delta(config.K, t, plan.scheme)
-        formula = three_server_rate(config.K, t, delta)
-    return RateReport(
-        loads=loads,
-        packets_per_file=F,
-        rate=rate,
-        delta_measured=delta,
-        delta_formula=delta_formula,
-        rate_formula=formula,
-        slack=rate - formula,
-        pairs=groups[KIND_PAIR],
-        unpaired=groups[KIND_UNPAIRED],
-        singles=groups[KIND_SINGLE],
-    )
+        delta = Fraction(kinds[KIND_UNPAIRED], comb(K, t + 1))
+        delta_formula = scheme_delta(K, t, plan.scheme)
+        formula = three_server_rate(K, t, delta)
+    return RateReport(loads, F, Fraction(max(loads.values()), F), delta, delta_formula, formula, kinds)

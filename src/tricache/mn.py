@@ -68,7 +68,7 @@ class Broadcast:
     Origin A carries only server-A packets, origin B only server-B packets,
     and origin P only twin pairs (the A and B packet with identical file
     index and subset), since the parity server can only combine its stored
-    parities; `delivery.origin_errors` audits that rule.
+    parities; `delivery.verify_plan` audits that rule.
     The payload is the strictly increasing tuple of packet ints
     (`system.packet`) whose XOR is sent.  Only `system.xor_sum` builds one,
     cancelling a packet named an even number of times.

@@ -25,7 +25,7 @@ from tricache.analysis import (
     ratio_asymptote,
     scheme_delta,
 )
-from tricache.delivery import build_plan, coverage_errors, measure_rate, verify_plan
+from tricache.delivery import build_plan, verify_plan
 from tricache.mn import mn_delivery, verify_full_recovery
 from tricache.pairing import (
     SCHEME_IMPROVED,
@@ -78,12 +78,11 @@ def test_criterion_02_even_t_halving():
     for K, t in ((8, 4), (12, 6)):
         cfg = build_config(K, t, K)
         plan = build_plan(cfg, worst_demand(cfg), SCHEME_LAP)
-        rr = measure_rate(plan)
+        problems, recovery, rr = verify_plan(plan)
         assert rr.rate == mn_rate_formula(K, t) / 2
         # K/2 < t+1 empties the extreme layers symmetrically, so no slack at all
         assert comb(K // 2, t + 1) == 0
-        assert rr.slack == 0
-        problems, recovery = verify_plan(plan)
+        assert rr.rate - rr.rate_formula == 0
         assert not problems and recovery.all_ok
     _report(2, "K=8,t=4 and K=12,t=6 measure exactly half the single-server rate")
 
@@ -194,9 +193,8 @@ def test_criterion_06_improved_end_to_end():
     assert cfg.packets_per_file == 252
     demand = worst_demand(cfg)
     plan = build_plan(cfg, demand, SCHEME_IMPROVED)
-    assert coverage_errors(plan) == []
-    problems, recovery = verify_plan(plan)
-    assert not problems
+    problems, recovery, _ = verify_plan(plan)
+    assert problems == []
     assert recovery.all_ok
     for user_result in recovery.users:
         assert user_result.missing == 0

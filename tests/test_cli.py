@@ -109,9 +109,9 @@ def test_simulate_report_names_first_failed_packet(tmp_path, capsys, monkeypatch
     def short_plan_verify(plan):
         first = plan.groups[0]
         short = dataclasses.replace(first, broadcasts=first.broadcasts[1:])
-        problems, recovery = real(dataclasses.replace(plan, groups=(short,) + plan.groups[1:]))
+        problems, recovery, rate = real(dataclasses.replace(plan, groups=(short,) + plan.groups[1:]))
         seen.extend(recovery.failures())
-        return problems, recovery
+        return problems, recovery, rate
 
     monkeypatch.setattr(tricache.delivery, "verify_plan", short_plan_verify)
     report_path = tmp_path / "report.json"
@@ -662,13 +662,13 @@ def test_verify_rejects_duplicated_line_far_from_its_group(tmp_path, capsys):
 @pytest.mark.parametrize("scheme", ["improved", "mn"])
 def test_simulate_audits_coverage_once(tmp_path, capsys, monkeypatch, scheme):
     calls = []
-    real = delivery.coverage_errors
+    real = delivery.verify_plan
 
     def counted(plan):
         calls.append(plan)
         return real(plan)
 
-    monkeypatch.setattr(delivery, "coverage_errors", counted)
+    monkeypatch.setattr(delivery, "verify_plan", counted)
     code, _, _ = run(["simulate", "--K", "8", "--lambda", "3/8", "--scheme", scheme,
                       "--output", str(tmp_path / "r.json")], capsys)
     assert code == 0

@@ -606,7 +606,7 @@ def test_verify_plan_certifies_k12_group_by_group(monkeypatch):
     no_whole_plan_decode(monkeypatch)
     cfg = build_config(12, 5, 12)
     for scheme in ("lap", "improved", "mn"):
-        problems, report = verify_plan(build_plan(cfg, worst_demand(cfg), scheme))
+        problems, report, _ = verify_plan(build_plan(cfg, worst_demand(cfg), scheme))
         assert not problems and report.all_ok, scheme
 
 
@@ -751,7 +751,7 @@ def test_index_set_outside_the_users_gets_no_certificate(wild):
     g = plan.groups[i]
     bad = replace(g, index_sets=(wild,) + g.index_sets[1:])
     plan = replace(plan, groups=plan.groups[:i] + (bad,) + plan.groups[i + 1:])
-    problems, report = verify_plan(plan)
+    problems, report, _ = verify_plan(plan)
     assert f"subset {wild if wild < 0 else users_of(wild)} is not a valid index set" in problems
     assert report.all_ok and report == elimination_oracle(cfg, demand, flat(plan.groups))
 
