@@ -1,9 +1,11 @@
 """Closed-form calculators: unpaired ratios, rate formulas, and curve data.
 
 Everything here is exact big-integer or rational arithmetic; floats appear
-only when callers render output.  The improved-scheme unpaired counts are
-computed from the per-class cardinalities (products of binomials); the
-tests check them against the published single-fraction simplifications.
+only when callers render output.  The unpaired counts are summed from the
+per-class cardinalities, products of two binomials C(K/2 - 1, j) held as
+small exact ratios to one of them (`_window_ratios`), and one big square
+scales the sums; the tests check them against the published
+single-fraction simplifications.
 
 The schemes' class layout (REGIME_GRAPH_SPECS) and the regime rule live
 here, and pairing builds its graphs from them.  The closed forms also make
@@ -24,7 +26,7 @@ import sys
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, gcd, isqrt, lgamma, log, perm
+from math import comb, gcd, isqrt, lgamma, log, perm, prod
 from operator import mul
 
 SCHEME_LAP = "lap"
@@ -214,26 +216,27 @@ def layer_size(K: int, t: int, w: int) -> int:
 
 
 def _window_seed(K: int, t: int) -> tuple[int, int]:
-    """(m, j) of the binomial C(m, j) that seeds `_binomial_window`."""
+    """(m, j0) of the binomial C(m, j0) that scales `_window_ratios`."""
     return K // 2 - 1, max((t + 1) // 2 - 2, 0)
 
 
-def _binomial_window(K: int, t: int, seed: int | None = None) -> dict[int, int]:
-    """C(m, j) for m = K/2 - 1 and j = s-2 .. s+1, s = (t+1)/2; 0 outside 0 <= j <= m.
+def _window_ratios(K: int, t: int) -> tuple[int, dict[int, int]]:
+    """(F, N) with C(m, j) = C(m, j0) N[j] / F for m = K/2 - 1, j = s-2 .. s+1, s = (t+1)/2.
 
-    Every middle-band class size is a product of two of these, and Pascal's rule
-    gives the C(K/2, j) of the baseline count.  The seed, the binomial that
-    `_window_seed` names, comes from the caller (`ratio_curves` steps it along a
-    column) or else from `binom`; exact steps C(m, j+1) = C(m, j) (m-j) / (j+1)
-    give the rest.
+    (m, j0) is `_window_seed`'s and F = (j0+1)(j0+2)...(s+1), so every N[j]
+    is a small int: N[j0] = F, then exact steps N[j+1] = N[j] (m-j) // (j+1);
+    N[j] is 0 outside 0 <= j <= m.  Every middle-band class size is a product
+    of two window entries, and Pascal's rule gives the C(K/2, j) of the
+    baseline count, so a count summed over N is the true count times
+    F^2 / C(m, j0)^2.  Two such counts compare with no binomial at all.
     """
     m, j = _window_seed(K, t)
     lo = (t + 1) // 2 - 2
     window = dict.fromkeys(range(lo, 0), 0)
-    window[j] = c = binom(m, j) if seed is None else seed
+    window[j] = c = F = prod(range(j + 1, lo + 4))
     for j in range(j, lo + 3):
         window[j + 1] = c = c * (m - j) // (j + 1)
-    return window
+    return F, window
 
 
 def _lap_count(window: dict[int, int], t: int) -> int:
@@ -243,35 +246,32 @@ def _lap_count(window: dict[int, int], t: int) -> int:
 
 
 def _improved_count(window: dict[int, int], t: int, regime: int) -> int:
-    """The improved unpaired count of a regime from the window's class sizes.
-
-    A class size is a product of two window entries.  Class (LOW, a1, b1)
-    has the size of (HIGH, b1, a1), and MID's two mixed classes are equal, so
-    each distinct product is computed once, keyed by its unordered index
-    pair: at most 6 big multiplications for the regime's 12 classes.
-    """
+    """The improved unpaired count of a regime from the window's class sizes."""
     weight_of = dict(zip((LOW, MID, HIGH), middle_weights(t)))
-    products: dict[tuple[int, int], int] = {}
 
     def class_size(spec: tuple[str, bool, bool]) -> int:
         # holding a_1 (b_1) fills one of the layer's A-side (B-side) slots,
         # so the other slots come from the K/2 - 1 other users of that side
         layer_name, a1, b1 = spec
         w = weight_of[layer_name]
-        i, j = w - a1, t + 1 - w - b1
-        key = (i, j) if i <= j else (j, i)
-        if key not in products:
-            products[key] = window[i] * window[j]
-        return products[key]
+        return window[w - a1] * window[t + 1 - w - b1]
 
     graphs = REGIME_GRAPH_SPECS[regime]
     n = sum(abs(sum(map(class_size, x)) - sum(map(class_size, y))) for _, x, y in graphs)
     return n + sum(map(class_size, REGIME_STANDALONE[regime]))
 
 
+def _unpaired(K: int, t: int, regime: int | None) -> int:
+    """The baseline count (regime None) or a regime's improved count, scaled up."""
+    F, window = _window_ratios(K, t)
+    count = _lap_count(window, t) if regime is None else _improved_count(window, t, regime)
+    c = binom(*_window_seed(K, t))
+    return c * c * count // (F * F)
+
+
 def lap_unpaired_count(K: int, t: int) -> int:
     """Middle-band subsets the baseline layer pairing leaves unmatched (odd t only)."""
-    return _lap_count(_binomial_window(K, t), t)
+    return _unpaired(K, t, None)
 
 
 def auto_scheme(K: int, t: int) -> str:
@@ -279,7 +279,7 @@ def auto_scheme(K: int, t: int) -> str:
     form leaves fewer subsets unpaired than lap's, lap on a tie.  The
     closed forms are what the matchings leave, since every pair graph is
     biregular and its maximum matching saturates the smaller side."""
-    window = _binomial_window(K, t)
+    _, window = _window_ratios(K, t)
     improved = _improved_count(window, t, regime_of_lambda(Fraction(t, K)))
     return SCHEME_IMPROVED if improved < _lap_count(window, t) else SCHEME_LAP
 
@@ -293,7 +293,7 @@ def improved_unpaired_count(K: int, t: int, regime: int | None = None) -> tuple[
     """
     if regime is None:
         regime = regime_of_lambda(Fraction(t, K))
-    return regime, _improved_count(_binomial_window(K, t), t, regime)
+    return regime, _unpaired(K, t, regime)
 
 
 # ---------------------------------------------------------------------------
@@ -352,16 +352,19 @@ def rate_theorem(K: int, t: int, scheme: str = SCHEME_IMPROVED) -> Fraction:
 
 @dataclass(frozen=True)
 class CurveRow:
+    """One curve point.  Its three ratios of big counts are (numerator,
+    denominator) pairs in lowest terms, reduced from small factors: a Fraction
+    would run a full gcd of the big ints again.  ni_over_n is None at n = 0."""
     lam: Fraction
     K: int
     t: int
     regime: int
     n: int
     n_i: int
-    ni_over_n: Fraction | None
+    ni_over_n: tuple[int, int] | None
     asymptote: Fraction
-    delta: Fraction
-    delta_prime: Fraction
+    delta: tuple[int, int]
+    delta_prime: tuple[int, int]
 
 
 @dataclass(frozen=True)
@@ -405,11 +408,15 @@ def ratio_curves(
     (`sys.get_int_max_str_digits`, 0 for none); a number in a skip reason
     that has too many digits to print is spelled by its digit count.
 
-    A row's two big binomials, C(K, t+1) and the seed of its binomial
+    A row's two big binomials, C(K, t+1) and the C(m, j0) that scales its
     window, come from `_binom_next`: stepped from the previous admitted row
     of the same lambda where its K is larger and the step is cheaper, and
     from `binom` otherwise (the first K of a lambda, a falling or repeated
-    K, a long step).
+    K, a long step).  The rest is one big square and one big gcd: with L
+    and I summed over the window's small N, a = L/h and b = I/h for
+    h = gcd(L, I), n = n1 a and n_i = n1 b for the integer n1 = C(m, j0)^2
+    h / F^2, so n_i/n = b/a in lowest terms; and with g = gcd(n1, C(K, t+1))
+    only the small a or b shares a factor with C(K, t+1)/g.
     """
     digit_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     rows: list[CurveRow] = []
@@ -444,20 +451,14 @@ def ratio_curves(
                 regime, asymptote = regime_of_lambda(lam), ratio_asymptote(lam)
             total = _binom_next(total, K, t + 1)
             seed = _binom_next(seed, *_window_seed(K, t))
-            window = _binomial_window(K, t, seed[2])
-            n, n_i = _lap_count(window, t), _improved_count(window, t, regime)
-            rows.append(
-                CurveRow(
-                    lam=lam,
-                    K=K,
-                    t=t,
-                    regime=regime,
-                    n=n,
-                    n_i=n_i,
-                    ni_over_n=Fraction(n_i, n) if n else None,
-                    asymptote=asymptote,
-                    delta=Fraction(n, total[2]),
-                    delta_prime=Fraction(n_i, total[2]),
-                )
-            )
+            F, window = _window_ratios(K, t)
+            L, I = _lap_count(window, t), _improved_count(window, t, regime)
+            h = gcd(L, I) or 1  # 1 keeps a row with n = n_i = 0 defined
+            a, b = L // h, I // h
+            n1 = seed[2] ** 2 * h // (F * F)
+            g = gcd(n1, total[2])
+            p1, q1 = n1 // g, total[2] // g
+            ga, gb = gcd(a, q1), gcd(b, q1)
+            rows.append(CurveRow(lam, K, t, regime, n1 * a, n1 * b, (b, a) if a else None, asymptote,
+                                 (p1 * (a // ga), q1 // ga), (p1 * (b // gb), q1 // gb)))
     return rows, skipped

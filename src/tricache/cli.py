@@ -236,10 +236,9 @@ CURVE_COLUMNS = [
 ]
 
 
-def _rational_cells(value: Fraction | None) -> list[str]:
-    if value is None:
-        return ["", "", ""]
-    return [float12(value), str(value.numerator), str(value.denominator)]
+def _rational_cells(value: tuple[int, int] | None) -> list[str]:
+    # num / den rounds correctly, as float() of the Fraction does
+    return [float12(value[0] / value[1]), *map(str, value)] if value else ["", "", ""]
 
 
 def _curve_csv(rows: list[analysis.CurveRow]) -> str:
@@ -247,10 +246,10 @@ def _curve_csv(rows: list[analysis.CurveRow]) -> str:
     for r in rows:
         ratio = _rational_cells(r.ni_over_n)
         cells = (
-            _rational_cells(r.lam)
+            _rational_cells(r.lam.as_integer_ratio())
             + [str(r.K), str(r.t), str(r.regime), str(r.n), str(r.n_i)]
             + ratio
-            + _rational_cells(r.asymptote)
+            + _rational_cells(r.asymptote.as_integer_ratio())
             + _rational_cells(r.delta)
             + _rational_cells(r.delta_prime)
             + ratio  # delta_ratio: delta'/delta = n_i/n

@@ -17,6 +17,7 @@ from tricache.analysis import (
     SCHEME_AUTO,
     SCHEME_IMPROVED,
     SCHEME_LAP,
+    auto_scheme,
     binom,
     ratio_curves,
     improved_unpaired_count,
@@ -93,14 +94,41 @@ def _class_sum_counts(K, t, regime):
     return lap, improved
 
 
+def test_window_ratios_are_exact_ratios_to_the_seed():
+    # C(m, j) F = C(m, j0) N[j] at every window index; t = 1 starts the
+    # window below 0 and t = K - 1 runs it past m = K/2 - 1
+    for K in range(2, 81, 2):
+        for t in range(1, K, 2):
+            m, j0 = analysis._window_seed(K, t)
+            F, N = analysis._window_ratios(K, t)
+            lo = (t + 1) // 2 - 2
+            assert sorted(N) == list(range(lo, lo + 4)), (K, t)
+            for j in N:
+                assert comb0(m, j) * F == comb(m, j0) * N[j], (K, t, j)
+
+
 def test_binomial_window_counts_match_class_sums():
     # t = 1 starts the binomial window below 0; t = K - 1 runs it past K/2 - 1
     for K in range(2, 81, 2):
         for t in range(1, K, 2):
-            for regime in (1, 2, 3):
-                lap, improved = _class_sum_counts(K, t, regime)
+            counts = {regime: _class_sum_counts(K, t, regime) for regime in (1, 2, 3)}
+            for regime, (lap, improved) in counts.items():
                 assert lap_unpaired_count(K, t) == lap, (K, t)
                 assert improved_unpaired_count(K, t, regime) == (regime, improved), (K, t)
+            lap, improved = counts[regime_of_lambda(Fraction(t, K))]
+            assert auto_scheme(K, t) == (SCHEME_IMPROVED if improved < lap else SCHEME_LAP), (K, t)
+
+
+@pytest.mark.parametrize("K, t, regime", [(2060, 1029, 2), (4100, 1501, 1), (4100, 2049, 2), (4100, 2701, 3)])
+def test_large_counts_match_class_sums(K, t, regime):
+    # the window's seed C(K/2 - 1, (t+1)/2 - 2) takes binom's prime-power path
+    m, j0 = analysis._window_seed(K, t)
+    j = min(j0, m - j0)
+    assert j > analysis._COMB_MAX_J and m < analysis._COMB_MIN_RATIO * j
+    assert regime_of_lambda(Fraction(t, K)) == regime
+    lap, improved = _class_sum_counts(K, t, regime)
+    assert lap_unpaired_count(K, t) == lap
+    assert improved_unpaired_count(K, t) == (regime, improved)
 
 
 def test_ratio_at_k30():
@@ -198,7 +226,10 @@ def test_curve_row_values():
     assert row.regime == 2
     assert row.n == 23005125
     assert row.n_i == 11349195
-    assert row.ni_over_n == Fraction(37, 75)
+    total = comb(30, 16)
+    assert row.ni_over_n == (37, 75) == Fraction(row.n_i, row.n).as_integer_ratio()
+    assert row.delta == Fraction(row.n, total).as_integer_ratio()
+    assert row.delta_prime == Fraction(row.n_i, total).as_integer_ratio()
     assert row.asymptote == 0
 
 
@@ -208,6 +239,8 @@ def test_ratio_curves_zero_baseline():
     (row,) = rows
     assert row.n == 0
     assert row.ni_over_n is None
+    assert row.delta == (0, 1)
+    assert row.delta_prime == Fraction(row.n_i, comb(10, 6)).as_integer_ratio()
 
 
 # One lambda per regime at least: 1/4 and 3/8 in regime 1, 7/16 and 1/2 in 2,
@@ -267,7 +300,9 @@ def test_curve_columns_equal_fresh_points(K_values, order):
         assert (r.t, r.regime) == (t, regime_of_lambda(r.lam))
         assert (r.regime, r.n_i) == improved_unpaired_count(r.K, t)
         assert r.n == lap_unpaired_count(r.K, t)
-        assert (r.delta, r.delta_prime) == (Fraction(r.n, total), Fraction(r.n_i, total))
+        assert r.ni_over_n == (Fraction(r.n_i, r.n).as_integer_ratio() if r.n else None)
+        assert r.delta == Fraction(r.n, total).as_integer_ratio()
+        assert r.delta_prime == Fraction(r.n_i, total).as_integer_ratio()
 
 
 def test_ascending_column_calls_binom_for_its_first_point_only(monkeypatch):
