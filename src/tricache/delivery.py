@@ -133,7 +133,7 @@ def assemble_plan(
     Each unpaired set goes to the server pair with the least summed running
     load, which spares a busiest server; a tie goes to the first pair in the
     fixed rotation A+B, A+P, B+P.  With no singles this reproduces an even
-    2n/3 split.  Each pair comes A-heavy member first, as max_matching emits
+    2n/3 split.  Each pair comes A-heavy member first, as a Matching spells
     it.  A one-sided unmatched set, which no two-server split can serve,
     raises CoverageError; the plan is not audited here, `verify_plan` is the
     one audit of every plan.
@@ -185,7 +185,12 @@ def build_plan(config: SystemConfig, demand: Demand, scheme: str) -> DeliveryPla
         scheme = middle.scheme
         matchings += middle.matchings
         unmatched = middle.unmatched
-    pairs = [pair for m in matchings for pair in m]
+        del middle
+    # The pairs are spelled once, into the list assemble_plan sorts; the
+    # matchings go as the last pair is read, and no second pair list is
+    # held while the plan is assembled.
+    pairs = (pair for m in matchings for pair in m)
+    del matchings
     return assemble_plan(config, demand, pairs, unmatched, scheme=scheme)
 
 

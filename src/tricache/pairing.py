@@ -15,7 +15,7 @@ middle layer into four classes by membership of the first A-user and first
 B-user and picks one of three class pairings depending on the cache fraction.
 The class layout, the regime rule and the choice behind 'auto' come from
 analysis; this module builds the graphs, matches each one, and hands back
-only its pairs.
+each matching as match arrays, whose pairs are spelled only when read.
 
 Subsets in this module are int bitmasks (bit u set = user u present); numeric
 order on masks of equal size is exactly colexicographic order, which fixes
@@ -24,6 +24,7 @@ the deterministic iteration order used everywhere.
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
@@ -31,7 +32,7 @@ from functools import cached_property, reduce
 from itertools import compress, groupby
 from math import comb
 from operator import or_
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence, Sized
 
 from .analysis import (
     HIGH,
@@ -249,29 +250,57 @@ def single_layer_weights(config: SystemConfig) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 # maximum matching
 
-def max_matching(graph: PairGraph) -> list[tuple[int, int]]:
+class Matching:
+    """A matching held as match arrays: the graph's own sides x and y, not
+    copied, and match_x, where match_x[i] is the y-index matched to x[i]
+    or -1 (empty when a side is).  len() is the pair count, taken once;
+    iterating spells the pairs, built on each read: A-heavy member first,
+    sorted by the heavy member.
+
+    The heavy member is the smaller int: its B-part lies strictly inside
+    the lighter member's, and B-side users hold the high bits.
+    """
+
+    __slots__ = ("x", "y", "match_x", "size")
+
+    def __init__(self, x: Sequence[int], y: Sequence[int], match_x: list[int]):
+        self.x, self.y = x, y
+        self.size = len(match_x) - match_x.count(-1)
+        # An array slot holds the index itself in 4 bytes; a list slot is
+        # 8 bytes and points at an int object of its own (32 bytes) for
+        # every matched x.
+        self.match_x = array("i", match_x)
+
+    def __len__(self) -> int:
+        return self.size
+
+    def __iter__(self) -> Iterator[tuple[int, int]]:
+        y = self.y
+        pairs = [(s, t) if s < t else (t, s) for s, j in zip(self.x, self.match_x) if j >= 0 for t in (y[j],)]
+        pairs.sort()
+        return iter(pairs)
+
+
+def max_matching(graph: PairGraph) -> Matching:
     """Maximum matching: the greedy start read from the factors, then
     Hopcroft-Karp augmenting phases, unless that start already saturates
     the smaller side (no phase could then find a path).  The phases' BFS
     reads the factors too, and their DFS builds the row of an x the first
     time it visits it, so no row is built for an x it never reaches.
 
-    Returns vertex-disjoint pairs ordered A-heavy first, sorted by the heavy
-    member; ties in the search are broken by colex vertex order.
+    Returns a Matching: the graph's sides and the final match_x, held as
+    match arrays, so that counting its pairs spells none.  Read, its pairs
+    come A-heavy member first (the smaller int), sorted by that member;
+    ties in the search are broken by colex vertex order.
     """
     x, y = graph.x, graph.y
     if not x or not y:
-        return []
+        return Matching(x, y, [])
     runs = _runs(graph)
     match_x, match_y = _greedy(graph, runs)
     if len(x) - match_x.count(-1) < min(len(x), len(y)):
         _phases(graph, runs, match_x, match_y)
-    # The heavier member's A-part strictly contains the lighter one's, so
-    # it is the larger int.
-    a = graph.config.mask_a
-    pairs = [(s, t) if s & a > t & a else (t, s) for s, j in zip(x, match_x) if j >= 0 for t in (y[j],)]
-    pairs.sort()
-    return pairs
+    return Matching(x, y, match_x)
 
 
 def _greedy(graph: PairGraph, runs: list) -> tuple[list[int], list[int]]:
@@ -462,20 +491,20 @@ def _phases(graph: PairGraph, runs: list, match_x: list[int], match_y: list[int]
                 ptr[x] = p
 
 
-def match_graphs(graphs: Iterable[PairGraph]) -> list[tuple[tuple[int, int], ...]]:
+def match_graphs(graphs: Iterable[PairGraph]) -> list[Matching]:
     """A maximum matching of each graph, checked by check_saturation.  Each
     graph is dropped once matched, so drawn from a generator at most one is
-    alive at a time."""
+    alive at a time; its Matching keeps only the sides and match_x."""
     matchings = []
     for g in graphs:
         m = max_matching(g)
         check_saturation(g, m)
-        matchings.append(tuple(m))
+        matchings.append(m)
         del g  # the loop name would keep it alive while the next one is built
     return matchings
 
 
-def check_saturation(graph: PairGraph, matching: Sequence[tuple[int, int]]) -> None:
+def check_saturation(graph: PairGraph, matching: Sized) -> None:
     """Raise unless the matching saturates the graph's smaller side.  Every
     graph the schemes build is biregular with no isolated vertex (or has an
     empty side), so a maximum matching does (Hall's condition holds; König
@@ -494,17 +523,19 @@ def check_saturation(graph: PairGraph, matching: Sequence[tuple[int, int]]) -> N
 @dataclass(frozen=True)
 class MiddlePairing:
     """Matchings over the middle band for one construction (never 'auto'),
-    and the band: its three layers.  The leftovers are computed when read,
-    from the band's parts, so no band layer caches its members for them."""
+    each held as match arrays (see Matching), and the band: its three
+    layers.  The leftovers are computed when read, from the matchings'
+    sides and the band's parts, so no pair is spelled and no band layer
+    caches its members for them."""
 
     scheme: str
-    matchings: tuple[tuple[tuple[int, int], ...], ...]
+    matchings: tuple[Matching, ...]
     band: tuple[Layer, ...]
 
     @cached_property
     def unmatched(self) -> tuple[int, ...]:
         """The band's subsets that no pair covers, in colex order."""
-        matched = {s for m in self.matchings for pair in m for s in pair}
+        matched = {v for m in self.matchings for s, j in zip(m.x, m.match_x) if j >= 0 for v in (s, m.y[j])}
         return tuple(sorted(m for layer in self.band for b in layer.parts_b
                             for m in map(b.__or__, layer.parts_a) if m not in matched))
 

@@ -22,9 +22,10 @@ from hypothesis import assume, given, settings, strategies as st
 import tricache
 from tricache import cli, delivery, planfile
 from tricache.cli import load_plan, main
-from tricache.system import build_config, mask_of, packet, random_demand, worst_demand, xor_sum
+from tricache.system import build_config, mask_of, packet, random_demand, subset_masks, worst_demand, xor_sum
 
-from conftest import reference_plan_lines
+from conftest import reference_plan_lines, user_can_decode
+from paper_formulas import place_caches
 from test_mn import elimination_oracle
 
 
@@ -955,6 +956,45 @@ def test_plan_line_mutations_fail_verify(exported_plans, data):
         plan = load_plan(path)
         report = delivery.verify_plan(plan)[1]
         assert report == elimination_oracle(plan.config, plan.demand, plan.broadcasts)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_verify_verdicts_on_byte_mutations_agree_with_the_decode_oracle(exported_plans, data):
+    """Deleting, inserting or flipping one byte anywhere in a K=6 improved
+    plan file: no exception escapes verify; exit 0 means the plan loads, its
+    audit is clean and every user decodes every packet of its file that it
+    does not cache; exit 1 means the audit or that oracle names a failure."""
+    path, plans = exported_plans
+    text = bytearray("".join(plans[("6", "1/2", "improved")]).encode())
+    i = data.draw(st.integers(0, len(text) - 1), label="byte")
+    edit = data.draw(st.sampled_from(["delete", "insert", "flip"]), label="edit")
+    if edit == "delete":
+        del text[i]
+    elif edit == "insert":
+        text.insert(i, data.draw(st.integers(0, 255), label="inserted"))
+    else:
+        text[i] ^= data.draw(st.integers(1, 255), label="mask")
+    path.write_bytes(text)
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main(["verify", "--plan", str(path)])
+    assert code in {0, 1, 2}
+    if code == 2:
+        return
+    plan = load_plan(path)
+    problems = delivery.verify_plan(plan)[0]
+    config, caches = plan.config, place_caches(plan.config)
+    undecoded = [
+        (user, sub)
+        for user in config.users
+        for server, idx in [plan.demand.of(user)]
+        for sub in subset_masks([u for u in config.users if u != user], config.t)
+        if not user_can_decode(caches[user], plan.broadcasts, packet(server, idx, sub, config.K))
+    ]
+    if code == 0:
+        assert problems == [] and undecoded == []
+    else:
+        assert problems or undecoded
 
 
 # (K, M, N): odd and even t, N = 4K so that file indices reach two digits,

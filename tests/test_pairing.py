@@ -352,7 +352,7 @@ def test_pair_graph_on_random_blocks_equals_oracle(data):
         assert_phases_equal_oracle(g)
         match_x, _ = list_hopcroft_karp(rows(g), *start)
         expected = sorted(orient_pair(s, g.y[j], cfg) for s, j in zip(g.x, match_x) if j >= 0)
-        assert max_matching(g) == expected
+        assert list(max_matching(g)) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -364,7 +364,7 @@ def test_max_matching_empty_side():
     graphs = list(improved_middle_graphs(cfg, layers))
     g2 = graphs[1]  # y side V_{1;a1,b1-free} is empty at this size
     assert g2.y == ()
-    assert max_matching(g2) == []
+    assert list(max_matching(g2)) == []
 
 
 def test_matching_is_vertex_disjoint_and_valid():
@@ -474,7 +474,25 @@ def test_check_saturation_raises_one_pair_short():
     m = max_matching(g)
     check_saturation(g, m)
     with pytest.raises(RuntimeError, match="saturate the smaller side"):
-        check_saturation(g, m[:-1])
+        check_saturation(g, list(m)[:-1])
+
+
+@pytest.mark.parametrize("K", [2, 4, 6, 8, 10, 12])
+def test_matching_length_and_pairs_read_from_match_x(K):
+    # the Matching holds the graph's own sides, its length is its pair count
+    # and check_saturation takes it as it is; each pair it spells puts the
+    # A-heavy member first, and that member is the smaller int
+    for t in range(1, K):
+        cfg = build_config(K, t, K)
+        for g in every_graph(cfg):
+            m = max_matching(g)
+            pairs = list(m)
+            assert m.x is g.x and m.y is g.y, g.label
+            assert len(m) == len(pairs), g.label
+            check_saturation(g, m)
+            for s1, s2 in pairs:
+                assert s1 < s2, g.label
+                assert (s1, s2) == orient_pair(s2, s1, cfg) == orient_pair(s1, s2, cfg), g.label
 
 
 # sha256 of every matching at one K, recorded before the greedy start read
@@ -507,7 +525,7 @@ def test_matchings_equal_recorded_digest(K):
             for regime in (1, 2, 3):
                 graphs += improved_middle_graphs(cfg, layers, regime)
         for g in graphs:
-            h.update(f"{t} {g.label} {max_matching(g)}\n".encode())
+            h.update(f"{t} {g.label} {list(max_matching(g))}\n".encode())
     assert h.hexdigest() == MATCHINGS_SHA256[K]
 
 
@@ -630,7 +648,8 @@ def test_count_unpaired_equals_the_leftovers(K):
 def test_count_unpaired_builds_the_band_and_never_its_leftovers(monkeypatch, scheme):
     # members are built only for the blocks a graph is built on: under
     # improved those are the class blocks, never the band's layers, and
-    # listing the leftovers reads the band's parts, not its members
+    # listing the leftovers reads the band's parts, not its members; the
+    # count reads each matching's length only, and spells no pair
     built, blocks = [], []
 
     def recording_build_layers(config):
@@ -644,6 +663,9 @@ def test_count_unpaired_builds_the_band_and_never_its_leftovers(monkeypatch, sch
     def no_leftovers(self):
         raise AssertionError("count_unpaired enumerated the leftovers")
 
+    def no_pairs(self):
+        raise AssertionError("count_unpaired spelled the pairs of a matching")
+
     def cached(layers):
         return ["members" in vars(layer) for layer in layers]
 
@@ -651,6 +673,7 @@ def test_count_unpaired_builds_the_band_and_never_its_leftovers(monkeypatch, sch
     monkeypatch.setattr(pairing, "build_pair_graph", recording_build_pair_graph)
     with monkeypatch.context() as m:
         m.setattr(pairing.MiddlePairing, "unmatched", property(no_leftovers))
+        m.setattr(pairing.Matching, "__iter__", no_pairs)
         cfg = build_config(16, 7, 16)
         assert count_unpaired(cfg, scheme).n == (
             lap_unpaired_count(16, 7) if scheme != SCHEME_IMPROVED else improved_unpaired_count(16, 7)[1])
